@@ -1,14 +1,14 @@
 """Exact arithmetic for explicit points, canonical heights and BSD
 bookkeeping on y^2 = x(x+1)(x+u^d), d = p^f + 1, over F_q(u)."""
 
-from .gf import FieldCtx, FieldElement, build_field, frobenius, is_prime, zeta
-from .ratfunc import Poly, RatFunc, frobenius_ratfunc, poly_sqrt
+from .gf import FieldCtx, FieldElement, build_field, is_prime, zeta
+from .ratfunc import Poly, RatFunc, poly_sqrt
 from .curve import (CoordChange, CurvePoint, IsogenyChain, IsogenyMap,
                     WeierstrassCurve, change_coords, legendre_form_curve,
                     two_isogeny_quotient, two_torsion)
 from .legendre import (FamilyParams, admissible_b_values, frobenius_orbit_sum,
-                       is_torsion, make_family, matching_index, point_P,
-                       point_R, substitute_zeta_u, torsion_points, trace_point)
+                       make_family, matching_index, point_P, point_R,
+                       substitute_zeta_u, torsion_points, trace_point)
 from .heights import (DEFAULT_MAX_DOUBLINGS, GramMatrix, HeightError,
                       canonical_height, combination, expected_gram,
                       expected_lattice_det, gram_matrix, height_sequence,
@@ -24,12 +24,12 @@ from .invariants import (BSDReport, FiberData, LFunctionInfo, bad_fibers,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldCtx", "FieldElement", "build_field", "frobenius", "is_prime", "zeta",
-    "Poly", "RatFunc", "frobenius_ratfunc", "poly_sqrt",
+    "FieldCtx", "FieldElement", "build_field", "is_prime", "zeta",
+    "Poly", "RatFunc", "poly_sqrt",
     "CoordChange", "CurvePoint", "IsogenyChain", "IsogenyMap",
     "WeierstrassCurve", "change_coords", "legendre_form_curve",
     "two_isogeny_quotient", "two_torsion",
-    "FamilyParams", "admissible_b_values", "frobenius_orbit_sum", "is_torsion",
+    "FamilyParams", "admissible_b_values", "frobenius_orbit_sum",
     "make_family", "matching_index", "point_P", "point_R", "substitute_zeta_u",
     "torsion_points", "trace_point",
     "DEFAULT_MAX_DOUBLINGS", "GramMatrix", "HeightError", "canonical_height",

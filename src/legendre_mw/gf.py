@@ -64,12 +64,6 @@ def _trim(c):
     return tuple(c[:i])
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _trim(tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                       for i in range(n)))
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     return _trim(tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
@@ -464,8 +458,3 @@ def zeta(ctx: FieldCtx, d: int) -> FieldElement:
     if n % d != 0:
         raise ValueError("d = %d does not divide q - 1 = %d" % (d, n))
     return ctx.generator() ** (n // d)
-
-
-def frobenius(a: FieldElement) -> FieldElement:
-    """The p-power Frobenius a -> a^p."""
-    return a.frobenius()

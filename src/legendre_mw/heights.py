@@ -10,19 +10,26 @@ with x = N/D in lowest terms the new coordinate is A^2 / G where
 A = N^2 - t D^2 and G = 4 N D (N + D) (N + t D).  Any common factor of
 A^2 and G divides u (u^d - 1): a common prime divides A and one of the
 four factors of G, and substituting N = 0, D = 0, N = -D or N = -tD
-into A forces it to divide t = u^d or t - 1.  Since u^{d+1} - u is
-squarefree (d = 1 mod p), repeatedly cancelling gcd(A^2, G, u^{d+1}-u)
-removes the entire common factor without a full-degree Euclid run.
+into A forces it to divide t = u^d or t - 1.  When u^d - 1 splits over
+the coefficient field the common factor is u^e0 times a product of
+(u - rho)^e over the roots rho = zeta^j: the power of u is dropped by
+slicing off coefficient rows and only the root part is divided out.
+Otherwise, since u^{d+1} - u is squarefree (d = 1 mod p), repeatedly
+cancelling gcd(A^2, G, u^{d+1}-u) removes the entire common factor
+without a full-degree Euclid run.
 
-Heights here lie in (1/2d) Z, so the limit h(2^n P)/4^n is read off by
-rounding to that grid once two consecutive levels agree.
+`_doublings` runs this map for every consumer: heights, the degree
+sequence and the torsion test.  Heights here lie in (1/2d) Z, so the
+limit h(2^n P)/4^n is read off by rounding to that grid once two
+consecutive levels agree, within DEFAULT_MAX_DOUBLINGS doublings unless
+the caller passes another cap.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -32,20 +39,10 @@ from .gf import FieldCtx, zeta
 from .ratfunc import Poly
 
 DEFAULT_MAX_DOUBLINGS = 6
-MAX_DOUBLINGS_ENV = "LEGENDRE_MAX_DOUBLINGS"
 
 
 class HeightError(RuntimeError):
     """Raised when the doubling limit is hit before stabilization."""
-
-
-def resolve_max_doublings(max_doublings: int | None = None) -> int:
-    if max_doublings is not None:
-        return int(max_doublings)
-    env = os.environ.get(MAX_DOUBLINGS_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_DOUBLINGS
 
 
 def _family_t(P: CurvePoint) -> tuple[Poly, int]:
@@ -80,7 +77,7 @@ def _round_to_grid(value: Fraction, denom: int) -> Fraction:
 
 
 class _SupportStripper:
-    """Removes gcd(F, G) from a duplication pair in one division each.
+    """Removes gcd(F, G) from a duplication pair.
 
     Valid because every common prime is linear: u or u - rho with
     rho^d = 1, and u^d - 1 splits over the coefficient field (d | q - 1).
@@ -94,31 +91,14 @@ class _SupportStripper:
         self.p, self.k = ctx.p, ctx.k
         z = zeta(ctx, d)
         self.roots = [z ** j for j in range(d)]
-        self._powers = {}  # root code -> (L, k) table of root^n digit rows
+        # row m holds the digits of zeta^m, so (zeta^j)^n is row j n mod d
+        self._zeta_rows = np.array([r.c for r in self.roots], dtype=np.int64)
         pas = np.zeros((ctx.p, ctx.p), dtype=np.int64)
         pas[:, 0] = 1
         for a in range(1, ctx.p):
             for b in range(1, a + 1):
                 pas[a, b] = (pas[a - 1, b - 1] + pas[a - 1, b]) % ctx.p
         self._pascal = pas
-
-    def _pow_table(self, root, L: int) -> np.ndarray:
-        key = root.code()
-        tab = self._powers.get(key)
-        if tab is None or tab.shape[0] < L:
-            n0 = 0 if tab is None else tab.shape[0]
-            grown = max(L, 2 * n0)
-            new = np.zeros((grown, self.k), dtype=np.int64)
-            if n0:
-                new[:n0] = tab
-                cur = self.ctx.elem(list(tab[n0 - 1])) * root
-            else:
-                cur = self.ctx.one()
-            for i in range(n0, grown):
-                new[i] = cur.c
-                cur = cur * root
-            self._powers[key] = tab = new
-        return tab
 
     def _binom_weights(self, L: int, j: int) -> np.ndarray | None:
         """C(n, j) mod p for n < L via Lucas; None stands for all ones."""
@@ -148,10 +128,10 @@ class _SupportStripper:
                 acc[:k] += acc[m] * self.ctx.reduction_rows[m - k]
         return not (acc[:k] % self.p).any()
 
-    def _min_ord(self, F: np.ndarray, G: np.ndarray, root) -> int:
-        """min of the root multiplicities in F and G."""
+    def _min_ord(self, F: np.ndarray, G: np.ndarray, i: int) -> int:
+        """min of the multiplicities of the root zeta^i in F and G."""
         L = max(F.shape[0], G.shape[0])
-        tab = self._pow_table(root, L)
+        tab = self._zeta_rows[i * np.arange(L) % self.d]
         for j in range(min(F.shape[0], G.shape[0])):
             w = self._binom_weights(L, j)
             wf = None if w is None else w[:F.shape[0]]
@@ -166,19 +146,18 @@ class _SupportStripper:
         ctx = self.ctx
         e0 = min(int(np.nonzero(F.c.any(axis=1))[0][0]),
                  int(np.nonzero(G.c.any(axis=1))[0][0]))
-        g = Poly.monomial(ctx, e0) if e0 else Poly.one(ctx)
-        for root in self.roots:
-            e = self._min_ord(F.c, G.c, root)
+        F = Poly(ctx, F.c[e0:], _trusted=True)
+        G = Poly(ctx, G.c[e0:], _trusted=True)
+        g = Poly.one(ctx)
+        for i, root in enumerate(self.roots):
+            e = self._min_ord(F.c, G.c, i)
             if e:
                 g = g * Poly.from_elems(ctx, [-root, 1]) ** e
         if g.deg > 0:
             F, rf = divmod(F, g)
             G, rg = divmod(G, g)
-            assert rf.is_zero() and rg.is_zero(), "multiplicity bookkeeping"
-        lc = G.lc()
-        if not lc == ctx.one():
-            inv = lc.inv()
-            F, G = F.scale(inv), G.scale(inv)
+            if not (rf.is_zero() and rg.is_zero()):
+                raise ArithmeticError("root multiplicities do not divide the pair")
         return F, G
 
 
@@ -193,14 +172,9 @@ class _EuclidStripper:
         while True:
             c = Poly.gcd(Poly.gcd(self.mask, F), G)
             if c.deg < 1:
-                break
+                return F, G
             F = F // c
             G = G // c
-        lc = G.lc()
-        if not lc == G.ctx.one():
-            inv = lc.inv()
-            F, G = F.scale(inv), G.scale(inv)
-        return F, G
 
 
 _STRIPPERS: dict = {}
@@ -218,100 +192,77 @@ def _get_stripper(ctx: FieldCtx, d: int):
     return s
 
 
-def canonical_height(P: CurvePoint, max_doublings: int | None = None,
+def _doublings(P: CurvePoint):
+    """Yield x(2^n P) = N/D in lowest terms, D monic, for n = 0, 1, ...
+
+    The sequence ends, after the last 2^n P != O, exactly when P is
+    torsion; a point with x = 0 is yielded as (0, 1).
+    """
+    if P.is_infinity:
+        return
+    tp, d = _family_t(P)
+    ctx = tp.ctx
+    stripper = _get_stripper(ctx, d)
+    N, D = P.x.num, P.x.den
+    while True:
+        yield N, D
+        tD = tp * D
+        G = 4 * (N * D) * ((N + D) * (N + tD))
+        if G.is_zero():
+            return  # x in {0, -1, -t}: 2^n P is 2-torsion
+        A = N * N - tD * D
+        if A.is_zero():
+            N, D = A, Poly.one(ctx)  # the double is (0, 0)
+            continue
+        N, D = stripper.strip(A * A, G)
+        lc = D.lc()
+        if not lc == ctx.one():
+            inv = lc.inv()
+            N, D = N.scale(inv), D.scale(inv)
+
+
+def canonical_height(P: CurvePoint, max_doublings: int = DEFAULT_MAX_DOUBLINGS,
                      with_level: bool = False):
     """Exact canonical height as a Fraction (0 for torsion).
 
     Doubles the x-coordinate until round(h_n / 4^n) agrees on the
     (1/2d)-grid at two consecutive levels n - 1, n with n >= 3; raises
-    HeightError past the doubling limit (argument, else the
-    LEGENDRE_MAX_DOUBLINGS environment variable, else 6).
+    HeightError past max_doublings doublings.  with_level also returns
+    that n (0 for torsion).
     """
-    limit = resolve_max_doublings(max_doublings)
-    zero = (Fraction(0), 0)
-
-    def done(value, level):
-        return (value, level) if with_level else value
-
-    if P.is_infinity:
-        return done(*zero)
-    tp, d = _family_t(P)
-    stripper = _get_stripper(tp.ctx, d)
-    N, D = P.x.num, P.x.den
+    grid = 2 * _family_t(P)[1]
     est_prev = None
-    for n in range(limit + 1):
-        if N.is_zero():
-            return done(*zero)  # x = 0 is the 2-torsion point (0, 0)
-        h = max(int(N.deg), int(D.deg))
-        est = _round_to_grid(Fraction(h, 4 ** n), 2 * d)
+    for n, (N, D) in enumerate(_doublings(P)):
+        if n > max_doublings:
+            raise HeightError("height did not stabilize within %d doublings"
+                              % max_doublings)
+        est = _round_to_grid(Fraction(max(N.deg, D.deg), 4 ** n), grid)
         if n >= 3 and est == est_prev:
-            return done(est, n)
+            return (est, n) if with_level else est
         est_prev = est
-        tD = tp * D
-        A = N * N - tD * D
-        if A.is_zero():
-            return done(*zero)  # 2P is (0, 0)
-        G = 4 * (N * D) * ((N + D) * (N + tD))
-        if G.is_zero():
-            return done(*zero)  # P is 2-torsion
-        N, D = stripper.strip(A * A, G)
-    raise HeightError("height did not stabilize within %d doublings" % limit)
+    return (Fraction(0), 0) if with_level else Fraction(0)
 
 
 def height_sequence(P: CurvePoint, levels: int) -> list[int]:
     """[h_0, ..., h_levels] with h_n = deg x(2^n P); stops early with a
-    shorter list if some 2^n P has x = 0 or is at infinity."""
-    tp, d = _family_t(P)
-    stripper = _get_stripper(tp.ctx, d)
-    if P.is_infinity:
-        return []
-    N, D = P.x.num, P.x.den
-    out = []
-    for n in range(levels + 1):
-        if N.is_zero():
-            out.append(0)
-            return out
-        out.append(max(int(N.deg), int(D.deg)))
-        tD = tp * D
-        A = N * N - tD * D
-        if A.is_zero():
-            return out
-        G = 4 * (N * D) * ((N + D) * (N + tD))
-        if G.is_zero():
-            return out
-        N, D = stripper.strip(A * A, G)
-    return out
+    shorter list if P is torsion (x = 0 counts as degree 0)."""
+    return [int(max(N.deg, D.deg)) for N, D in islice(_doublings(P), levels + 1)]
 
 
 def is_torsion_point(P: CurvePoint) -> bool:
     """Exact torsion test: the torsion subgroup is Z/2 x Z/4, so P is
-    torsion iff 4P = O, which the x-coordinate duplication map detects
-    within two levels (no reduction needed for the zero tests)."""
-    if P.is_infinity:
-        return True
-    tp, d = _family_t(P)
-    N, D = P.x.num, P.x.den
-    for _ in range(2):
-        if N.is_zero():
-            return True  # the point is (0, 0)
-        tD = tp * D
-        A = N * N - tD * D
-        if A.is_zero():
-            return True  # the double has x = 0
-        G = (N * D) * ((N + D) * (N + tD))
-        if G.is_zero():
-            return True  # the point is 2-torsion
-        N, D = A * A, G
-    return False
+    torsion iff 4P = O, i.e. iff the doubling sequence stops within
+    two terms."""
+    return sum(1 for _ in islice(_doublings(P), 3)) < 3
 
 
-def pairing(P: CurvePoint, Q: CurvePoint, max_doublings: int | None = None) -> Fraction:
+def pairing(P: CurvePoint, Q: CurvePoint) -> Fraction:
     """Height pairing <P, Q> = (h(P+Q) - h(P) - h(Q)) / 2."""
     if P == Q:
-        return canonical_height(P, max_doublings)
-    hs = canonical_height(P + Q, max_doublings)
-    hp = canonical_height(P, max_doublings)
-    hq = canonical_height(Q, max_doublings)
+        return canonical_height(P)
+    hs = canonical_height(P + Q)
+    hp = canonical_height(P)
+    hq = canonical_height(Q)
     return (hs - hp - hq) / 2
 
 
@@ -349,20 +300,19 @@ class GramMatrix:
                 "entries": [[str(v) for v in row] for row in self.entries]}
 
 
-def gram_matrix(points: list[CurvePoint], labels: list[str] | None = None,
-                max_doublings: int | None = None) -> GramMatrix:
+def gram_matrix(points: list[CurvePoint], labels: list[str] | None = None) -> GramMatrix:
     """Pairing matrix of the given points, heights computed exactly."""
     n = len(points)
     if labels is None:
         labels = ["P%d" % i for i in range(n)]
     if len(labels) != n:
         raise ValueError("one label per point")
-    heights = [canonical_height(P, max_doublings) for P in points]
+    heights = [canonical_height(P) for P in points]
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = heights[i]
         for j in range(i + 1, n):
-            hs = canonical_height(points[i] + points[j], max_doublings)
+            hs = canonical_height(points[i] + points[j])
             v = (hs - heights[i] - heights[j]) / 2
             rows[i][j] = rows[j][i] = v
     return GramMatrix(labels=tuple(labels),

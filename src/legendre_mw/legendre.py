@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .gf import FieldCtx, FieldElement, build_field, is_prime, zeta as primitive_root_of_unity
 from .ratfunc import Poly, RatFunc, poly_sqrt
 from .curve import CurvePoint, WeierstrassCurve, legendre_form_curve, two_torsion
-from .heights import is_torsion_point
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,6 @@ def torsion_points(params: FamilyParams) -> dict[str, CurvePoint]:
            "T": big_t, "-T": -big_t, "T'": tprime, "-T'": -tprime}
     assert 2 * big_t == q0 and big_t + q1 == tprime, "4-torsion structure"
     return pts
-
-
-def is_torsion(params: FamilyParams, P: CurvePoint) -> bool:
-    """Torsion is Z/2 x Z/4 (exponent 4), detected exactly by two
-    x-coordinate duplications; equivalent to smul(8, P) being O."""
-    return is_torsion_point(P)
 
 
 def trace_point(params: FamilyParams, i: int) -> CurvePoint:

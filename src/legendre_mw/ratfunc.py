@@ -495,6 +495,8 @@ class RatFunc:
         return RatFunc(self.num.scale_var(a), self.den.scale_var(a))
 
     def frobenius(self) -> "RatFunc":
+        """Coefficient-wise p-power Frobenius; fixes u.  A rational
+        function is defined over F_p(u) iff this fixes it."""
         return RatFunc(self.num.frobenius(), self.den.frobenius())
 
     # -- misc --------------------------------------------------------------
@@ -518,9 +520,3 @@ class RatFunc:
     @classmethod
     def from_obj(cls, ctx: FieldCtx, obj) -> "RatFunc":
         return cls(Poly.from_obj(ctx, obj["num"]), Poly.from_obj(ctx, obj["den"]))
-
-
-def frobenius_ratfunc(r: RatFunc) -> RatFunc:
-    """Coefficient-wise p-power Frobenius; fixes u.  A rational function
-    is defined over F_p(u) iff this fixes it."""
-    return r.frobenius()

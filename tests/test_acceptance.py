@@ -152,7 +152,6 @@ def test_criterion_05_torsion_section():
 def test_criterion_06_descended_rb_points():
     with _criterion(6, "R_b points: closed form = P_i + P_{-i}, fixed by "
                        "Frobenius, Gram rank (p-1)/2 with P_0, P_{d/2}"):
-        from legendre_mw.ratfunc import frobenius_ratfunc
         for p in (5, 7):
             fam = make_family(p)
             rpts = []
@@ -161,8 +160,8 @@ def test_criterion_06_descended_rb_points():
                 i = matching_index(fam, b)
                 S = point_P(fam, i) + point_P(fam, -i)
                 assert R.x == S.x and (R == S or R == -S)
-                assert frobenius_ratfunc(R.x) == R.x
-                assert frobenius_ratfunc(R.y) == R.y
+                assert R.x.frobenius() == R.x
+                assert R.y.frobenius() == R.y
                 assert not is_torsion_point(R)
                 rpts.append(R)
             spanning = rpts + [point_P(fam, 0), point_P(fam, fam.d // 2)]

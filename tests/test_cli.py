@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +114,19 @@ def test_json_output_is_deterministic(capsys):
     _, first = _run(capsys, "points", "--p", "3")
     _, second = _run(capsys, "points", "--p", "3")
     assert first == second
+
+
+def test_all_command_same_under_python_O(capsys):
+    # python -O strips assert statements, so no result may rest on one
+    _, plain = _run(capsys, "all", "--p", "3")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "legendre_mw.cli", "all", "--p", "3"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == plain
 
 
 def test_table_format(capsys):

@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from legendre_mw.curve import legendre_form_curve
+from legendre_mw.gf import build_field
 from legendre_mw.heights import (
     DEFAULT_MAX_DOUBLINGS,
     HeightError,
+    _EuclidStripper,
+    _get_stripper,
+    _SupportStripper,
     canonical_height,
     combination,
     expected_gram,
@@ -16,9 +21,9 @@ from legendre_mw.heights import (
     naive_height,
     pairing,
     relation_is_torsion,
-    resolve_max_doublings,
 )
 from legendre_mw.legendre import make_family, point_P, torsion_points
+from legendre_mw.ratfunc import RatFunc
 
 FAM4 = make_family(3)
 FAM6 = make_family(5)
@@ -113,17 +118,6 @@ def test_height_error_when_cap_too_small():
         canonical_height(point_P(FAM4, 0), max_doublings=2)
 
 
-def test_max_doublings_env(monkeypatch):
-    monkeypatch.setenv("LEGENDRE_MAX_DOUBLINGS", "9")
-    assert resolve_max_doublings() == 9
-    assert resolve_max_doublings(4) == 4       # explicit argument wins
-    monkeypatch.delenv("LEGENDRE_MAX_DOUBLINGS")
-    assert resolve_max_doublings() == DEFAULT_MAX_DOUBLINGS
-    monkeypatch.setenv("LEGENDRE_MAX_DOUBLINGS", "junk")
-    with pytest.raises(ValueError):
-        resolve_max_doublings()
-
-
 def test_gram_matrix_matches_theory():
     pts = [point_P(FAM4, i) for i in range(4)]
     g = gram_matrix(pts)
@@ -169,3 +163,37 @@ def test_heights_in_prime_field_family():
     # f = 0 family (no extension): d = p + 1 still applies
     fam = make_family(3, 0)
     assert canonical_height(point_P(fam, 0)) == _theoretical_height(fam.d)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_heights_over_prime_field_use_euclid_stripper(p):
+    # over F_p, d = p + 1 does not divide p - 1, so u^d - 1 does not split
+    # and only the gcd-based stripper applies
+    ctx = build_field(p, 1)
+    d = p + 1
+    u = RatFunc.variable(ctx)
+    curve = legendre_form_curve(u ** d)
+    P = curve.point(u, u * (u + 1) ** (d // 2))
+    assert isinstance(_get_stripper(ctx, d), _EuclidStripper)
+    assert canonical_height(P) == _theoretical_height(d)
+
+
+@pytest.mark.parametrize("fam", [FAM4, FAM6], ids=["d4", "d6"])
+def test_support_stripper_agrees_with_euclid_stripper(fam):
+    # both strippers apply when u^d - 1 splits; they must cancel the same
+    # common factor at every doubling level, torsion translates included
+    tp = fam.t.num
+    support = _SupportStripper(fam.ctx, fam.d)
+    euclid = _EuclidStripper(fam.ctx, fam.d)
+    T = torsion_points(fam)["T"]
+    for P in (point_P(fam, 1), point_P(fam, 0) + T, point_P(fam, 0) + point_P(fam, 1)):
+        N, D = P.x.num, P.x.den
+        for _ in range(3):
+            tD = tp * D
+            A = N * N - tD * D
+            F, G = A * A, 4 * (N * D) * ((N + D) * (N + tD))
+            got, want = support.strip(F, G), euclid.strip(F, G)
+            inv = got[1].lc().inv()
+            N, D = got[0].scale(inv), got[1].scale(inv)
+            inv = want[1].lc().inv()
+            assert (N, D) == (want[0].scale(inv), want[1].scale(inv))
