@@ -2,14 +2,23 @@
 
 Elements are coefficient vectors over F_p in the basis w^0..w^{k-1},
 reduced modulo a fixed monic irreducible modulus.  Everything is
-immutable and exact.  The fields this package actually meets are tiny
-(q <= a few thousand), so clarity wins over asymptotics here; the
-polynomial layer in ratfunc.py is where speed matters.
+immutable and exact.  The fields this package meets are small
+(q up to about 10^4), so each FieldCtx tabulates its whole multiplicative group
+once: every nonzero element is a power of a fixed generator, and
+products, inverses, powers and square roots are index arithmetic in
+exp/log tables.  The only polynomial arithmetic over F_p here is
+`_mulmod`, which builds those tables and tests moduli for
+irreducibility.
 """
 
 from __future__ import annotations
 
+import itertools
+from math import gcd
+
 import numpy as np
+
+from .exact_linalg import determinant
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -54,81 +63,57 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Dense polynomials over F_p as low-degree-first int tuples (no trailing
-# zeros).  Used only for modulus bookkeeping inside FieldCtx.
+# Digit tuples over F_p, low degree first: their codes, and products
+# modulo a monic f of degree k = len(f) - 1, which only build a
+# FieldCtx's tables and test candidate moduli.
 
-def _trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim(tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                       for i in range(n)))
+def _code(c, p):
+    """Integer encoding sum c_i p^i of a digit tuple."""
+    out = 0
+    for a in reversed(c):
+        out = out * p + a
+    return out
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(tuple(out))
+def _mulmod(a, b, f, p):
+    """a * b mod f for length-k digit tuples, by Horner's rule over b:
+    multiplying by w shifts up and subtracts top * f."""
+    acc = [0] * (len(f) - 1)
+    for bi in reversed(b):
+        top = acc[-1]
+        acc = [0] + acc[:-1]
+        if top:
+            acc = [(x - top * c) % p for x, c in zip(acc, f)]
+        if bi:
+            acc = [(x + bi * y) % p for x, y in zip(acc, a)]
+    return tuple(acc)
 
 
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        if r[i] == 0:
-            continue
-        c = r[i] * inv_lead % p
-        q[i - db] = c
-        for j in range(db + 1):
-            r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return _trim(tuple(q)), _trim(tuple(r))
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = _trim(tuple(c * inv_lead % p for c in a))
-    return a
-
-
-def _ppowmod(a, e, m, p):
-    result = (1,)
-    base = _pdivmod(a, m, p)[1]
+def _powmod(a, e, f, p):
+    result = (1,) + (0,) * (len(f) - 2)
     while e:
         if e & 1:
-            result = _pdivmod(_pmul(result, base, p), m, p)[1]
-        base = _pdivmod(_pmul(base, base, p), m, p)[1]
+            result = _mulmod(result, a, f, p)
+        a = _mulmod(a, a, f, p)
         e >>= 1
     return result
 
 
 def _is_irreducible(f, p, k):
-    """Monic degree-k f over F_p: x^(p^k) == x mod f and the gcd test
-    against x^(p^(k/ell)) - x for each prime ell | k."""
+    """Rabin's test for a monic degree-k f over F_p: w^(p^k) == w mod f,
+    and w^(p^(k/ell)) - w is a unit mod f (its multiplication matrix
+    has nonzero determinant mod p) for each prime ell | k."""
     if k == 1:
         return True
-    x = (0, 1)
-    if _ppowmod(x, p ** k, f, p) != x:
+    w = (0, 1) + (0,) * (k - 2)
+    if _powmod(w, p ** k, f, p) != w:
         return False
     for ell in prime_factors(k):
-        g = _psub(_ppowmod(x, p ** (k // ell), f, p), x, p)
-        if _pgcd(g, f, p) != (1,):
+        h = _powmod(w, p ** (k // ell), f, p)
+        rows = [tuple((a - b) % p for a, b in zip(h, w))]
+        while len(rows) < k:
+            rows.append(_mulmod(rows[-1], w, f, p))
+        if determinant(rows) % p == 0:
             return False
     return True
 
@@ -139,12 +124,17 @@ class FieldCtx:
     """Context for F_{p^k}: odd prime p, extension degree k, monic
     irreducible modulus (coefficient tuple, low degree first, length k+1).
 
-    Also precomputes the numpy matrices the polynomial layer needs:
-    reduction rows for w^k..w^{2k-2}, the Frobenius matrix of a -> a^p,
-    and per-element multiplication matrices (cached by element code).
+    Elements are numbered by their code sum c_i p^i.  The context holds
+    three tables of O(q) ints: the digit tuple of each code, and the exp
+    and log tables of the generator (the first code whose powers run
+    through all q - 1 nonzero elements).  From them it derives the numpy
+    matrices the polynomial layer needs: reduction rows for
+    w^k..w^{2k-2}, the Frobenius matrix of a -> a^p, and the
+    multiplication matrices of w^0..w^{k-1}.
     """
 
-    __slots__ = ("p", "k", "modulus", "_red", "_frob", "_mulmats", "_gen")
+    __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log",
+                 "_red", "_frob", "_wmul")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p) or p == 2:
@@ -159,22 +149,34 @@ class FieldCtx:
         self.p = p
         self.k = k
         self.modulus = modulus
-        red = np.zeros((max(k - 1, 0), k), dtype=np.int64)
-        for m in range(k, 2 * k - 1):
-            rem = _pdivmod((0,) * m + (1,), modulus, p)[1]
-            for i, c in enumerate(rem):
-                red[m - k, i] = c
-        red.setflags(write=False)
-        self._red = red
-        frob = np.zeros((k, k), dtype=np.int64)
-        for j in range(k):
-            img = _ppowmod((0,) * j + (1,), p, modulus, p)
-            for i, c in enumerate(img):
-                frob[j, i] = c
-        frob.setflags(write=False)
-        self._frob = frob
-        self._mulmats = {}
-        self._gen = None
+        q = p ** k
+        digits = [c[::-1] for c in itertools.product(range(p), repeat=k)]
+        self._digits = digits
+        # walk the powers of each code in turn until one has order q - 1
+        one = digits[1]
+        for g in range(2, q):
+            exp, x = [1], digits[g]
+            while x != one:
+                exp.append(_code(x, p))
+                x = _mulmod(x, digits[g], modulus, p)
+            if len(exp) == q - 1:
+                break
+        self._exp = exp
+        log = [None] * q
+        for i, code in enumerate(exp):
+            log[code] = i
+        self._log = log
+        # w^m for m = 0..2k-2 (w has code p when k > 1); row i of
+        # mul_matrix(w^j) is w^(i+j)
+        lw = log[p] if k > 1 else 0
+        wpow = np.array([digits[exp[m * lw % (q - 1)]] for m in range(2 * k - 1)],
+                        dtype=np.int64)
+        self._red = wpow[k:]
+        self._wmul = np.stack([wpow[j:j + k] for j in range(k)])
+        self._frob = np.array([digits[exp[j * p * lw % (q - 1)]] for j in range(k)],
+                              dtype=np.int64)
+        for table in (self._red, self._wmul, self._frob):
+            table.setflags(write=False)
 
     # -- basic data -------------------------------------------------
 
@@ -219,11 +221,7 @@ class FieldCtx:
         """Element with base-p digit vector of code (0 <= code < p^k)."""
         if not 0 <= code < self.order:
             raise ValueError("code out of range")
-        c = []
-        for _ in range(self.k):
-            c.append(code % self.p)
-            code //= self.p
-        return FieldElement(self, tuple(c))
+        return FieldElement(self, self._digits[code])
 
     def elements(self):
         """Deterministic enumeration of the whole field, by code."""
@@ -243,33 +241,24 @@ class FieldCtx:
     def mul_matrix(self, a: "FieldElement") -> np.ndarray:
         """k x k matrix M with row j = coefficients of a*w^j; for a row
         vector v of digits, v @ M = digits of (element of v) * a."""
-        key = a.code()
-        m = self._mulmats.get(key)
-        if m is None:
-            m = np.zeros((self.k, self.k), dtype=np.int64)
-            for j in range(self.k):
-                img = _pdivmod(_pmul(a.c, (0,) * j + (1,), self.p), self.modulus, self.p)[1]
-                for i, c in enumerate(img):
-                    m[j, i] = c
-            m.setflags(write=False)
-            self._mulmats[key] = m
-        return m
+        k = self.k
+        return (np.array(a.c) @ self._wmul.reshape(k, k * k)).reshape(k, k) % self.p
+
+    @property
+    def basis_mul_matrices(self) -> np.ndarray:
+        """Read-only (k, k, k) tensor whose j-th slice is mul_matrix(w^j)."""
+        return self._wmul
 
     # -- generator / roots of unity ----------------------------------
 
     def generator(self) -> "FieldElement":
         """First multiplicative generator in code order (deterministic)."""
-        if self._gen is None:
-            n = self.order - 1
-            checks = [n // ell for ell in prime_factors(n)]
-            for code in range(1, self.order):
-                g = self.from_code(code)
-                if all((g ** e).code() != 1 for e in checks):
-                    self._gen = g
-                    break
-            else:  # pragma: no cover - multiplicative group is cyclic
-                raise RuntimeError("no generator found")
-        return self._gen
+        return self._power(1)
+
+    def _power(self, i: int) -> "FieldElement":
+        """generator()^i, for any integer i."""
+        exp = self._exp
+        return FieldElement(self, self._digits[exp[i % len(exp)]])
 
     # -- serialization ------------------------------------------------
 
@@ -326,10 +315,10 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        ctx = self.ctx
-        prod = _pmul(self.c, o.c, ctx.p)
-        rem = _pdivmod(prod, ctx.modulus, ctx.p)[1]
-        return ctx.elem(rem)
+        i, j = self._index(), o._index()
+        if i is None or j is None:
+            return self.ctx.zero()
+        return self.ctx._power(i + j)
 
     __rmul__ = __mul__
 
@@ -343,62 +332,52 @@ class FieldElement:
         return self.inv() * other
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        i = self._index()
+        if i is None:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self.ctx.one() if e == 0 else self
+        return self.ctx._power(i * e)
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse via extended Euclid on F_p[w]."""
-        if self.is_zero():
+        """Multiplicative inverse: generator^(-log self)."""
+        i = self._index()
+        if i is None:
             raise ZeroDivisionError("inverse of zero")
-        ctx = self.ctx
-        p, m = ctx.p, ctx.modulus
-        r0, r1 = _trim(self.c), m
-        s0, s1 = (1,), ()
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        # r0 is a nonzero constant gcd
-        c = pow(r0[0], p - 2, p)
-        return ctx.elem(_trim(tuple(v * c % p for v in s0)))
+        return self.ctx._power(-i)
 
     def frobenius(self) -> "FieldElement":
         return self ** self.ctx.p
 
     def sqrt(self):
-        """Square root with the smallest code, or None (brute force; fields
-        here are tiny and this only runs during point construction)."""
-        for e in self.ctx.elements():
-            if (e * e) == self:
-                return e
-        return None
+        """Square root with the smaller code, or None: a nonzero element
+        is a square iff its log is even, and its roots are
+        +-generator^(log/2)."""
+        i = self._index()
+        if i is None:
+            return self
+        if i % 2:
+            return None
+        r = self.ctx._power(i // 2)
+        return min(r, -r, key=FieldElement.code)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.c)
 
     def code(self) -> int:
         """Integer encoding sum c_i p^i (the deterministic element order)."""
-        out = 0
-        for a in reversed(self.c):
-            out = out * self.ctx.p + a
-        return out
+        return _code(self.c, self.ctx.p)
+
+    def _index(self):
+        """log of self to the generator, or None for zero."""
+        return self.ctx._log[_code(self.c, self.ctx.p)]
 
     def multiplicative_order(self) -> int:
-        if self.is_zero():
+        i = self._index()
+        if i is None:
             raise ValueError("zero has no multiplicative order")
         n = self.ctx.order - 1
-        for ell in prime_factors(n):
-            while n % ell == 0 and (self ** (n // ell)).code() == 1:
-                n //= ell
-        return n
+        return n // gcd(i, n)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -438,12 +417,8 @@ def build_field(p: int, k: int) -> FieldCtx:
         raise ValueError("p must be an odd prime, got %r" % (p,))
     if k < 1:
         raise ValueError("extension degree k must be >= 1")
-    for code in range(p ** k):
-        c, rest = [], code
-        for _ in range(k):
-            c.append(rest % p)
-            rest //= p
-        f = tuple(c) + (1,)
+    for c in itertools.product(range(p), repeat=k):
+        f = c[::-1] + (1,)
         if _is_irreducible(f, p, k):
             return FieldCtx(p, k, f)
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover

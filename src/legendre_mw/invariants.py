@@ -59,7 +59,8 @@ def rank_formula(d: int, q: int) -> int:
         if e <= 2:
             continue
         phi, o = euler_totient(e), multiplicative_order(q, e)
-        assert phi % o == 0, "orbits of size ord_q(e) partition the phi(e) roots"
+        if phi % o != 0:
+            raise ArithmeticError("orbits of size ord_q(e) partition the phi(e) roots")
         total += phi // o
     return total
 
@@ -108,7 +109,8 @@ def validate_q(q: int, p: int, f: int) -> int:
     j = 0
     while base ** (j + 1) <= q:
         j += 1
-    assert base ** j == q
+    if base ** j != q:
+        raise ArithmeticError("q = %d is not %d^%d" % (q, base, j))
     return j
 
 
@@ -142,7 +144,8 @@ def sha_order(p: int, f: int, q: int, m: int) -> int:
     j = validate_q(q, p, f)
     base = p ** (2 * f) if f >= 1 else p
     ratio = q // base  # = base^(j-1)
-    assert ratio == base ** (j - 1)
+    if ratio != base ** (j - 1):
+        raise ArithmeticError("q / %d = %d is not %d^%d" % (base, ratio, base, j - 1))
     return m * m * ratio ** ((p ** f - 1) // 2)
 
 
@@ -230,7 +233,8 @@ def bsd_report(p: int, f: int, q: int, m: int = 1) -> BSDReport:
     validate_q(q, p, f)
     d = p ** f + 1
     r = rank_formula(d, q)
-    assert r == d - 2, "every valid q is 1 mod d, forcing full rank"
+    if r != d - 2:
+        raise ArithmeticError("every valid q is 1 mod d, forcing full rank")
     lfunc = LFunctionInfo(base_q=q, exponent=d - 2)
     reg = regulator_coefficient(d, m)
     tam = tamagawa_factor(q, d)

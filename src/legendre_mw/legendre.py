@@ -72,7 +72,8 @@ def torsion_points(params: FamilyParams) -> dict[str, CurvePoint]:
     tprime = curve.point(-s, s * s - s)
     pts = {"O": curve.infinity(), "Q0": q0, "Q1": q1, "Qt": qt,
            "T": big_t, "-T": -big_t, "T'": tprime, "-T'": -tprime}
-    assert 2 * big_t == q0 and big_t + q1 == tprime, "4-torsion structure"
+    if not (2 * big_t == q0 and big_t + q1 == tprime):
+        raise ArithmeticError("4-torsion structure")
     return pts
 
 
@@ -113,7 +114,8 @@ def admissible_b_values(params: FamilyParams) -> list[FieldElement]:
         b = ctx.elem(c)
         if (b * b - 4).code() not in squares:
             out.append(b)
-    assert len(out) == (params.p - 1) // 2
+    if len(out) != (params.p - 1) // 2:
+        raise ArithmeticError("expected (p-1)/2 admissible b values, found %d" % len(out))
     return out
 
 
@@ -138,10 +140,12 @@ def point_R(params: FamilyParams, b: FieldElement) -> CurvePoint:
     u = Poly.variable(ctx)
     core = u ** (p + 1) * 2 + (u ** p) * b + u * b + 2 - (u * u + u * b + 1) ** (d // 2) * 2
     num, rem = divmod(core, Poly.constant(ctx, disc))
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise ArithmeticError("b^2 - 4 does not divide the numerator of x(R_b)")
     x = RatFunc.from_poly(num)
     rhs = x * (x + 1) * (x + params.t)
-    assert rhs.is_poly(), "x(x+1)(x+t) must be a polynomial here"
+    if not rhs.is_poly():
+        raise ArithmeticError("x(x+1)(x+t) must be a polynomial here")
     y_poly = poly_sqrt(rhs.num)
     if not y_poly.is_zero():
         neg = -y_poly

@@ -298,28 +298,29 @@ def _mul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _divmod_arrays(a: Poly, b: Poly, want_quotient: bool):
+    """Long division by b.monic(), whose multiples by w^0..w^{k-1} form
+    the table T; the quotient by b is that by b.monic() times lc(b)^-1."""
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     ctx = a.ctx
+    k, p = ctx.k, ctx.p
     db = b.c.shape[0] - 1
     la = a.c.shape[0]
     if la - 1 < db:
         return (Poly.zero(ctx), a) if want_quotient else a
+    T = ((b.monic().c @ ctx.basis_mul_matrices) % p).reshape(k, -1)
     r = np.array(a.c)
-    brows = b.c
-    inv_lead = b.lc().inv()
-    q = np.zeros((la - db, ctx.k), dtype=np.int64) if want_quotient else None
+    q = np.zeros((la - db, k), dtype=np.int64) if want_quotient else None
     for i in range(la - 1, db - 1, -1):
         if not r[i].any():
             continue
-        coef = FieldElement(ctx, tuple(int(v) for v in r[i])) * inv_lead
         if want_quotient:
-            q[i - db] = coef.c
-        m = ctx.mul_matrix(coef)
-        r[i - db:i + 1] = (r[i - db:i + 1] - brows @ m) % ctx.p
+            q[i - db] = r[i]
+        r[i - db:i + 1] = (r[i - db:i + 1] - (r[i] @ T).reshape(-1, k)) % p
     rem = Poly(ctx, _trim_rows(r).copy(), _trusted=True)
     if want_quotient:
+        q = (q @ ctx.mul_matrix(b.lc().inv())) % p
         return Poly(ctx, _trim_rows(q).copy(), _trusted=True), rem
     return rem
 

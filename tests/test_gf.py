@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -42,6 +43,11 @@ def test_modulus_validation():
         FieldCtx(3, 2, (1, 0, 2))   # not monic
     with pytest.raises(ValueError):
         FieldCtx(3, 2, (1, 1))      # wrong degree
+    with pytest.raises(ValueError):
+        # x (x^2 + 1)(x^3 + 2x + 1): w^(3^6) == w holds mod this
+        # squarefree product, so only the unit test of Rabin's criterion
+        # rejects it
+        FieldCtx(3, 6, (0, 1, 2, 1, 0, 0, 1))
 
 
 def _op_tables(ctx):
@@ -94,6 +100,15 @@ def test_inverse_and_pow(p, k):
         e = rng.randrange(-8, 30)
         b = a ** e
         assert b * a ** (-e) == ctx.one()
+    zero = ctx.zero()
+    assert zero ** 0 == ctx.one()
+    assert zero ** 3 == zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+    with pytest.raises(ZeroDivisionError):
+        zero.inv()
+    with pytest.raises(ValueError):
+        zero.multiplicative_order()
 
 
 def test_generator_and_zeta():
@@ -137,6 +152,16 @@ def test_sqrt():
     ctx2 = build_field(3, 2)
     roots = [e for e in ctx2.elements() if e.sqrt() is not None]
     assert len(roots) == (ctx2.order + 1) // 2
+    # the root returned is the one with the smaller code
+    for p, k in [(3, 2), (5, 2), (3, 4)]:
+        ctx = build_field(p, k)
+        assert ctx.zero().sqrt() == ctx.zero()
+        smallest = {}
+        for e in ctx.elements():
+            smallest.setdefault((e * e).code(), e.code())
+        for a in ctx.elements():
+            r = a.sqrt()
+            assert (None if r is None else r.code()) == smallest.get(a.code())
 
 
 def test_element_codes_roundtrip():
@@ -153,3 +178,52 @@ def test_serialization():
     assert FieldCtx.from_obj(ctx.to_obj()) == ctx
     a = ctx.elem([1, 2])
     assert ctx.elem(a.to_obj()) == a
+
+
+# ----------------------------------------------------------------------
+# sympy's galoistools as an independent oracle (coefficient lists there
+# run high degree first).
+
+def _to_gt(c):
+    out = list(reversed(c))
+    while out and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+def _from_gt(ctx, f):
+    return ctx.elem(list(reversed(f)))
+
+
+def _oracle_pairs(ctx, rng):
+    if ctx.order <= 49:
+        return [(a, b) for a in ctx.elements() for b in ctx.elements()]
+    return [(ctx.from_code(rng.randrange(ctx.order)), ctx.from_code(rng.randrange(ctx.order)))
+            for _ in range(2000)]
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (3, 6)])
+def test_field_ops_match_sympy_galoistools(p, k):
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    ctx = build_field(p, k)
+    f = _to_gt(ctx.modulus)
+    rng = random.Random(p ** k)
+    for a, b in _oracle_pairs(ctx, rng):
+        A, B = _to_gt(a.c), _to_gt(b.c)
+        assert a * b == _from_gt(ctx, gt.gf_rem(gt.gf_mul(A, B, p, ZZ), f, p, ZZ))
+        assert a.frobenius() == _from_gt(ctx, gt.gf_pow_mod(A, p, f, p, ZZ))
+        if not a.is_zero():
+            s, _, g = gt.gf_gcdex(A, f, p, ZZ)
+            assert g == [1]
+            assert a.inv() == _from_gt(ctx, s)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 6)])
+def test_irreducibility_matches_sympy_galoistools(p, k):
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    from legendre_mw.gf import _is_irreducible
+    for low in itertools.product(range(p), repeat=k):
+        f = low + (1,)
+        assert _is_irreducible(f, p, k) == gt.gf_irreducible_p(_to_gt(f), p, ZZ), f
