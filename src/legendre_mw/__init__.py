@@ -9,11 +9,10 @@ from .curve import (CoordChange, CurvePoint, IsogenyChain, IsogenyMap,
 from .legendre import (FamilyParams, admissible_b_values, frobenius_orbit_sum,
                        make_family, matching_index, point_P, point_R,
                        substitute_zeta_u, torsion_points, trace_point)
-from .heights import (DEFAULT_MAX_DOUBLINGS, GramMatrix, HeightError,
-                      canonical_height, combination, expected_gram,
-                      expected_lattice_det, gram_matrix, height_sequence,
-                      is_torsion_point, naive_height, pairing,
-                      relation_is_torsion)
+from .heights import (GramMatrix, canonical_height, combination,
+                      expected_gram, expected_lattice_det, gram_matrix,
+                      height_sequence, is_torsion_point, naive_height,
+                      pairing, relation_is_torsion)
 from .invariants import (BSDReport, FiberData, LFunctionInfo, bad_fibers,
                          bsd_report, conductor_degree, euler_totient,
                          fiber_audit, frobenius_orbits, index_bound,
@@ -32,10 +31,9 @@ __all__ = [
     "FamilyParams", "admissible_b_values", "frobenius_orbit_sum",
     "make_family", "matching_index", "point_P", "point_R", "substitute_zeta_u",
     "torsion_points", "trace_point",
-    "DEFAULT_MAX_DOUBLINGS", "GramMatrix", "HeightError", "canonical_height",
-    "combination", "expected_gram", "expected_lattice_det", "gram_matrix",
-    "height_sequence", "is_torsion_point", "naive_height", "pairing",
-    "relation_is_torsion",
+    "GramMatrix", "canonical_height", "combination", "expected_gram",
+    "expected_lattice_det", "gram_matrix", "height_sequence",
+    "is_torsion_point", "naive_height", "pairing", "relation_is_torsion",
     "BSDReport", "FiberData", "LFunctionInfo", "bad_fibers", "bsd_report",
     "conductor_degree", "euler_totient", "fiber_audit", "frobenius_orbits",
     "index_bound", "integrality_check", "multiplicative_order", "rank_formula",

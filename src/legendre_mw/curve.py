@@ -153,13 +153,15 @@ class WeierstrassCurve:
     # -- group law ---------------------------------------------------------
 
     def neg(self, P: CurvePoint) -> CurvePoint:
-        assert P.curve == self, "point from a different curve"
+        if P.curve != self:
+            raise ValueError("point from a different curve")
         if P.is_infinity:
             return P
         return CurvePoint(self, P.x, -P.y - self.a1 * P.x - self.a3)
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        assert P.curve == self and Q.curve == self, "point from a different curve"
+        if P.curve != self or Q.curve != self:
+            raise ValueError("point from a different curve")
         if P.is_infinity:
             return Q
         if Q.is_infinity:
@@ -183,7 +185,8 @@ class WeierstrassCurve:
 
     def smul(self, n: int, P: CurvePoint) -> CurvePoint:
         """n*P by double-and-add."""
-        assert P.curve == self, "point from a different curve"
+        if P.curve != self:
+            raise ValueError("point from a different curve")
         if n < 0:
             return self.smul(-n, self.neg(P))
         acc = self.infinity()
@@ -267,7 +270,8 @@ class IsogenyMap:
         return acc
 
     def apply(self, P: CurvePoint) -> CurvePoint:
-        assert P.curve == self.domain, "point not on the isogeny domain"
+        if P.curve != self.domain:
+            raise ValueError("point not on the isogeny domain")
         if P.is_infinity:
             return self.codomain.infinity()
         xd = self._horner(self.xden, P.x)
@@ -323,7 +327,8 @@ class CoordChange:
         self.r, self.s, self.t_, self.w = r, s, t_, w
 
     def forward(self, P: CurvePoint) -> CurvePoint:
-        assert P.curve == self.domain, "point not on the source curve"
+        if P.curve != self.domain:
+            raise ValueError("point not on the source curve")
         if P.is_infinity:
             return self.codomain.infinity()
         w2 = self.w * self.w
@@ -332,7 +337,8 @@ class CoordChange:
         return self.codomain.point(x2, y2)
 
     def backward(self, P: CurvePoint) -> CurvePoint:
-        assert P.curve == self.codomain, "point not on the target curve"
+        if P.curve != self.codomain:
+            raise ValueError("point not on the target curve")
         if P.is_infinity:
             return self.domain.infinity()
         w2 = self.w * self.w
@@ -359,7 +365,8 @@ def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurv
     na4 = (a4 - s * a3 + 2 * r * a2 - (t_ + r * s) * a1 + 3 * r * r - 2 * s * t_) / (w ** 4)
     na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t_ * a3 - t_ * t_ - r * t_ * a1) / (w ** 6)
     new_curve = WeierstrassCurve(na1, na2, na3, na4, na6)
-    assert new_curve.j_invariant() == curve.j_invariant(), "j must be preserved"
+    if new_curve.j_invariant() != curve.j_invariant():
+        raise ArithmeticError("j must be preserved")
     return new_curve, CoordChange(curve, new_curve, r, s, t_, w)
 
 
@@ -388,16 +395,20 @@ class IsogenyChain:
         c1, self._m1 = change_coords(self.source, 0, -inv2, -t / 32, 1)
         c2, self._m2 = change_coords(c1, -t / 16, 0, 0, 1)
         self.mid, self._m3 = change_coords(c2, 0, 0, 0, RatFunc.constant(ctx, 4).inv())
-        assert self.mid == self.expected_mid(), "first displayed model"
+        if self.mid != self.expected_mid():
+            raise ArithmeticError("first displayed model")
         self.phi = two_isogeny_quotient(self.mid)
         self.quotient = self.phi.codomain
-        assert self.quotient == self.expected_quotient(), "second displayed model"
+        if self.quotient != self.expected_quotient():
+            raise ArithmeticError("second displayed model")
         self.legendre, self._m5 = change_coords(self.quotient, 4, 0, 0, 2)
-        assert self.legendre == legendre_form_curve(t), "must land on y^2 = x(x+1)(x+t)"
+        if self.legendre != legendre_form_curve(t):
+            raise ArithmeticError("must land on y^2 = x(x+1)(x+t)")
         # dual isogeny: quotient of the quotient, rescaled by (x/4, y/8)
         self._dual_phi = two_isogeny_quotient(self.quotient)
         scaled, self._dual_scale = change_coords(self._dual_phi.codomain, 0, 0, 0, 2)
-        assert scaled == self.mid, "dual isogeny must land back on the domain"
+        if scaled != self.mid:
+            raise ArithmeticError("dual isogeny must land back on the domain")
 
     def expected_mid(self) -> WeierstrassCurve:
         """y^2 = x^3 + (4 - 2t) x^2 + t^2 x."""

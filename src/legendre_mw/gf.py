@@ -418,9 +418,10 @@ def build_field(p: int, k: int) -> FieldCtx:
     if k < 1:
         raise ValueError("extension degree k must be >= 1")
     for c in itertools.product(range(p), repeat=k):
-        f = c[::-1] + (1,)
-        if _is_irreducible(f, p, k):
-            return FieldCtx(p, k, f)
+        try:
+            return FieldCtx(p, k, c[::-1] + (1,))
+        except ValueError:
+            continue  # reducible
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 

@@ -1,28 +1,39 @@
 """Canonical heights, height pairings and Gram matrices on
 y^2 = x(x+1)(x+t) with t = u^d over F_q(u).
 
-The canonical height is computed exactly from the x-coordinate
-duplication map
+For even d the canonical height is Shioda's local formula
 
-    x(2P) = (x^2 - t)^2 / (4 x (x + 1) (x + t)):
+    h(P) = 2 chi + 2 (P.O) - sum_v contr_v(P),      chi = d/2,
 
-with x = N/D in lowest terms the new coordinate is A^2 / G where
-A = N^2 - t D^2 and G = 4 N D (N + D) (N + t D).  Any common factor of
-A^2 and G divides u (u^d - 1): a common prime divides A and one of the
-four factors of G, and substituting N = 0, D = 0, N = -D or N = -tD
-into A forces it to divide t = u^d or t - 1.  When u^d - 1 splits over
-the coefficient field the common factor is u^e0 times a product of
-(u - rho)^e over the roots rho = zeta^j: the power of u is dropped by
-slicing off coefficient rows and only the root part is divided out.
-Otherwise, since u^{d+1} - u is squarefree (d = 1 mod p), repeatedly
-cancelling gcd(A^2, G, u^{d+1}-u) removes the entire common factor
-without a full-degree Euclid run.
+read off x(P) = N/D in lowest terms (D monic) in O(deg x).  The bad
+fibres are I_2d at u = 0 and at u = oo and I_2 at the d roots of
+u^d = 1 (p does not divide d, so u^d - 1 is squarefree), and an I_n
+fibre met in component i contributes i (n - i) / n, with n = 2d:
 
-`_doublings` runs this map for every consumer: heights, the degree
-sequence and the torsion test.  Heights here lie in (1/2d) Z, so the
-limit h(2^n P)/4^n is read off by rounding to that grid once two
-consecutive levels agree, within DEFAULT_MAX_DOUBLINGS doublings unless
-the caller passes another cap.
+* 2 (P.O) = deg D + max(0, deg N - deg D - d): the finite poles of x,
+  plus the pole at oo of X = x s^d on Y^2 = X (X + 1) (X + s^d), s = 1/u;
+* at u = 0, i0 = min(max(ord_u N - ord_u D, 0), d);
+* at oo, ioo = min(max(d + deg D - deg N, 0), d);  N = 0 gives d for both;
+* P meets the node x = -1 of an I_2 fibre exactly where N + D vanishes,
+  so the r = deg gcd(N + D, u^d - 1) such fibres contribute r/2, whether
+  or not u^d - 1 splits over the coefficient field (N + D = 0 gives d).
+
+Odd d is pulled back along u -> u^2, which doubles every height.  The
+value is exact by construction: (d-1)(d-2)/2d for each P_i and 0 for
+every torsion point.
+
+`_doublings` runs the x-coordinate duplication map
+
+    x(2P) = (x^2 - t)^2 / (4 x (x + 1) (x + t))
+
+for the degree sequence and the torsion test.  With x = N/D in lowest
+terms the new coordinate is A^2 / G, A = N^2 - t D^2 and
+G = 4 N D (N + D) (N + t D).  A common prime of A^2 and G divides one of
+the four factors of G, and substituting N = 0, D = 0, N = -D or N = -tD
+into A forces it to divide t or t - 1.  So `_strip` slices off the
+common power of u and cancels gcd(A^2, G, u^d - 1) until it is 1, with
+reduction mod u^d - 1 and exact division by it done on blocks of d
+coefficients rather than by long division.
 """
 
 from __future__ import annotations
@@ -35,14 +46,7 @@ import numpy as np
 
 from .curve import CurvePoint
 from .exact_linalg import determinant, kernel_basis, rank
-from .gf import FieldCtx, zeta
 from .ratfunc import Poly
-
-DEFAULT_MAX_DOUBLINGS = 6
-
-
-class HeightError(RuntimeError):
-    """Raised when the doubling limit is hit before stabilization."""
 
 
 def _family_t(P: CurvePoint) -> tuple[Poly, int]:
@@ -69,127 +73,86 @@ def naive_height(P: CurvePoint) -> int:
     return 0 if P.x.is_zero() else P.x.deg()
 
 
-def _round_to_grid(value: Fraction, denom: int) -> Fraction:
-    """Nearest multiple of 1/denom, halves rounding up."""
-    scaled = value * denom
-    return Fraction((scaled.numerator * 2 + scaled.denominator)
-                    // (2 * scaled.denominator), denom)
+def _ord_u(f: Poly) -> int:
+    """Multiplicity of the root u = 0 of a nonzero polynomial."""
+    return int(np.flatnonzero(f.c.any(axis=1))[0])
 
 
-class _SupportStripper:
-    """Removes gcd(F, G) from a duplication pair.
-
-    Valid because every common prime is linear: u or u - rho with
-    rho^d = 1, and u^d - 1 splits over the coefficient field (d | q - 1).
-    The multiplicity of each root is the index of the first nonvanishing
-    Hasse derivative H^j F = sum_n C(n, j) f_n u^(n-j), a test that works
-    in any characteristic and vectorizes to k^2 integer dot products.
-    """
-
-    def __init__(self, ctx: FieldCtx, d: int):
-        self.ctx, self.d = ctx, d
-        self.p, self.k = ctx.p, ctx.k
-        z = zeta(ctx, d)
-        self.roots = [z ** j for j in range(d)]
-        # row m holds the digits of zeta^m, so (zeta^j)^n is row j n mod d
-        self._zeta_rows = np.array([r.c for r in self.roots], dtype=np.int64)
-        pas = np.zeros((ctx.p, ctx.p), dtype=np.int64)
-        pas[:, 0] = 1
-        for a in range(1, ctx.p):
-            for b in range(1, a + 1):
-                pas[a, b] = (pas[a - 1, b - 1] + pas[a - 1, b]) % ctx.p
-        self._pascal = pas
-
-    def _binom_weights(self, L: int, j: int) -> np.ndarray | None:
-        """C(n, j) mod p for n < L via Lucas; None stands for all ones."""
-        if j == 0:
-            return None
-        n = np.arange(L, dtype=np.int64)
-        out = np.ones(L, dtype=np.int64)
-        p = self.p
-        while j:
-            out = out * self._pascal[n % p, j % p] % p
-            n //= p
-            j //= p
-        return out
-
-    def _hasse_vanishes(self, rows: np.ndarray, w, tab: np.ndarray) -> bool:
-        """Whether sum_n w[n] * rows[n] * root^n is zero in the field."""
-        L, k = rows.shape
-        acc = np.zeros(2 * k - 1, dtype=np.int64)
-        for a in range(k):
-            fa = rows[:, a] if w is None else rows[:, a] * w
-            if not fa.any():
-                continue
-            for b in range(k):
-                acc[a + b] += int(fa @ tab[:L, b])
-        for m in range(2 * k - 2, k - 1, -1):
-            if acc[m]:
-                acc[:k] += acc[m] * self.ctx.reduction_rows[m - k]
-        return not (acc[:k] % self.p).any()
-
-    def _min_ord(self, F: np.ndarray, G: np.ndarray, i: int) -> int:
-        """min of the multiplicities of the root zeta^i in F and G."""
-        L = max(F.shape[0], G.shape[0])
-        tab = self._zeta_rows[i * np.arange(L) % self.d]
-        for j in range(min(F.shape[0], G.shape[0])):
-            w = self._binom_weights(L, j)
-            wf = None if w is None else w[:F.shape[0]]
-            if not self._hasse_vanishes(F, wf, tab):
-                return j
-            wg = None if w is None else w[:G.shape[0]]
-            if not self._hasse_vanishes(G, wg, tab):
-                return j
-        return 0  # pragma: no cover - a nonzero poly has a finite order
-
-    def strip(self, F: Poly, G: Poly) -> tuple[Poly, Poly]:
-        ctx = self.ctx
-        e0 = min(int(np.nonzero(F.c.any(axis=1))[0][0]),
-                 int(np.nonzero(G.c.any(axis=1))[0][0]))
-        F = Poly(ctx, F.c[e0:], _trusted=True)
-        G = Poly(ctx, G.c[e0:], _trusted=True)
-        g = Poly.one(ctx)
-        for i, root in enumerate(self.roots):
-            e = self._min_ord(F.c, G.c, i)
-            if e:
-                g = g * Poly.from_elems(ctx, [-root, 1]) ** e
-        if g.deg > 0:
-            F, rf = divmod(F, g)
-            G, rg = divmod(G, g)
-            if not (rf.is_zero() and rg.is_zero()):
-                raise ArithmeticError("root multiplicities do not divide the pair")
-        return F, G
+def _local_height(N: Poly, D: Poly, d: int) -> Fraction:
+    """Shioda's formula for x = N/D on y^2 = x(x+1)(x+u^d), d even."""
+    n = 2 * d
+    if N.is_zero():
+        two_po, i0, ioo = 0, d, d
+    else:
+        two_po = D.deg + max(0, N.deg - D.deg - d)
+        i0 = min(max(_ord_u(N) - _ord_u(D), 0), d)
+        ioo = min(max(d + D.deg - N.deg, 0), d)
+    r = Poly.gcd(N + D, Poly.monomial(D.ctx, d) - 1).deg
+    return (d + two_po - Fraction(i0 * (n - i0) + ioo * (n - ioo), n)
+            - Fraction(r, 2))
 
 
-class _EuclidStripper:
-    """Fallback full-gcd reduction for fields where u^d - 1 does not
-    split (d not dividing q - 1)."""
-
-    def __init__(self, ctx: FieldCtx, d: int):
-        self.mask = Poly.monomial(ctx, d + 1) - Poly.variable(ctx)
-
-    def strip(self, F: Poly, G: Poly) -> tuple[Poly, Poly]:
-        while True:
-            c = Poly.gcd(Poly.gcd(self.mask, F), G)
-            if c.deg < 1:
-                return F, G
-            F = F // c
-            G = G // c
+def _spread(f: Poly) -> Poly:
+    """f(u^2)."""
+    rows = np.zeros((max(2 * f.c.shape[0] - 1, 0), f.ctx.k), dtype=np.int64)
+    rows[::2] = f.c
+    return Poly(f.ctx, rows, _trusted=True)
 
 
-_STRIPPERS: dict = {}
+def canonical_height(P: CurvePoint) -> Fraction:
+    """Exact canonical height as a Fraction (0 for torsion), from the
+    local formula in the module docstring.  Raises ValueError when p
+    divides d, where the fibres at the roots of u^d = 1 are not I_2."""
+    tp, d = _family_t(P)
+    if d % tp.ctx.p == 0:
+        raise ValueError("p = %d divides d = %d" % (tp.ctx.p, d))
+    if P.is_infinity:
+        return Fraction(0)
+    N, D = P.x.num, P.x.den
+    if d % 2:
+        return _local_height(_spread(N), _spread(D), 2 * d) / 2
+    return _local_height(N, D, d)
 
 
-def _get_stripper(ctx: FieldCtx, d: int):
-    key = (ctx, d)
-    s = _STRIPPERS.get(key)
-    if s is None:
-        try:
-            s = _SupportStripper(ctx, d)
-        except ValueError:
-            s = _EuclidStripper(ctx, d)
-        _STRIPPERS[key] = s
-    return s
+def _unit_rows(F: Poly, d: int) -> np.ndarray:
+    """The coefficient rows of F, zero-padded and split into blocks of
+    d, shape (blocks, d, k): block j holds the coefficients of u^(jd)
+    to u^(jd + d - 1)."""
+    L, k = F.c.shape
+    rows = np.zeros((-(-L // d) * d, k), dtype=np.int64)
+    rows[:L] = F.c
+    return rows.reshape(-1, d, k)
+
+
+def _mod_unit(F: Poly, d: int) -> Poly:
+    """F mod (u^d - 1), by folding the blocks of d coefficients."""
+    return Poly(F.ctx, _unit_rows(F, d).sum(axis=0))
+
+
+def _div_unit(F: Poly, d: int) -> Poly:
+    """F / (u^d - 1) for a multiple F: the quotient Q has
+    Q_i = Q_{i-d} - F_i, a running sum over each residue class mod d."""
+    L, k = F.c.shape
+    q = (-np.cumsum(_unit_rows(F, d), axis=0) % F.ctx.p).reshape(-1, k)
+    if q[L - d:].any():
+        raise ArithmeticError("u^d - 1 does not divide the polynomial")
+    return Poly(F.ctx, q[:L - d], _trusted=True)
+
+
+def _strip(F: Poly, G: Poly, d: int) -> tuple[Poly, Poly]:
+    """F / g, G / g for the part g of gcd(F, G) supported on u (u^d - 1):
+    u^e0 is sliced off, then gcd(F, G, u^d - 1) = c is cancelled, as
+    (F h) / (u^d - 1) with h = (u^d - 1) / c, until it is 1."""
+    ctx = F.ctx
+    e0 = min(_ord_u(F), _ord_u(G))
+    F, G = Poly(ctx, F.c[e0:], _trusted=True), Poly(ctx, G.c[e0:], _trusted=True)
+    unit = Poly.monomial(ctx, d) - 1
+    while True:
+        c = Poly.gcd(Poly.gcd(unit, _mod_unit(F, d)), _mod_unit(G, d))
+        if c.deg < 1:
+            return F, G
+        h = unit // c
+        F, G = _div_unit(F * h, d), _div_unit(G * h, d)
 
 
 def _doublings(P: CurvePoint):
@@ -202,7 +165,6 @@ def _doublings(P: CurvePoint):
         return
     tp, d = _family_t(P)
     ctx = tp.ctx
-    stripper = _get_stripper(ctx, d)
     N, D = P.x.num, P.x.den
     while True:
         yield N, D
@@ -210,37 +172,15 @@ def _doublings(P: CurvePoint):
         G = 4 * (N * D) * ((N + D) * (N + tD))
         if G.is_zero():
             return  # x in {0, -1, -t}: 2^n P is 2-torsion
-        A = N * N - tD * D
-        if A.is_zero():
-            N, D = A, Poly.one(ctx)  # the double is (0, 0)
+        N = N * N - tD * D
+        if N.is_zero():
+            D = Poly.one(ctx)  # the double is (0, 0)
             continue
-        N, D = stripper.strip(A * A, G)
+        N, D = _strip(N * N, G, d)
         lc = D.lc()
         if not lc == ctx.one():
             inv = lc.inv()
             N, D = N.scale(inv), D.scale(inv)
-
-
-def canonical_height(P: CurvePoint, max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-                     with_level: bool = False):
-    """Exact canonical height as a Fraction (0 for torsion).
-
-    Doubles the x-coordinate until round(h_n / 4^n) agrees on the
-    (1/2d)-grid at two consecutive levels n - 1, n with n >= 3; raises
-    HeightError past max_doublings doublings.  with_level also returns
-    that n (0 for torsion).
-    """
-    grid = 2 * _family_t(P)[1]
-    est_prev = None
-    for n, (N, D) in enumerate(_doublings(P)):
-        if n > max_doublings:
-            raise HeightError("height did not stabilize within %d doublings"
-                              % max_doublings)
-        est = _round_to_grid(Fraction(max(N.deg, D.deg), 4 ** n), grid)
-        if n >= 3 and est == est_prev:
-            return (est, n) if with_level else est
-        est_prev = est
-    return (Fraction(0), 0) if with_level else Fraction(0)
 
 
 def height_sequence(P: CurvePoint, levels: int) -> list[int]:

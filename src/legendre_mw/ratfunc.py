@@ -3,10 +3,10 @@
 A Poly stores its coefficients as an (L, k) int64 matrix of F_p digit
 vectors, low u-degree first; the zero polynomial is the empty matrix and
 carries the degree sentinel -inf.  Products run through exact numpy
-integer convolution layer by layer in the extension basis, which keeps
-the doubling-limit height computations fast.  Everything stays integer
-arithmetic end to end; when a product could overflow int64 the code
-falls back to object-dtype (unbounded Python ints).
+integer convolution layer by layer in the extension basis.  Everything
+stays int64 arithmetic end to end; a product whose accumulated
+coefficients could overflow int64 (over 4 * 10^12 rows even for
+F_{101^2}) raises OverflowError.
 
 A RatFunc is always canonical: gcd(num, den) = 1 and den monic.
 """
@@ -272,13 +272,9 @@ def _mul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k, p = ctx.k, ctx.p
     la, lb = a.shape[0], b.shape[0]
     # worst-case accumulated magnitude before the final mod
-    bound = min(la, lb) * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))
-    if bound >= 2 ** 62:
-        a = a.astype(object)
-        b = b.astype(object)
-        acc = np.zeros((la + lb - 1, 2 * k - 1), dtype=object)
-    else:
-        acc = np.zeros((la + lb - 1, 2 * k - 1), dtype=np.int64)
+    if min(la, lb) * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)) >= 2 ** 62:
+        raise OverflowError("polynomial product too large for int64 accumulation")
+    acc = np.zeros((la + lb - 1, 2 * k - 1), dtype=np.int64)
     for i in range(k):
         ai = a[:, i]
         if not ai.any():
@@ -293,8 +289,7 @@ def _mul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             col = acc[:, m]
             if col.any():
                 acc[:, :k] += col[:, None] * red[m - k][None, :]
-    out = (acc[:, :k] % p).astype(np.int64)
-    return _trim_rows(out)
+    return _trim_rows(acc[:, :k] % p)
 
 
 def _divmod_arrays(a: Poly, b: Poly, want_quotient: bool):

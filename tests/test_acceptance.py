@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from doubling_oracle import doubling_limit
 from legendre_mw.curve import IsogenyChain
 from legendre_mw.gf import build_field
 from legendre_mw.heights import (
@@ -274,13 +275,16 @@ def test_criterion_10_property_suites():
             lhs = canonical_height(P + Q) + canonical_height(P - Q)
             assert lhs == 2 * canonical_height(P) + 2 * canonical_height(Q)
 
-        # (d) every height above stabilized within 6 doublings; sample
-        # the levels explicitly across all four families
+        # (d) the doubling limit stabilizes within 6 doublings and agrees
+        # with the local height; sample the levels across all four families
         for p, f in CASES:
             famx = make_family(p, f)
             idxs = range(famx.d) if famx.d <= 8 else (0, 1, 5)
             for i in idxs:
-                _, level = canonical_height(point_P(famx, i), with_level=True)
+                h, level = doubling_limit(point_P(famx, i))
                 assert level <= 6
-        _, level = canonical_height(pts[0] + pts[1] + tor[4], with_level=True)
+                assert h == canonical_height(point_P(famx, i))
+        S = pts[0] + pts[1] + tor[4]
+        h, level = doubling_limit(S)
         assert level <= 6
+        assert h == canonical_height(S)

@@ -56,6 +56,18 @@ def test_point_validation():
     assert E.contains(P.x, P.y)
 
 
+def test_point_from_another_curve_rejected():
+    # an explicit check, so it also holds under python -O
+    fam5 = make_family(5)
+    P, Q = point_P(FAM, 0), point_P(fam5, 0)
+    with pytest.raises(ValueError):
+        FAM.curve.add(P, Q)
+    with pytest.raises(ValueError):
+        fam5.curve.add(Q, P)
+    with pytest.raises(ValueError):
+        FAM.curve.smul(2, Q)
+
+
 def test_identity_and_negation():
     E = FAM.curve
     O = E.infinity()

@@ -3,14 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from legendre_mw.curve import legendre_form_curve
+from doubling_oracle import doubling_limit
+from legendre_mw.curve import legendre_form_curve, two_torsion
 from legendre_mw.gf import build_field
 from legendre_mw.heights import (
-    DEFAULT_MAX_DOUBLINGS,
-    HeightError,
-    _EuclidStripper,
-    _get_stripper,
-    _SupportStripper,
+    _div_unit,
+    _mod_unit,
     canonical_height,
     combination,
     expected_gram,
@@ -22,8 +20,9 @@ from legendre_mw.heights import (
     pairing,
     relation_is_torsion,
 )
-from legendre_mw.legendre import make_family, point_P, torsion_points
-from legendre_mw.ratfunc import RatFunc
+from legendre_mw.legendre import (admissible_b_values, make_family, point_P,
+                                  point_R, torsion_points)
+from legendre_mw.ratfunc import Poly, RatFunc, poly_sqrt
 
 FAM4 = make_family(3)
 FAM6 = make_family(5)
@@ -105,17 +104,67 @@ def test_height_is_invariant_under_torsion_translation():
 
 
 def test_stabilization_level_small():
-    for i in range(FAM4.d):
-        h, level = canonical_height(point_P(FAM4, i), with_level=True)
-        assert level <= DEFAULT_MAX_DOUBLINGS
+    for P in [point_P(FAM4, i) for i in range(FAM4.d)] + [point_P(FAM6, 0)]:
+        h, level = doubling_limit(P)
         assert level <= 6
-    _, level = canonical_height(point_P(FAM6, 0), with_level=True)
-    assert level <= 6
+        assert h == canonical_height(P)
 
 
-def test_height_error_when_cap_too_small():
-    with pytest.raises(HeightError):
-        canonical_height(point_P(FAM4, 0), max_doublings=2)
+def _seeded_sums(fam, count, seed):
+    """P_i +- P_j + T for seeded indices and torsion points T."""
+    rng = random.Random(seed)
+    pts = [point_P(fam, i) for i in range(fam.d)]
+    tor = list(torsion_points(fam).values())
+    sums = []
+    for _ in range(count):
+        P = rng.choice(pts) + rng.choice(tor)
+        Q = rng.choice(pts)
+        sums.append(P + Q if rng.random() < 0.5 else P - Q)
+    return sums
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)],
+                         ids=["d4", "d6", "d8", "d10", "d12"])
+def test_local_height_matches_doubling_limit(p, f):
+    # the local formula against the doubling limit of the x-coordinate:
+    # every P_i, torsion point, R_b and seeded sums; at d = 12 an oracle
+    # call takes up to a few seconds, so only eight points
+    fam = make_family(p, f)
+    if fam.d == 12:
+        pts = [point_P(fam, i) for i in (0, 1, 6)] + _seeded_sums(fam, 3, 12)
+        pts += [torsion_points(fam)["T"], point_R(fam, admissible_b_values(fam)[0])]
+    else:
+        pts = [point_P(fam, i) for i in range(fam.d)]
+        pts += list(torsion_points(fam).values()) + _seeded_sums(fam, 6, fam.d)
+        if f == 1:
+            pts += [point_R(fam, b) for b in admissible_b_values(fam)]
+    for P in pts:
+        limit = doubling_limit(P)
+        assert limit is not None and canonical_height(P) == limit[0]
+
+
+def test_local_height_odd_d_by_base_change():
+    # d = 3 over F_25: u^3 - 1 splits, and the height is read on the
+    # pullback along u -> u^2 (exponent 6) and halved
+    ctx = build_field(5, 2)
+    u = RatFunc.variable(ctx)
+    curve = legendre_form_curve(u ** 3)
+    x = 4 * u ** 4 + 3 * u ** 3 + 4 * u ** 2
+    P = curve.point(x, RatFunc.from_poly(poly_sqrt((x * (x + 1) * (x + u ** 3)).num)))
+    assert canonical_height(P) == Fraction(5, 3)
+    assert canonical_height(P + P) == Fraction(20, 3)
+    q0, q1, qt = two_torsion(curve)
+    for Q in (P, P + P, P + q0, P + q1, P + qt):
+        assert canonical_height(Q) == doubling_limit(Q)[0]
+
+
+def test_height_rejects_p_dividing_d():
+    # u^6 - 1 = (u^2 - 1)^3 over F_3: the fibres at its roots are not I_2
+    ctx = build_field(3, 1)
+    curve = legendre_form_curve(RatFunc.variable(ctx) ** 6)
+    for P in two_torsion(curve) + (curve.infinity(),):
+        with pytest.raises(ValueError):
+            canonical_height(P)
 
 
 def test_gram_matrix_matches_theory():
@@ -159,41 +208,41 @@ def test_gram_submatrix_and_labels():
     assert obj["entries"][0][0] == "3/4"
 
 
+@pytest.mark.parametrize("d", [4, 5, 12])
+def test_unit_root_reduction_matches_long_division(d):
+    # the blockwise mod and exact division by u^d - 1 used by the
+    # doubling map, against Poly long division
+    rng = random.Random(d)
+    ctx = FAM4.ctx
+    unit = Poly.monomial(ctx, d) - 1
+    for deg in (0, d - 1, d, 3 * d + 2, 50):
+        F = Poly.from_elems(ctx, [ctx.from_code(rng.randrange(9)) for _ in range(deg)] + [1])
+        assert _mod_unit(F, d) == F % unit
+        assert _div_unit(F * unit, d) == F
+        if not (F % unit).is_zero():
+            with pytest.raises(ArithmeticError):
+                _div_unit(F * Poly.monomial(ctx, d), d)
+
+
 def test_heights_in_prime_field_family():
     # f = 0 family (no extension): d = p + 1 still applies
     fam = make_family(3, 0)
     assert canonical_height(point_P(fam, 0)) == _theoretical_height(fam.d)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_heights_over_prime_field_use_euclid_stripper(p):
     # over F_p, d = p + 1 does not divide p - 1, so u^d - 1 does not split
-    # and only the gcd-based stripper applies
+    # and the roots of u^d = 1 lie in extensions of the coefficient field;
+    # P = (u, u (u + 1)^(d/2)), its multiples and torsion translates
+    # against the doubling limit
     ctx = build_field(p, 1)
     d = p + 1
     u = RatFunc.variable(ctx)
     curve = legendre_form_curve(u ** d)
     P = curve.point(u, u * (u + 1) ** (d // 2))
-    assert isinstance(_get_stripper(ctx, d), _EuclidStripper)
     assert canonical_height(P) == _theoretical_height(d)
-
-
-@pytest.mark.parametrize("fam", [FAM4, FAM6], ids=["d4", "d6"])
-def test_support_stripper_agrees_with_euclid_stripper(fam):
-    # both strippers apply when u^d - 1 splits; they must cancel the same
-    # common factor at every doubling level, torsion translates included
-    tp = fam.t.num
-    support = _SupportStripper(fam.ctx, fam.d)
-    euclid = _EuclidStripper(fam.ctx, fam.d)
-    T = torsion_points(fam)["T"]
-    for P in (point_P(fam, 1), point_P(fam, 0) + T, point_P(fam, 0) + point_P(fam, 1)):
-        N, D = P.x.num, P.x.den
-        for _ in range(3):
-            tD = tp * D
-            A = N * N - tD * D
-            F, G = A * A, 4 * (N * D) * ((N + D) * (N + tD))
-            got, want = support.strip(F, G), euclid.strip(F, G)
-            inv = got[1].lc().inv()
-            N, D = got[0].scale(inv), got[1].scale(inv)
-            inv = want[1].lc().inv()
-            assert (N, D) == (want[0].scale(inv), want[1].scale(inv))
+    s = u ** (d // 2)
+    T = curve.point(s, s * (s + 1))
+    for Q in (P, P + P, P + P + P, P + T, P - T, T) + two_torsion(curve):
+        assert canonical_height(Q) == doubling_limit(Q)[0]

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from legendre_mw.gf import build_field
-from legendre_mw.ratfunc import NEG_INF, Poly, RatFunc, poly_sqrt
+from legendre_mw.ratfunc import NEG_INF, Poly, RatFunc, _mul_arrays, poly_sqrt
 
 CTX = build_field(3, 2)
 CTX5 = build_field(5, 1)
@@ -64,6 +65,15 @@ def test_pow_matches_repeated_mul():
         for e in range(6):
             assert a ** e == acc
             acc = acc * a
+
+
+def test_mul_overflow_guard():
+    # a product whose int64 accumulation could overflow is refused; the
+    # operands are stride-0 views, so nothing of that size is allocated
+    rows = 2 ** 62 // ((3 - 1) ** 2 * (1 + (3 - 1))) + 1
+    big = np.broadcast_to(np.ones((1, CTX.k), dtype=np.int64), (rows, CTX.k))
+    with pytest.raises(OverflowError):
+        _mul_arrays(CTX, big, big)
 
 
 @pytest.mark.parametrize("ctx,seed", [(CTX, 31), (CTX5, 32)])
