@@ -12,7 +12,7 @@ from .legendre import (FamilyParams, admissible_b_values, frobenius_orbit_sum,
 from .heights import (GramMatrix, canonical_height, combination,
                       expected_gram, expected_lattice_det, gram_matrix,
                       height_sequence, is_torsion_point, naive_height,
-                      pairing, relation_is_torsion)
+                      pairing, point_order, relation_is_torsion)
 from .invariants import (BSDReport, FiberData, LFunctionInfo, bad_fibers,
                          bsd_report, conductor_degree, euler_totient,
                          fiber_audit, frobenius_orbits, index_bound,
@@ -33,7 +33,8 @@ __all__ = [
     "torsion_points", "trace_point",
     "GramMatrix", "canonical_height", "combination", "expected_gram",
     "expected_lattice_det", "gram_matrix", "height_sequence",
-    "is_torsion_point", "naive_height", "pairing", "relation_is_torsion",
+    "is_torsion_point", "naive_height", "pairing", "point_order",
+    "relation_is_torsion",
     "BSDReport", "FiberData", "LFunctionInfo", "bad_fibers", "bsd_report",
     "conductor_degree", "euler_totient", "fiber_audit", "frobenius_orbits",
     "index_bound", "integrality_check", "multiplicative_order", "rank_formula",

@@ -2,7 +2,7 @@
 verification suites, emitting deterministic JSON (or a plain table).
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 invalid
-parameters.
+parameters (including an --out file that cannot be written).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import gcd
 from . import invariants as inv
 from .curve import IsogenyChain, legendre_form_curve
 from .heights import (expected_gram, expected_lattice_det, gram_matrix,
-                      is_torsion_point, relation_is_torsion)
+                      is_torsion_point, point_order, relation_is_torsion)
 from .legendre import (FamilyParams, admissible_b_values, frobenius_orbit_sum,
                        make_family, matching_index, point_P, point_R,
                        substitute_zeta_u, torsion_points, trace_point)
@@ -49,7 +49,7 @@ def run_points(params: FamilyParams) -> tuple[dict, dict]:
     pts = [point_P(params, i) for i in range(d)]
     tors = torsion_points(params)
     pts_torsion = [is_torsion_point(P) for P in pts]
-    orders = {label: _torsion_order(curve, P) for label, P in tors.items()}
+    orders = {label: point_order(P) for label, P in tors.items()}
 
     galois_ok = all(substitute_zeta_u(params, pts[i]) == pts[(i + 1) % d]
                     for i in range(d))
@@ -76,14 +76,6 @@ def run_points(params: FamilyParams) -> tuple[dict, dict]:
         "explicit_points_nontorsion": pts_nontorsion,
     }
     return payload, checks
-
-
-def _torsion_order(curve, P) -> int:
-    """The order of P if it divides 8, else 0, from one doubling chain."""
-    n = 1
-    while not P.is_infinity and n < 8:
-        P, n = curve.add(P, P), 2 * n
-    return n if P.is_infinity else 0
 
 
 def run_gram(params: FamilyParams, q: int, depth: str) -> tuple[dict, dict]:
@@ -175,8 +167,7 @@ def run_isogeny(params: FamilyParams) -> tuple[dict, dict]:
     round_trip = []
     for R, S in zip(samples, back):
         img = chain.forward(S)
-        twice = params.curve.smul(2, R)
-        round_trip.append(img == twice or img == -twice)
+        round_trip.append(img == params.curve.smul(2, R))
 
     hom_ok = []
     for i in range(0, len(back) - 1, 2):
@@ -311,8 +302,7 @@ def main(argv=None) -> int:
         if args.m < 1:
             raise ValueError("m must be >= 1")
         if args.command in ("gram", "all"):
-            if not inv.is_power_of(q, args.p):
-                raise ValueError("q = %d is not a power of p = %d" % (q, args.p))
+            inv.validate_q(q, args.p, 0)
             if gcd(q, params.d) != 1:
                 raise ValueError("q must be coprime to d = %d" % params.d)
         if args.command in ("invariants", "all"):
@@ -343,7 +333,11 @@ def main(argv=None) -> int:
             checks["%s.%s" % (name, key)] = val
     doc["checks"] = checks
     doc["ok"] = all(checks.values())
-    _emit(doc, args.format, args.out)
+    try:
+        _emit(doc, args.format, args.out)
+    except OSError as exc:  # e.g. --out in a missing directory
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     return 0 if doc["ok"] else 1
 
 

@@ -85,7 +85,7 @@ class WeierstrassCurve:
         # c4^3 - c6^2 = 1728 * disc must hold identically
         c4, c6 = self.c4(), self.c6()
         if not (c4 ** 3 - c6 ** 2) == disc * 1728:
-            raise AssertionError("c-invariant identity failed")
+            raise ArithmeticError("c-invariant identity failed")
 
     @classmethod
     def from_coeffs(cls, ctx: FieldCtx, a1, a2, a3, a4, a6) -> "WeierstrassCurve":
@@ -136,8 +136,8 @@ class WeierstrassCurve:
         return CurvePoint(self, None, None)
 
     def contains(self, x: RatFunc, y: RatFunc) -> bool:
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
+        lhs = (y + self.a1 * x + self.a3) * y
+        rhs = ((x + self.a2) * x + self.a4) * x + self.a6
         return lhs == rhs
 
     def point(self, x: RatFunc, y: RatFunc) -> CurvePoint:
@@ -180,22 +180,20 @@ class WeierstrassCurve:
         y3 = -(lam + self.a1) * x3 - nu - self.a3
         return CurvePoint(self, x3, y3)
 
-    def double(self, P: CurvePoint) -> CurvePoint:
-        return self.add(P, P)
-
     def smul(self, n: int, P: CurvePoint) -> CurvePoint:
-        """n*P by double-and-add."""
+        """n*P by left-to-right double-and-add: one doubling per bit
+        below the top one."""
         if P.curve != self:
             raise ValueError("point from a different curve")
         if n < 0:
             return self.smul(-n, self.neg(P))
-        acc = self.infinity()
-        base = P
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            n >>= 1
+        if n == 0:
+            return self.infinity()
+        acc = P
+        for bit in bin(n)[3:]:
+            acc = self.add(acc, acc)
+            if bit == "1":
+                acc = self.add(acc, P)
         return acc
 
     # -- misc -----------------------------------------------------------------
@@ -244,52 +242,36 @@ def two_torsion(curve: WeierstrassCurve) -> tuple[CurvePoint, CurvePoint, CurveP
 # 2-isogenies and coordinate changes.
 
 class IsogenyMap:
-    """Separable 2-isogeny with kernel {O, (0,0)} on y^2 = x^3 + a x^2 + b x.
+    """Separable 2-isogeny with kernel {O, (0,0)} on y^2 = x^3 + a x^2 + b x:
+    x' = x + a + b/x, y' = y (1 - b/x^2)."""
 
-    x and y maps are ratios of polynomials in the x coordinate:
-    x' = xnum(x)/xden(x), y' = y * ynum(x)/yden(x).
-    """
+    __slots__ = ("domain", "codomain")
 
-    __slots__ = ("domain", "codomain", "xnum", "xden", "ynum", "yden")
-
-    degree = 2
-
-    def __init__(self, domain, codomain, xnum, xden, ynum, yden):
+    def __init__(self, domain, codomain):
         self.domain = domain
         self.codomain = codomain
-        self.xnum = xnum  # lists of RatFunc coefficients, low degree first
-        self.xden = xden
-        self.ynum = ynum
-        self.yden = yden
-
-    @staticmethod
-    def _horner(coeffs, x: RatFunc) -> RatFunc:
-        acc = RatFunc.zero(x.ctx)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
 
     def apply(self, P: CurvePoint) -> CurvePoint:
         if P.curve != self.domain:
             raise ValueError("point not on the isogeny domain")
-        if P.is_infinity:
+        if P.is_infinity or P.x.is_zero():
             return self.codomain.infinity()
-        xd = self._horner(self.xden, P.x)
-        if xd.is_zero():
-            return self.codomain.infinity()
-        x2 = self._horner(self.xnum, P.x) / xd
-        y2 = P.y * self._horner(self.ynum, P.x) / self._horner(self.yden, P.x)
+        b_x = self.domain.a4 / P.x
+        x2 = P.x + self.domain.a2 + b_x
+        y2 = P.y * (1 - b_x / P.x)
         return self.codomain.point(x2, y2)
 
     def to_obj(self):
+        """The maps as coefficient lists in x, low degree first:
+        x' = (b + a x + x^2)/x, y' = y (-b + x^2)/x^2."""
+        a, b = self.domain.a2, self.domain.a4
+        zero, one = RatFunc.zero(a.ctx).to_obj(), RatFunc.one(a.ctx).to_obj()
         return {
             "degree": 2,
             "domain": self.domain.to_obj(),
             "codomain": self.codomain.to_obj(),
-            "x_map": {"num": [c.to_obj() for c in self.xnum],
-                      "den": [c.to_obj() for c in self.xden]},
-            "y_map": {"num": [c.to_obj() for c in self.ynum],
-                      "den": [c.to_obj() for c in self.yden]},
+            "x_map": {"num": [b.to_obj(), a.to_obj(), one], "den": [zero, one]},
+            "y_map": {"num": [(-b).to_obj(), zero, one], "den": [zero, zero, one]},
         }
 
 
@@ -305,11 +287,8 @@ def two_isogeny_quotient(curve: WeierstrassCurve) -> IsogenyMap:
     a, b = curve.a2, curve.a4
     if b.is_zero():
         raise ValueError("(0,0) must be a nonsingular 2-torsion point")
-    zero, one = RatFunc.zero(ctx), RatFunc.one(ctx)
-    codomain = WeierstrassCurve(zero, -2 * a, zero, a * a - 4 * b, zero)
-    return IsogenyMap(curve, codomain,
-                      xnum=[b, a, one], xden=[zero, one],
-                      ynum=[-b, zero, one], yden=[zero, zero, one])
+    zero = RatFunc.zero(ctx)
+    return IsogenyMap(curve, WeierstrassCurve(zero, -2 * a, zero, a * a - 4 * b, zero))
 
 
 class CoordChange:
@@ -377,11 +356,17 @@ def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurv
 class IsogenyChain:
     """Holds the curves and maps of the chain; forward() composes the
     whole pipeline, backward() is a 2-isogeny section built from the
-    dual (so forward(backward(R)) = 2 * conjugated R, but always lands on
-    a valid point)."""
+    dual (so forward(backward(R)) = 2R, but always lands on a valid
+    point).
+
+    The paper's substitutions (r, s, t_, w) = (0, -1/2, -t/32, 1),
+    (-t/16, 0, 0, 1) and (0, 0, 0, 1/4) from source to mid compose to
+    the single change (-t/16, -1/2, 0, 1/4).  The dual isogeny lands on
+    mid rescaled by w = 2, i.e. on the image of the same change with
+    w = 1/8, and backward() inverts that change."""
 
     __slots__ = ("t", "source", "mid", "quotient", "legendre",
-                 "_m1", "_m2", "_m3", "phi", "_m5", "_dual_phi", "_dual_scale")
+                 "_to_mid", "phi", "_to_legendre", "_dual_phi", "_from_dual")
 
     def __init__(self, t: RatFunc):
         ctx = t.ctx
@@ -392,22 +377,21 @@ class IsogenyChain:
         # y^2 + x y + t' y = x^3 + t' x^2 with t' = t/16
         self.source = WeierstrassCurve(one, tp, tp, zero, zero)
         inv2 = RatFunc.constant(ctx, 2).inv()
-        c1, self._m1 = change_coords(self.source, 0, -inv2, -t / 32, 1)
-        c2, self._m2 = change_coords(c1, -t / 16, 0, 0, 1)
-        self.mid, self._m3 = change_coords(c2, 0, 0, 0, RatFunc.constant(ctx, 4).inv())
+        self.mid, self._to_mid = change_coords(
+            self.source, -tp, -inv2, 0, RatFunc.constant(ctx, 4).inv())
         if self.mid != self.expected_mid():
             raise ArithmeticError("first displayed model")
         self.phi = two_isogeny_quotient(self.mid)
         self.quotient = self.phi.codomain
         if self.quotient != self.expected_quotient():
             raise ArithmeticError("second displayed model")
-        self.legendre, self._m5 = change_coords(self.quotient, 4, 0, 0, 2)
+        self.legendre, self._to_legendre = change_coords(self.quotient, 4, 0, 0, 2)
         if self.legendre != legendre_form_curve(t):
             raise ArithmeticError("must land on y^2 = x(x+1)(x+t)")
-        # dual isogeny: quotient of the quotient, rescaled by (x/4, y/8)
         self._dual_phi = two_isogeny_quotient(self.quotient)
-        scaled, self._dual_scale = change_coords(self._dual_phi.codomain, 0, 0, 0, 2)
-        if scaled != self.mid:
+        dual_target, self._from_dual = change_coords(
+            self.source, -tp, -inv2, 0, RatFunc.constant(ctx, 8).inv())
+        if dual_target != self._dual_phi.codomain:
             raise ArithmeticError("dual isogeny must land back on the domain")
 
     def expected_mid(self) -> WeierstrassCurve:
@@ -423,12 +407,10 @@ class IsogenyChain:
         return WeierstrassCurve(zero, 4 * self.t - 8, zero, -16 * (self.t - 1), zero)
 
     def forward(self, P: CurvePoint) -> CurvePoint:
-        """Source -> Legendre form (three isomorphisms, the 2-isogeny,
-        one more isomorphism)."""
-        q = self._m3.forward(self._m2.forward(self._m1.forward(P)))
-        return self._m5.forward(self.phi.apply(q))
+        """Source -> Legendre form (one isomorphism onto the first
+        displayed model, the 2-isogeny, one more isomorphism)."""
+        return self._to_legendre.forward(self.phi.apply(self._to_mid.forward(P)))
 
     def backward(self, R: CurvePoint) -> CurvePoint:
         """Legendre form -> source, through the dual isogeny."""
-        q = self._dual_scale.forward(self._dual_phi.apply(self._m5.backward(R)))
-        return self._m1.backward(self._m2.backward(self._m3.backward(q)))
+        return self._from_dual.backward(self._dual_phi.apply(self._to_legendre.backward(R)))

@@ -189,21 +189,22 @@ def height_sequence(P: CurvePoint, levels: int) -> list[int]:
     return [int(max(N.deg, D.deg)) for N, D in islice(_doublings(P), levels + 1)]
 
 
+def point_order(P: CurvePoint) -> int:
+    """The order of P if P is torsion, else 0.  The torsion subgroup is
+    Z/2 x Z/4, so the doubling sequence of a torsion point stops after
+    n < 3 terms and its order is 2^n."""
+    n = sum(1 for _ in islice(_doublings(P), 3))
+    return 2 ** n if n < 3 else 0
+
+
 def is_torsion_point(P: CurvePoint) -> bool:
-    """Exact torsion test: the torsion subgroup is Z/2 x Z/4, so P is
-    torsion iff 4P = O, i.e. iff the doubling sequence stops within
-    two terms."""
-    return sum(1 for _ in islice(_doublings(P), 3)) < 3
+    """Exact torsion test: whether P has finite order."""
+    return point_order(P) > 0
 
 
 def pairing(P: CurvePoint, Q: CurvePoint) -> Fraction:
     """Height pairing <P, Q> = (h(P+Q) - h(P) - h(Q)) / 2."""
-    if P == Q:
-        return canonical_height(P)
-    hs = canonical_height(P + Q)
-    hp = canonical_height(P)
-    hq = canonical_height(Q)
-    return (hs - hp - hq) / 2
+    return gram_matrix([P, Q]).entries[0][1]
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +297,5 @@ def combination(points: list[CurvePoint], coeffs) -> CurvePoint:
 
 
 def relation_is_torsion(points: list[CurvePoint], coeffs) -> bool:
-    """Whether sum coeffs[i] * points[i] is torsion (Z/2 x Z/4 here, so
-    multiplying by 8 must kill it)."""
-    S = combination(points, coeffs)
-    return S.curve.smul(8, S).is_infinity
+    """Whether sum coeffs[i] * points[i] is torsion."""
+    return is_torsion_point(combination(points, coeffs))

@@ -477,7 +477,8 @@ class RatFunc:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        return RatFunc(self.num ** e, self.den ** e)
+        # num^e, den^e stay coprime and den^e stays monic
+        return RatFunc(self.num ** e, self.den ** e, _canonical=True)
 
     # -- maps ------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -153,10 +154,32 @@ def test_out_file(tmp_path, capsys):
     ["gram", "--p", "3", "--q", "2"],
     ["invariants", "--p", "3", "--q", "27"],   # odd power of p
     ["points", "--p", "3", "--m", "0"],
+    ["gram", "--p", "3", "--q", "1"],   # p^0: q must be p^j with j >= 1
 ])
 def test_invalid_parameters_exit_2(capsys, argv):
-    code, _ = _run(capsys, *argv)
+    code = main(argv)
     assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["points", "--p", "3", "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("cmd", [
+    "all --p 3", "gram --p 3 --f 2 --depth quick", "isogeny --p 7"])
+def test_output_matches_benchmark_reference_digest(capsys, cmd):
+    # the benchmark's sha256 of each command's JSON; it changes only
+    # when the JSON is meant to change
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    want = json.loads(ref.read_text())[cmd]
+    code, out = _run(capsys, *cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_f_zero_family(capsys):

@@ -105,6 +105,24 @@ def test_smul_matches_repeated_addition():
     assert 3 * P == P + P + P
 
 
+def test_smul_doubles_only_to_the_top_bit(monkeypatch):
+    E = FAM.curve
+    P = point_P(FAM, 0)
+    add = WeierstrassCurve.add
+    doublings = []
+
+    def counting_add(self, A, B):
+        if not A.is_infinity and A == B:
+            doublings.append((A, B))
+        return add(self, A, B)
+
+    monkeypatch.setattr(WeierstrassCurve, "add", counting_add)
+    for n, want in ((2, 1), (5, 2), (8, 3)):
+        doublings.clear()
+        E.smul(n, P)
+        assert len(doublings) == want
+
+
 def test_two_torsion_shape():
     Q0, Q1, Qt = two_torsion(FAM.curve)
     for Q in (Q0, Q1, Qt):
@@ -178,6 +196,35 @@ def test_isogeny_chain_roundtrip_is_doubling():
     pts = [chain.backward(P) for P in _sample_points(FAM, rng, 4)]
     for P, Q in zip(pts, pts[1:]):
         assert chain.forward(P + Q) == chain.forward(P) + chain.forward(Q)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_isogeny_chain_matches_displayed_substitutions(p):
+    # the paper's pipeline, one displayed substitution at a time
+    fam = make_family(p)
+    ctx, t = fam.ctx, fam.t
+    chain = IsogenyChain(t)
+    half, quarter = (RatFunc.constant(ctx, c).inv() for c in (2, 4))
+    c1, m1 = change_coords(chain.source, 0, -half, -t / 32, 1)
+    c2, m2 = change_coords(c1, -t / 16, 0, 0, 1)
+    mid, m3 = change_coords(c2, 0, 0, 0, quarter)
+    legendre, m5 = change_coords(chain.quotient, 4, 0, 0, 2)
+    assert mid == chain.mid and legendre == chain.legendre
+    dual = two_isogeny_quotient(chain.quotient)
+    _, rescale = change_coords(dual.codomain, 0, 0, 0, 2)
+
+    def forward(P):
+        return m5.forward(chain.phi.apply(m3.forward(m2.forward(m1.forward(P)))))
+
+    def backward(R):
+        Q = rescale.forward(dual.apply(m5.backward(R)))
+        return m1.backward(m2.backward(m3.backward(Q)))
+
+    rng = random.Random(17)
+    for R in _sample_points(fam, rng, 6):
+        S = backward(R)
+        assert chain.backward(R) == S
+        assert chain.forward(S) == forward(S) == R + R
 
 
 def test_curve_serialization():
