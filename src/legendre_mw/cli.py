@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import gcd
 
@@ -272,6 +273,16 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
 
 # ----------------------------------------------------------------------
 
+def _check_out_path(path: str):
+    """Refuse an --out file whose directory is missing or unwritable
+    before any work is done; opening it may still fail later, and
+    `main` reports that too."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) \
+            or not os.access(folder, os.W_OK):
+        raise ValueError("cannot write --out file %s" % path)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="legendre-mw",
@@ -309,6 +320,8 @@ def main(argv=None) -> int:
             inv.validate_q(q, args.p, args.f)
         if args.command == "rb" and params.f != 1:
             raise ValueError("the rb command needs f = 1")
+        if args.out is not None:
+            _check_out_path(args.out)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

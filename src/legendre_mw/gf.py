@@ -6,9 +6,11 @@ immutable and exact.  The fields this package meets are small
 (q up to about 10^4), so each FieldCtx tabulates its whole multiplicative group
 once: every nonzero element is a power of a fixed generator, and
 products, inverses, powers and square roots are index arithmetic in
-exp/log tables.  The only polynomial arithmetic over F_p here is
-`_mulmod`, which builds those tables and tests moduli for
-irreducibility.
+exp/log tables.  A fourth O(q) table, of Zech logarithms
+log(1 + g^e), makes sums index arithmetic too; the polynomial layer
+divides on coefficient logs with it.  The only polynomial arithmetic
+over F_p here is `_mulmod`, which builds those tables and tests moduli
+for irreducibility.
 """
 
 from __future__ import annotations
@@ -125,15 +127,17 @@ class FieldCtx:
     irreducible modulus (coefficient tuple, low degree first, length k+1).
 
     Elements are numbered by their code sum c_i p^i.  The context holds
-    three tables of O(q) ints: the digit tuple of each code, and the exp
-    and log tables of the generator (the first code whose powers run
-    through all q - 1 nonzero elements).  From them it derives the numpy
-    matrices the polynomial layer needs: reduction rows for
-    w^k..w^{2k-2}, the Frobenius matrix of a -> a^p, and the
+    four tables of O(q) ints: the digit tuple of each code, the exp and
+    log tables of the generator g (the first code whose powers run
+    through all q - 1 nonzero elements), and the Zech logarithms
+    _zech[e] = log(1 + g^e), None at e = (q - 1)/2 where g^e = -1, so
+    that g^s + g^t = g^(s + _zech[t - s]).  From them it derives the
+    numpy matrices the polynomial layer's products need: reduction rows
+    for w^k..w^{2k-2}, the Frobenius matrix of a -> a^p, and the
     multiplication matrices of w^0..w^{k-1}.
     """
 
-    __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log",
+    __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log", "_zech",
                  "_red", "_frob", "_wmul")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -166,6 +170,8 @@ class FieldCtx:
         for i, code in enumerate(exp):
             log[code] = i
         self._log = log
+        # 1 + x adds 1 to the lowest digit of x's code
+        self._zech = [log[c - c % p + (c + 1) % p] for c in exp]
         # w^m for m = 0..2k-2 (w has code p when k > 1); row i of
         # mul_matrix(w^j) is w^(i+j)
         lw = log[p] if k > 1 else 0
@@ -243,11 +249,6 @@ class FieldCtx:
         vector v of digits, v @ M = digits of (element of v) * a."""
         k = self.k
         return (np.array(a.c) @ self._wmul.reshape(k, k * k)).reshape(k, k) % self.p
-
-    @property
-    def basis_mul_matrices(self) -> np.ndarray:
-        """Read-only (k, k, k) tensor whose j-th slice is mul_matrix(w^j)."""
-        return self._wmul
 
     # -- generator / roots of unity ----------------------------------
 

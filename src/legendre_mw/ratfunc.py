@@ -2,11 +2,14 @@
 
 A Poly stores its coefficients as an (L, k) int64 matrix of F_p digit
 vectors, low u-degree first; the zero polynomial is the empty matrix and
-carries the degree sentinel -inf.  Products run through exact numpy
-integer convolution layer by layer in the extension basis.  Everything
-stays int64 arithmetic end to end; a product whose accumulated
-coefficients could overflow int64 (over 4 * 10^12 rows even for
-F_{101^2}) raises OverflowError.
+carries the degree sentinel -inf.  Products stay in numpy: exact
+integer convolution layer by layer in the extension basis, in int64
+end to end; a product whose accumulated coefficients could overflow
+int64 (over 4 * 10^12 rows even for F_{101^2}) raises OverflowError.
+Division and gcd run on Python lists of coefficient logs instead (low
+degree first, None for zero): a product of coefficients adds logs and
+a sum reads the field's Zech table, so a long-division step makes no
+numpy call.
 
 A RatFunc is always canonical: gcd(num, den) = 1 and den monic.
 """
@@ -153,13 +156,14 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return Poly.one(self.ctx)
+        # left to right: square per bit below the top, times self per 1
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def scale(self, a: FieldElement) -> "Poly":
@@ -172,24 +176,55 @@ class Poly:
     def __divmod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return _divmod_arrays(self, other, want_quotient=True)
+        q, r = self._divide(other, want_quotient=True)
+        return self._from_logs(q), self._from_logs(r)
 
     def __floordiv__(self, other):
-        q, r = divmod(self, other)
-        return q
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._from_logs(self._divide(other, want_quotient=True)[0])
 
     def __mod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return _divmod_arrays(self, other, want_quotient=False)
+        return self._from_logs(self._divide(other, want_quotient=False)[1])
+
+    def _divide(self, other: "Poly", want_quotient: bool):
+        self._check(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return _divmod_logs(self.ctx._zech, self._logs(), other._logs(),
+                            want_quotient)
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Monic gcd by the Euclidean algorithm (gcd(0,0) = 0)."""
+        """Monic gcd (gcd(0, 0) = 0) by the Euclidean algorithm on
+        coefficient-log lists: each step is one `_divmod_logs` remainder,
+        with no Poly and no monic copy per step; the result is made
+        monic once, by subtracting its leading log."""
         a._check(b)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a if a.is_zero() else a.monic()
+        zech = a.ctx._zech
+        x, y = a._logs(), b._logs()
+        while y:
+            x, y = y, _divmod_logs(zech, x, y, want_quotient=False)[1]
+        if x:
+            n, top = len(zech), x[-1]
+            x = [None if e is None else (e - top) % n for e in x]
+        return a._from_logs(x)
+
+    def _logs(self) -> list:
+        """Coefficient logs to the field's generator, None for zero."""
+        ctx = self.ctx
+        log = ctx._log
+        return [log[c] for c in (self.c @ ctx.p ** np.arange(ctx.k)).tolist()]
+
+    def _from_logs(self, logs: list) -> "Poly":
+        """The Poly over self's field with trimmed coefficient logs."""
+        ctx = self.ctx
+        digits, exp, zero = ctx._digits, ctx._exp, ctx._digits[0]
+        rows = [zero if e is None else digits[exp[e]] for e in logs]
+        return Poly(ctx, np.array(rows, dtype=np.int64).reshape(-1, ctx.k),
+                    _trusted=True)
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -292,32 +327,46 @@ def _mul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _trim_rows(acc[:, :k] % p)
 
 
-def _divmod_arrays(a: Poly, b: Poly, want_quotient: bool):
-    """Long division by b.monic(), whose multiples by w^0..w^{k-1} form
-    the table T; the quotient by b is that by b.monic() times lc(b)^-1."""
-    a._check(b)
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    ctx = a.ctx
-    k, p = ctx.k, ctx.p
-    db = b.c.shape[0] - 1
-    la = a.c.shape[0]
-    if la - 1 < db:
-        return (Poly.zero(ctx), a) if want_quotient else a
-    T = ((b.monic().c @ ctx.basis_mul_matrices) % p).reshape(k, -1)
-    r = np.array(a.c)
-    q = np.zeros((la - db, k), dtype=np.int64) if want_quotient else None
-    for i in range(la - 1, db - 1, -1):
-        if not r[i].any():
+def _divmod_logs(zech: list, a: list, b: list, want_quotient: bool):
+    """Long division of a by b, both trimmed lists of coefficient logs
+    (low degree first, None for zero); zech is the field's Zech table,
+    of length n = q - 1.  Returns (quotient or None, remainder), trimmed.
+
+    The quotient term of dividend row i is r_i / lc(b), of log
+    r_i - log lc(b), so b is never made monic.  Subtracting that term
+    times b_j adds g^t with t = r_i - log lc(b) + n/2 + log b_j (the
+    n/2 is the sign, as -1 = g^(n/2)), and g^s + g^t = g^(s + zech[t - s]),
+    where t - s lies in (-n, n) and Python's negative indexing reads
+    zech at t - s mod n.  A None from zech is a coefficient cancelled
+    to zero."""
+    n = len(zech)
+    db = len(b) - 1
+    shift = n // 2 - b[db]
+    low = b[:db]
+    r = list(a)
+    q = [None] * max(len(r) - db, 0) if want_quotient else None
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c is None:
             continue
         if want_quotient:
-            q[i - db] = r[i]
-        r[i - db:i + 1] = (r[i - db:i + 1] - (r[i] @ T).reshape(-1, k)) % p
-    rem = Poly(ctx, _trim_rows(r).copy(), _trusted=True)
-    if want_quotient:
-        q = (q @ ctx.mul_matrix(b.lc().inv())) % p
-        return Poly(ctx, _trim_rows(q).copy(), _trusted=True), rem
-    return rem
+            q[i - db] = (c - b[db]) % n
+        c += shift
+        row = []
+        for s, e in zip(r[i - db:i], low):
+            if e is not None:
+                t = (c + e) % n
+                if s is None:
+                    s = t
+                else:
+                    z = zech[t - s]
+                    s = None if z is None else (s + z) % n
+            row.append(s)
+        r[i - db:i] = row
+    del r[db:]
+    while r and r[-1] is None:
+        r.pop()
+    return q, r
 
 
 def poly_sqrt(f: Poly) -> Poly:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from legendre_mw import cli
 from legendre_mw.cli import build_parser, main
 
 
@@ -170,8 +171,21 @@ def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_out_file_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(params):
+        raise AssertionError("run_points ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_points", refuse)
+    target = tmp_path / "missing" / "x.json"
+    code = main(["points", "--p", "3", "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("cmd", [
-    "all --p 3", "gram --p 3 --f 2 --depth quick", "isogeny --p 7"])
+    "all --p 3", "all --p 5", "all --p 7", "gram --p 3 --f 2 --depth quick",
+    "isogeny --p 7"])
 def test_output_matches_benchmark_reference_digest(capsys, cmd):
     # the benchmark's sha256 of each command's JSON; it changes only
     # when the JSON is meant to change

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from legendre_mw import ratfunc
 from legendre_mw.gf import build_field
 from legendre_mw.ratfunc import NEG_INF, Poly, RatFunc, _mul_arrays, poly_sqrt
 
@@ -10,11 +13,16 @@ CTX = build_field(3, 2)
 CTX5 = build_field(5, 1)
 
 
-def _rand_poly(ctx, rng, max_deg=6, allow_zero=True):
+def _rand_poly(ctx, rng, max_deg=6, allow_zero=True, sparse=False):
+    """Random Poly; when sparse, each coefficient below the top is zero
+    with a random probability, so sparse and dense operands both occur."""
     d = rng.randrange(-1 if allow_zero else 0, max_deg + 1)
     if d < 0:
         return Poly.zero(ctx)
-    elems = [ctx.from_code(rng.randrange(ctx.order)) for _ in range(d)]
+    density = rng.random() if sparse else 1.0
+    elems = [ctx.from_code(rng.randrange(ctx.order))
+             if not sparse or rng.random() < density else ctx.zero()
+             for _ in range(d)]
     elems.append(ctx.from_code(rng.randrange(1, ctx.order)))
     return Poly.from_elems(ctx, elems)
 
@@ -67,6 +75,26 @@ def test_pow_matches_repeated_mul():
             acc = acc * a
 
 
+@pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3)])
+def test_pow_products_by_bits(monkeypatch, e, products):
+    # left-to-right square-and-multiply: one squaring per bit below the
+    # top bit and one product per further 1 bit, no product with one
+    f = Poly.variable(CTX) + 2
+    want = Poly.one(CTX)
+    for _ in range(e):
+        want = want * f
+    calls = []
+    real = ratfunc._mul_arrays
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ratfunc, "_mul_arrays", counted)
+    assert f ** e == want
+    assert len(calls) == products
+
+
 def test_mul_overflow_guard():
     # a product whose int64 accumulation could overflow is refused; the
     # operands are stride-0 views, so nothing of that size is allocated
@@ -88,6 +116,150 @@ def test_divmod_invariant(ctx, seed):
         assert a // b == q and a % b == r
     with pytest.raises(ZeroDivisionError):
         divmod(a, Poly.zero(ctx))
+
+
+# -- division oracles ----------------------------------------------------
+
+def _rand_sparse_poly(ctx, rng, max_deg):
+    return _rand_poly(ctx, rng, max_deg, allow_zero=False, sparse=True)
+
+
+def _division_cases(ctx, rng):
+    """(a, b) pairs: random ones up to degree 80, plus a dividend shorter
+    than the divisor, constant and non-monic divisors, the sparse
+    u^d - 1 both ways, exact quotients, and a step where a coefficient
+    cancels to zero (1 + g^e = 0 in Zech terms)."""
+    u = Poly.variable(ctx)
+    g = ctx.generator()
+    cases = [(_rand_sparse_poly(ctx, rng, 80), _rand_sparse_poly(ctx, rng, 40))
+             for _ in range(12)]
+    a = _rand_sparse_poly(ctx, rng, 20)
+    b = _rand_sparse_poly(ctx, rng, 10) * g
+    cases += [
+        (_rand_sparse_poly(ctx, rng, 5), u ** 9 + g * u + 1),
+        (a, Poly.constant(ctx, g)),
+        (a, b),
+        (a * b + u ** 3, b),
+        (u ** 12 - 1, u + g),
+        (a * b, u ** 8 - 1),
+        ((u ** 8 - 1) * b, u ** 8 - 1),
+        (u ** 2 + u + g, u + 1),
+        (Poly.zero(ctx), b),
+    ]
+    return cases
+
+
+def _school_divmod(a, b):
+    """Schoolbook long division coefficient by coefficient in
+    FieldElement arithmetic (the test-side reference)."""
+    ctx = a.ctx
+    r = [a.coeff(i) for i in range(a.c.shape[0])]
+    db = b.c.shape[0] - 1
+    inv = b.lc().inv()
+    q = [ctx.zero()] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv
+        q[i - db] = c
+        for j in range(db + 1):
+            r[i - db + j] = r[i - db + j] - c * b.coeff(j)
+    return Poly.from_elems(ctx, q), Poly.from_elems(ctx, r[:db])
+
+
+def _school_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, _school_divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    inv = a.lc().inv()
+    return Poly.from_elems(a.ctx, [a.coeff(i) * inv for i in range(a.c.shape[0])])
+
+
+def _gcd_cases(ctx, rng):
+    a = _rand_sparse_poly(ctx, rng, 30) * ctx.generator()
+    zero = Poly.zero(ctx)
+    common = _rand_sparse_poly(ctx, rng, 6)
+    return [(zero, zero), (a, zero), (zero, a), (a, a * ctx.generator()),
+            (a * common, _rand_sparse_poly(ctx, rng, 30) * common)]
+
+
+@pytest.mark.parametrize("p", [3, 7, 101])
+def test_divmod_and_gcd_match_sympy_galoistools(p):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def dense(f):  # high degree first, as galoistools wants
+        return [int(row[0]) for row in f.c[::-1]]
+
+    ctx = build_field(p, 1)
+    rng = random.Random(p)
+    for a, b in _division_cases(ctx, rng):
+        q, r = divmod(a, b)
+        assert (dense(q), dense(r)) == tuple(galoistools.gf_div(dense(a), dense(b), p, ZZ))
+        assert a // b == q and a % b == r
+    for a, b in _division_cases(ctx, rng) + _gcd_cases(ctx, rng):
+        assert dense(Poly.gcd(a, b)) == galoistools.gf_gcd(dense(a), dense(b), p, ZZ)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (3, 6), (101, 2)])
+def test_divmod_and_gcd_match_schoolbook(p, k):
+    ctx = build_field(p, k)
+    rng = random.Random(p * k)
+    for a, b in _division_cases(ctx, rng):
+        q, r = divmod(a, b)
+        assert (q, r) == _school_divmod(a, b)
+        assert a // b == q and a % b == r
+    for a, b in _division_cases(ctx, rng)[-5:] + _gcd_cases(ctx, rng):
+        assert Poly.gcd(a, b) == _school_gcd(a, b)
+
+
+def test_gcd_edge_cases():
+    u = Poly.variable(CTX)
+    g = CTX.generator()
+    a = g * u ** 3 + u + 1
+    assert Poly.gcd(Poly.zero(CTX), Poly.zero(CTX)).is_zero()
+    assert Poly.gcd(a, Poly.zero(CTX)) == a.monic()
+    assert Poly.gcd(Poly.zero(CTX), a) == a.monic()
+    assert Poly.gcd(a, a * g) == a.monic()
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (101, 1), (3, 2), (3, 4), (3, 6),
+                                 (101, 2)])
+def test_zech_table_is_log_of_one_plus(p, k):
+    ctx = build_field(p, k)
+    g = ctx.generator()
+    n = ctx.order - 1
+    assert len(ctx._zech) == n
+    for e, z in enumerate(ctx._zech):
+        s = ctx.one() + g ** e
+        if z is None:
+            assert s.is_zero() and e == n // 2
+        else:
+            assert 0 <= z < n and g ** z == s
+
+
+_HYP_FIELDS = [build_field(3, 2), build_field(3, 4), build_field(3, 6)]
+
+
+@st.composite
+def _poly_pairs(draw):
+    ctx = draw(st.sampled_from(_HYP_FIELDS))
+    codes = st.integers(0, ctx.order - 1)
+    a = Poly.from_elems(ctx, [ctx.from_code(c) for c in draw(st.lists(codes, max_size=40))])
+    b = Poly.from_elems(ctx, [ctx.from_code(c) for c in draw(st.lists(codes, max_size=20))])
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_pairs())
+def test_division_identity_property(pair):
+    a, b = pair
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    q, r = a // b, a % b
+    assert q * b + r == a
+    assert r.deg < b.deg
 
 
 def test_gcd_properties():
