@@ -11,8 +11,8 @@ from .legendre import (FamilyParams, admissible_b_values, frobenius_orbit_sum,
                        substitute_zeta_u, torsion_points, trace_point)
 from .heights import (GramMatrix, canonical_height, combination,
                       expected_gram, expected_lattice_det, gram_matrix,
-                      height_sequence, is_torsion_point, naive_height,
-                      pairing, point_order, relation_is_torsion)
+                      is_torsion_point, pairing, point_order,
+                      relation_is_torsion)
 from .invariants import (BSDReport, FiberData, LFunctionInfo, bad_fibers,
                          bsd_report, conductor_degree, euler_totient,
                          fiber_audit, frobenius_orbits, index_bound,
@@ -32,9 +32,8 @@ __all__ = [
     "make_family", "matching_index", "point_P", "point_R", "substitute_zeta_u",
     "torsion_points", "trace_point",
     "GramMatrix", "canonical_height", "combination", "expected_gram",
-    "expected_lattice_det", "gram_matrix", "height_sequence",
-    "is_torsion_point", "naive_height", "pairing", "point_order",
-    "relation_is_torsion",
+    "expected_lattice_det", "gram_matrix", "is_torsion_point", "pairing",
+    "point_order", "relation_is_torsion",
     "BSDReport", "FiberData", "LFunctionInfo", "bad_fibers", "bsd_report",
     "conductor_degree", "euler_totient", "fiber_audit", "frobenius_orbits",
     "index_bound", "integrality_check", "multiplicative_order", "rank_formula",

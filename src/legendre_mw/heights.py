@@ -22,25 +22,13 @@ Odd d is pulled back along u -> u^2, which doubles every height.  The
 value is exact by construction: (d-1)(d-2)/2d for each P_i and 0 for
 every torsion point.
 
-`_doublings` runs the x-coordinate duplication map
-
-    x(2P) = (x^2 - t)^2 / (4 x (x + 1) (x + t))
-
-for the degree sequence and the torsion test.  With x = N/D in lowest
-terms the new coordinate is A^2 / G, A = N^2 - t D^2 and
-G = 4 N D (N + D) (N + t D).  A common prime of A^2 and G divides one of
-the four factors of G, and substituting N = 0, D = 0, N = -D or N = -tD
-into A forces it to divide t or t - 1.  So `_strip` slices off the
-common power of u and cancels gcd(A^2, G, u^d - 1) until it is 1, with
-reduction mod u^d - 1 and exact division by it done on blocks of d
-coefficients rather than by long division.
+The torsion test `point_order` reads x(2P) off the duplication formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -64,13 +52,6 @@ def _family_t(P: CurvePoint) -> tuple[Poly, int]:
     if d < 1 or not tp == Poly.monomial(tp.ctx, d):
         raise ValueError("t must be the monomial u^d")
     return tp, d
-
-
-def naive_height(P: CurvePoint) -> int:
-    """deg x(P) = max(deg num, deg den); zero for x = 0."""
-    if P.is_infinity:
-        raise ValueError("the point at infinity has no naive height")
-    return 0 if P.x.is_zero() else P.x.deg()
 
 
 def _ord_u(f: Poly) -> int:
@@ -114,87 +95,26 @@ def canonical_height(P: CurvePoint) -> Fraction:
     return _local_height(N, D, d)
 
 
-def _unit_rows(F: Poly, d: int) -> np.ndarray:
-    """The coefficient rows of F, zero-padded and split into blocks of
-    d, shape (blocks, d, k): block j holds the coefficients of u^(jd)
-    to u^(jd + d - 1)."""
-    L, k = F.c.shape
-    rows = np.zeros((-(-L // d) * d, k), dtype=np.int64)
-    rows[:L] = F.c
-    return rows.reshape(-1, d, k)
-
-
-def _mod_unit(F: Poly, d: int) -> Poly:
-    """F mod (u^d - 1), by folding the blocks of d coefficients."""
-    return Poly(F.ctx, _unit_rows(F, d).sum(axis=0))
-
-
-def _div_unit(F: Poly, d: int) -> Poly:
-    """F / (u^d - 1) for a multiple F: the quotient Q has
-    Q_i = Q_{i-d} - F_i, a running sum over each residue class mod d."""
-    L, k = F.c.shape
-    q = (-np.cumsum(_unit_rows(F, d), axis=0) % F.ctx.p).reshape(-1, k)
-    if q[L - d:].any():
-        raise ArithmeticError("u^d - 1 does not divide the polynomial")
-    return Poly(F.ctx, q[:L - d], _trusted=True)
-
-
-def _strip(F: Poly, G: Poly, d: int) -> tuple[Poly, Poly]:
-    """F / g, G / g for the part g of gcd(F, G) supported on u (u^d - 1):
-    u^e0 is sliced off, then gcd(F, G, u^d - 1) = c is cancelled, as
-    (F h) / (u^d - 1) with h = (u^d - 1) / c, until it is 1."""
-    ctx = F.ctx
-    e0 = min(_ord_u(F), _ord_u(G))
-    F, G = Poly(ctx, F.c[e0:], _trusted=True), Poly(ctx, G.c[e0:], _trusted=True)
-    unit = Poly.monomial(ctx, d) - 1
-    while True:
-        c = Poly.gcd(Poly.gcd(unit, _mod_unit(F, d)), _mod_unit(G, d))
-        if c.deg < 1:
-            return F, G
-        h = unit // c
-        F, G = _div_unit(F * h, d), _div_unit(G * h, d)
-
-
-def _doublings(P: CurvePoint):
-    """Yield x(2^n P) = N/D in lowest terms, D monic, for n = 0, 1, ...
-
-    The sequence ends, after the last 2^n P != O, exactly when P is
-    torsion; a point with x = 0 is yielded as (0, 1).
-    """
-    if P.is_infinity:
-        return
-    tp, d = _family_t(P)
-    ctx = tp.ctx
-    N, D = P.x.num, P.x.den
-    while True:
-        yield N, D
-        tD = tp * D
-        G = 4 * (N * D) * ((N + D) * (N + tD))
-        if G.is_zero():
-            return  # x in {0, -1, -t}: 2^n P is 2-torsion
-        N = N * N - tD * D
-        if N.is_zero():
-            D = Poly.one(ctx)  # the double is (0, 0)
-            continue
-        N, D = _strip(N * N, G, d)
-        lc = D.lc()
-        if not lc == ctx.one():
-            inv = lc.inv()
-            N, D = N.scale(inv), D.scale(inv)
-
-
-def height_sequence(P: CurvePoint, levels: int) -> list[int]:
-    """[h_0, ..., h_levels] with h_n = deg x(2^n P); stops early with a
-    shorter list if P is torsion (x = 0 counts as degree 0)."""
-    return [int(max(N.deg, D.deg)) for N, D in islice(_doublings(P), levels + 1)]
-
-
 def point_order(P: CurvePoint) -> int:
     """The order of P if P is torsion, else 0.  The torsion subgroup is
-    Z/2 x Z/4, so the doubling sequence of a torsion point stops after
-    n < 3 terms and its order is 2^n."""
-    n = sum(1 for _ in islice(_doublings(P), 3))
-    return 2 ** n if n < 3 else 0
+    Z/2 x Z/4, so P is torsion iff 4P = O: O has order 1, y = 0 gives
+    order 2, and otherwise P has order 4 exactly when 2P is 2-torsion,
+    that is when x(2P) = (x^2 - t)^2 / (4 x (x + 1) (x + t)) is one of
+    the roots 0, -1, -t.  With x = N/D, x(2P) = A^2 / G for
+    A = N^2 - t D^2 and G = 4 N D (N + D) (N + t D), so the test is
+    A^2 + e G = 0 for some e in {0, 1, t}."""
+    tp, _ = _family_t(P)
+    if P.is_infinity:
+        return 1
+    if P.y.is_zero():
+        return 2
+    N, D = P.x.num, P.x.den
+    tD = tp * D
+    A2 = (N * N - tD * D) ** 2
+    G = 4 * (N * D) * ((N + D) * (N + tD))
+    if A2.is_zero() or (A2 + G).is_zero() or (A2 + tp * G).is_zero():
+        return 4
+    return 0
 
 
 def is_torsion_point(P: CurvePoint) -> bool:

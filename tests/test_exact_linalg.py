@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from legendre_mw.exact_linalg import determinant, kernel_basis, rank
 
 
@@ -98,3 +100,39 @@ def test_kernel_primitive():
     for v in ker:
         from math import gcd
         assert gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2])) == 1
+
+
+def _low_rank_matrix(rng, rows, cols, r):
+    """rows x cols rational matrix of rank <= r: a product of random
+    rows x r and r x cols factors."""
+    a = [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(r)]
+         for _ in range(rows)]
+    b = [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(cols)]
+         for _ in range(r)]
+    return [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def test_linalg_matches_sympy_matrix():
+    # determinant, rank and kernel span against sympy.Matrix over QQ, on
+    # square, wide and tall matrices of full and deficient rank
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(77)
+    for _ in range(60):
+        rows = rng.randrange(1, 7)
+        cols = rows if rng.random() < 0.5 else rng.randrange(1, 7)
+        m = _low_rank_matrix(rng, rows, cols, rng.randrange(0, min(rows, cols) + 1))
+        ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                            for row in m])
+        if rows == cols:
+            det = ref.det(method="bareiss")
+            assert determinant(m) == Fraction(int(det.p), int(det.q))
+        assert rank(m) == ref.rank()
+        ker = kernel_basis(m)
+        want = ref.nullspace()
+        assert len(ker) == len(want)
+        if ker:
+            # equal spans: the same reduced row echelon form
+            ours = sympy.Matrix([list(v) for v in ker]).rref()[0]
+            theirs = sympy.Matrix.hstack(*want).T.rref()[0]
+            assert ours == theirs

@@ -3,21 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from doubling_oracle import doubling_limit
+from doubling_oracle import _div_unit, _mod_unit, doubling_limit, height_sequence
 from legendre_mw.curve import legendre_form_curve, two_torsion
 from legendre_mw.gf import build_field
 from legendre_mw.heights import (
-    _div_unit,
-    _mod_unit,
     canonical_height,
     combination,
     expected_gram,
     expected_lattice_det,
     gram_matrix,
-    height_sequence,
     is_torsion_point,
-    naive_height,
     pairing,
+    point_order,
     relation_is_torsion,
 )
 from legendre_mw.legendre import (admissible_b_values, make_family, point_P,
@@ -32,18 +29,55 @@ def _theoretical_height(d):
     return Fraction((d - 1) * (d - 2), 2 * d)
 
 
-def test_naive_height():
-    P = point_P(FAM4, 0)
-    assert naive_height(P) == 1
-    assert naive_height(P + P) == 4
-    with pytest.raises(ValueError):
-        naive_height(FAM4.curve.infinity())
-
-
 def test_height_sequence_doubles():
     # deg x(2^n P_0) for d = 4: quadruples once the quasi-parallelogram
     # defect is exhausted
     assert height_sequence(point_P(FAM4, 0), 4) == [1, 4, 12, 48, 192]
+
+
+def _prime_field_points(p):
+    """P = (u, u (u + 1)^(d/2)) on the F_p(u) model with d = p + 1, its
+    double, the 4-torsion point T = (u^(d/2), .) and the 2-torsion."""
+    ctx = build_field(p, 1)
+    d = p + 1
+    u = RatFunc.variable(ctx)
+    curve = legendre_form_curve(u ** d)
+    P = curve.point(u, u * (u + 1) ** (d // 2))
+    s = u ** (d // 2)
+    T = curve.point(s, s * (s + 1))
+    return [curve.infinity(), P, P + P, T, -T, T + T, P + T, P - T] + list(two_torsion(curve))
+
+
+def _order_cases(case):
+    fams = (FAM4, FAM6)
+    if case == "P_i":
+        return [point_P(fam, i) for fam in fams for i in range(fam.d)]
+    if case == "torsion":
+        return [T for fam in fams for T in torsion_points(fam).values()]
+    if case == "R_b":
+        return [point_R(fam, b) for fam in fams for b in admissible_b_values(fam)]
+    if case == "P_i+-T":
+        return [P + s * T for fam in fams for P in (point_P(fam, 0), point_P(fam, 1))
+                for T in torsion_points(fam).values() for s in (1, -1)]
+    if case == "kernel":
+        out = []
+        for fam in fams:
+            pts = [point_P(fam, i) for i in range(fam.d)]
+            out += [combination(pts, v) for v in gram_matrix(pts).kernel()]
+        return out
+    return _prime_field_points(int(case[2:]))
+
+
+@pytest.mark.parametrize("case", ["P_i", "torsion", "R_b", "P_i+-T", "kernel",
+                                  "Fp3", "Fp5", "Fp7"])
+def test_point_order_matches_group_law(case):
+    # the duplication-formula order against the least n in {1, 2, 4}
+    # with nP = O, and against 2^n for the length n < 3 of the oracle's
+    # doubling sequence (0 when it runs on)
+    for P in _order_cases(case):
+        want = next((n for n in (1, 2, 4) if P.curve.smul(n, P).is_infinity), 0)
+        n = len(height_sequence(P, 2))
+        assert point_order(P) == want == (2 ** n if n < 3 else 0)
 
 
 @pytest.mark.parametrize("fam", [FAM4, FAM6], ids=["d4", "d6"])

@@ -262,6 +262,55 @@ def test_division_identity_property(pair):
     assert r.deg < b.deg
 
 
+
+def _hyp_poly(draw, ctx, max_size):
+    codes = st.lists(st.integers(0, ctx.order - 1), max_size=max_size)
+    return Poly.from_elems(ctx, [ctx.from_code(c) for c in draw(codes)])
+
+
+@st.composite
+def _poly_triples(draw):
+    ctx = draw(st.sampled_from(_HYP_FIELDS))
+    return tuple(_hyp_poly(draw, ctx, 12) for _ in range(3))
+
+
+@st.composite
+def _ratfunc_triples(draw):
+    ctx = draw(st.sampled_from(_HYP_FIELDS))
+    out = []
+    for _ in range(3):
+        num, den = _hyp_poly(draw, ctx, 6), _hyp_poly(draw, ctx, 6)
+        out.append(RatFunc(num, den if not den.is_zero() else Poly.one(ctx)))
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly_triples())
+def test_poly_ring_laws_property(triple):
+    a, b, c = triple
+    one = Poly.one(a.ctx)
+    assert a * b == b * a == _slow_mul(a, b)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * one == a and (a - a).is_zero()
+    assert (a * b).is_zero() == (a.is_zero() or b.is_zero())
+    if not a.is_zero() and not b.is_zero():
+        assert (a * b).deg == a.deg + b.deg
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratfunc_triples())
+def test_ratfunc_field_laws_property(triple):
+    a, b, c = triple
+    one = RatFunc.one(a.num.ctx)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) * c == a * c + b * c
+    assert a * one == a and (a - a).is_zero()
+    if not b.is_zero():
+        assert (a / b) * b == a
+        assert b * b.inv() == one
+
 def test_gcd_properties():
     rng = random.Random(77)
     for _ in range(40):
