@@ -3,9 +3,10 @@
 Elements are coefficient vectors over F_p in the basis w^0..w^{k-1},
 reduced modulo a fixed monic irreducible modulus.  Everything is
 immutable and exact.  The fields this package meets are small
-(q up to about 10^4), so each FieldCtx tabulates its whole multiplicative group
-once: every nonzero element is a power of a fixed generator, and
-products, inverses, powers and square roots are index arithmetic in
+(q up to about 10^4; `build_field` refuses q > MAX_FIELD_ORDER), so
+each FieldCtx tabulates its whole multiplicative group once: every
+nonzero element is a power of a fixed generator, and products,
+inverses, powers and square roots are index arithmetic in
 exp/log tables.  A fourth O(q) table, of Zech logarithms
 log(1 + g^e), makes sums index arithmetic too; the polynomial layer
 divides on coefficient logs with it.  The only polynomial arithmetic
@@ -23,6 +24,12 @@ import numpy as np
 from .exact_linalg import determinant
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest field order build_field accepts.  A FieldCtx holds four
+# Python lists of q entries: on a 2-core KVM guest 3^10 takes 6.3 s and
+# 42 MB to build and 3^12 (< 2^20) 25 s and 154 MB, so 3^16 would take
+# about 12 GB; 101^2 (points --p 101) is far below the limit.
+MAX_FIELD_ORDER = 2 ** 20
 
 
 def is_prime(n: int) -> bool:
@@ -418,6 +425,9 @@ def build_field(p: int, k: int) -> FieldCtx:
         raise ValueError("p must be an odd prime, got %r" % (p,))
     if k < 1:
         raise ValueError("extension degree k must be >= 1")
+    if p ** k > MAX_FIELD_ORDER:
+        raise ValueError("field of order %d^%d is larger than the %d elements "
+                         "this package tabulates" % (p, k, MAX_FIELD_ORDER))
     for c in itertools.product(range(p), repeat=k):
         try:
             return FieldCtx(p, k, c[::-1] + (1,))

@@ -11,7 +11,15 @@ degree first, None for zero): a product of coefficients adds logs and
 a sum reads the field's Zech table, so a long-division step makes no
 numpy call.
 
-A RatFunc is always canonical: gcd(num, den) = 1 and den monic.
+A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  The
+general constructor RatFunc(num, den) is the one place that runs
+Euclid on a whole numerator and denominator; it serves parsing and
+the coefficient maps.  The field operators start from canonical
+operands and return canonical results directly, taking gcds only of
+factors that can be shared (Henrici; Knuth, TAOCP 4.5.1): a sum
+a/b + c/d needs g = gcd(b, d) and then gcd of the new numerator with
+g alone, a product needs gcd(a, d) and gcd(c, b), and an inverse only
+rescales.  A gcd with a constant operand is 1 and is not computed.
 """
 
 from __future__ import annotations
@@ -136,7 +144,9 @@ class Poly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, FieldElement)):
+            return Poly.constant(self.ctx, other) - self
+        return NotImplemented
 
     def __neg__(self):
         return Poly(self.ctx, (-self.c) % self.ctx.p, _trusted=True)
@@ -147,6 +157,11 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        # a constant factor (most often 1, a RatFunc's denominator) scales
+        if self.c.shape[0] == 1:
+            return other.scale(self.coeff(0))
+        if other.c.shape[0] == 1:
+            return self.scale(other.coeff(0))
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
         return Poly(self.ctx, _mul_arrays(self.ctx, self.c, other.c), _trusted=True)
@@ -170,6 +185,8 @@ class Poly:
         """Multiply every coefficient by the field element a."""
         if a.is_zero() or self.is_zero():
             return Poly.zero(self.ctx)
+        if a == self.ctx.one():
+            return self
         m = self.ctx.mul_matrix(a)
         return Poly(self.ctx, (self.c @ m) % self.ctx.p, _trusted=True)
 
@@ -229,8 +246,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        lc = self.lc()
-        return self if lc == self.ctx.one() else self.scale(lc.inv())
+        return self.scale(self.lc().inv())
 
     # -- maps ----------------------------------------------------------
 
@@ -398,6 +414,15 @@ def poly_sqrt(f: Poly) -> Poly:
     return root
 
 
+def _common(a: Poly, b: Poly) -> Poly | None:
+    """gcd(a, b) of nonzero a and b, or None when it is 1; a constant
+    operand makes it 1 without running Euclid."""
+    if a.c.shape[0] == 1 or b.c.shape[0] == 1:
+        return None
+    g = Poly.gcd(a, b)
+    return g if g.c.shape[0] > 1 else None
+
+
 # ----------------------------------------------------------------------
 
 class RatFunc:
@@ -419,11 +444,8 @@ class RatFunc:
                 if g.deg > 0:
                     num = num // g
                     den = den // g
-                lc = den.lc()
-                if not lc == num.ctx.one():
-                    inv = lc.inv()
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+                inv = den.lc().inv()
+                num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
 
@@ -482,7 +504,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._sum(o.num, o.den)
 
     __radd__ = __add__
 
@@ -490,10 +512,28 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._sum(-o.num, o.den)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o - self
+
+    def _sum(self, c: Poly, d: Poly) -> "RatFunc":
+        """self + c/d for coprime c, d with d monic (Henrici): with
+        g = gcd(b, d), a/b + c/d = (a d' + c b') / (b' d' g) for b = b' g,
+        d = d' g, and only gcd(a d' + c b', g) can cancel."""
+        a, b = self.num, self.den
+        g = _common(b, d)
+        b1, d1 = (b, d) if g is None else (b // g, d // g)
+        num = a * d1 + c * b1
+        if num.is_zero():
+            return RatFunc.zero(self.ctx)
+        h = None if g is None else _common(num, g)
+        if h is not None:
+            num, d = num // h, d // h
+        return RatFunc(num, b1 * d, _canonical=True)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, _canonical=True)
@@ -502,7 +542,17 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if a.is_zero() or c.is_zero():
+            return RatFunc.zero(self.ctx)
+        # gcd(a c, b d) = gcd(a, d) gcd(c, b)
+        g = _common(a, d)
+        if g is not None:
+            a, d = a // g, d // g
+        g = _common(c, b)
+        if g is not None:
+            c, b = c // g, b // g
+        return RatFunc(a * c, b * d, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -512,16 +562,19 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return self * o.inv()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
         return o / self
 
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        s = self.num.lc().inv()
+        return RatFunc(self.den.scale(s), self.num.scale(s), _canonical=True)
 
     def __pow__(self, e: int):
         if e < 0:

@@ -156,6 +156,8 @@ def test_out_file(tmp_path, capsys):
     ["invariants", "--p", "3", "--q", "27"],   # odd power of p
     ["points", "--p", "3", "--m", "0"],
     ["gram", "--p", "3", "--q", "1"],   # p^0: q must be p^j with j >= 1
+    ["points", "--p", "3", "--f", "8"],  # F_{3^16}: too large to tabulate
+    ["points", "--p", "100000007"],      # F_{p^2}, q about 10^16
 ])
 def test_invalid_parameters_exit_2(capsys, argv):
     code = main(argv)
@@ -194,6 +196,19 @@ def test_output_matches_benchmark_reference_digest(capsys, cmd):
     code, out = _run(capsys, *cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("cmd,digest", [
+    ("all --p 11", "fcf909267f93d2926192cf5244eb482db51e382eb7b2149ad4cbb6d33ac03306"),
+    ("gram --p 3 --f 2", "43b37e82bafe737c99919ce60207ca21a0197b1fadde30d9e5addae0f5e4ae25"),
+    ("points --p 101", "54b691b557ded5544867db78d587a8e18722778678b0c3ca693351f9737529c8"),
+])
+def test_long_command_output_digest(capsys, cmd, digest):
+    # sha256 of the JSON of the longer commands outside the benchmark;
+    # it changes only when the JSON is meant to change
+    code, out = _run(capsys, *cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_f_zero_family(capsys):

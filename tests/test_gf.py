@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from legendre_mw.gf import FieldCtx, build_field, is_prime, prime_factors, zeta
+from legendre_mw.gf import (MAX_FIELD_ORDER, FieldCtx, build_field, is_prime,
+                            prime_factors, zeta)
 
 
 def test_is_prime_small():
@@ -34,6 +35,14 @@ def test_build_field_rejects_bad_p():
     for p in (0, 1, 2, 4, 9):
         with pytest.raises(ValueError):
             build_field(p, 1)
+
+
+def test_build_field_refuses_fields_too_large_to_tabulate():
+    # the check comes before any table is built, so these return at once
+    for p, k in ((3, 16), (100000007, 2), (2 ** 31 - 1, 1)):
+        with pytest.raises(ValueError, match="larger than"):
+            build_field(p, k)
+    assert 3 ** 12 <= MAX_FIELD_ORDER and 101 ** 2 <= MAX_FIELD_ORDER
 
 
 def test_modulus_validation():

@@ -95,6 +95,44 @@ def test_pow_products_by_bits(monkeypatch, e, products):
     assert len(calls) == products
 
 
+def test_products_by_one_return_the_operand(monkeypatch):
+    p = Poly.variable(CTX) ** 3 + 2
+    calls = []
+    real = ratfunc._mul_arrays
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ratfunc, "_mul_arrays", counted)
+    assert p * Poly.one(CTX) is p
+    assert Poly.one(CTX) * p is p
+    g = Poly.constant(CTX, CTX.generator())
+    assert p * g == g * p == p.scale(CTX.generator())
+    assert calls == []
+
+
+def test_ratfunc_ops_run_no_gcd_against_a_constant(monkeypatch):
+    # x + poly, x * c, x / c and inv meet a denominator or numerator of
+    # degree 0 in every gcd they would need, so Euclid never runs
+    u = RatFunc.variable(CTX)
+    x = (u ** 3 + CTX.generator()) / (u ** 2 + 2)
+    f = Poly.variable(CTX) ** 2 + 1
+    c = CTX.generator()
+    want = [RatFunc(x.num + f * x.den, x.den), RatFunc(x.num * c, x.den),
+            RatFunc(x.num, x.den * c), RatFunc(x.den, x.num)]
+    calls = []
+    real = Poly.gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
+    assert [x + f, x * c, x / c, x.inv()] == want
+    assert calls == []
+
+
 def test_mul_overflow_guard():
     # a product whose int64 accumulation could overflow is refused; the
     # operands are stride-0 views, so nothing of that size is allocated
@@ -298,6 +336,49 @@ def test_poly_ring_laws_property(triple):
         assert (a * b).deg == a.deg + b.deg
 
 
+@st.composite
+def _ratfunc_pairs(draw):
+    """Two reduced RatFuncs over one field, built by the general
+    constructor: independent; with denominators sharing a drawn monic
+    factor s; or x and y = z - x for a drawn z, so that x + y cancels
+    much of the shared part of the denominators."""
+    ctx = draw(st.sampled_from(_HYP_FIELDS))
+
+    def nonzero(max_size):
+        f = _hyp_poly(draw, ctx, max_size)
+        return f if not f.is_zero() else Poly.one(ctx)
+
+    kind = draw(st.sampled_from(["independent", "shared", "cancel"]))
+    s = nonzero(4).monic() if kind == "shared" else Poly.one(ctx)
+    x = RatFunc(_hyp_poly(draw, ctx, 6), nonzero(4) * s)
+    y = RatFunc(_hyp_poly(draw, ctx, 6), nonzero(4) * s)
+    if kind == "cancel":
+        y = RatFunc(y.num * x.den - x.num * y.den, y.den * x.den)
+    return x, y
+
+
+def _reduced(r):
+    return r.den.is_monic() and Poly.gcd(r.num, r.den) == Poly.one(r.ctx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ratfunc_pairs())
+def test_ratfunc_ops_match_general_constructor(pair):
+    # each operator returns a canonical result without running the
+    # constructor's Euclid; the constructor on the cross-multiplied
+    # pair is the oracle
+    x, y = pair
+    a, b, c, d = x.num, x.den, y.num, y.den
+    results = [(x + y, RatFunc(a * d + c * b, b * d)),
+               (x - y, RatFunc(a * d - c * b, b * d)),
+               (x * y, RatFunc(a * c, b * d))]
+    if not y.is_zero():
+        results += [(x / y, RatFunc(a * d, b * c)), (y.inv(), RatFunc(d, c))]
+    for got, want in results:
+        assert _reduced(got)
+        assert got == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(_ratfunc_triples())
 def test_ratfunc_field_laws_property(triple):
@@ -381,6 +462,28 @@ def test_ratfunc_canonical():
     assert r == RatFunc(u + 1, Poly.constant(CTX, 2))
     with pytest.raises(ZeroDivisionError):
         RatFunc(u, Poly.zero(CTX))
+
+
+def test_sum_cancelling_the_shared_factor():
+    u = RatFunc.variable(CTX)
+    one = RatFunc.one(CTX)
+    assert 1 / u + (u - 1) / u == one
+    assert (1 / u + (u - 1) / u).den == Poly.one(CTX)
+    # in characteristic 3 the numerator (u + 2) + (u + 1) = 2u cancels
+    # the shared factor u of the denominators, and nothing else
+    total = 1 / (u * (u + 1)) + 1 / (u * (u + 2))
+    assert (total.num, total.den) == (Poly.constant(CTX, 2), ((u + 1) * (u + 2)).num)
+
+
+def test_unsupported_operands_raise_type_error():
+    x = RatFunc.variable(CTX)
+    f = Poly.variable(CTX)
+    with pytest.raises(TypeError, match="for /:"):
+        "a" / x
+    with pytest.raises(TypeError, match="for -:"):
+        "a" - x
+    with pytest.raises(TypeError, match="for -:"):
+        "a" - f
 
 
 def test_ratfunc_field_axioms_random():
