@@ -14,7 +14,7 @@ import sys
 from math import gcd
 
 from . import invariants as inv
-from .curve import IsogenyChain, legendre_form_curve
+from .curve import IsogenyChain
 from .heights import (expected_gram, expected_lattice_det, gram_matrix,
                       is_torsion_point, point_order, relation_is_torsion)
 from .legendre import (FamilyParams, admissible_b_values, frobenius_orbit_sum,
@@ -174,8 +174,8 @@ def run_isogeny(params: FamilyParams) -> tuple[dict, dict]:
 
     payload = {
         "source": chain.source.to_obj(),
-        "first_display": chain.expected_mid().to_obj(),
-        "second_display": chain.expected_quotient().to_obj(),
+        "first_display": chain.mid.to_obj(),
+        "second_display": chain.quotient.to_obj(),
         "legendre": chain.legendre.to_obj(),
         "isogeny": chain.phi.to_obj(),
         "samples": [
@@ -184,7 +184,7 @@ def run_isogeny(params: FamilyParams) -> tuple[dict, dict]:
         ],
     }
     checks = {
-        "chain_reaches_legendre_form": chain.legendre == legendre_form_curve(params.t),
+        "chain_reaches_legendre_form": chain.legendre == params.curve,
         "round_trip_is_multiplication_by_2": all(round_trip),
         "forward_is_homomorphism": all(hom_ok),
     }

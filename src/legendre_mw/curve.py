@@ -3,6 +3,12 @@ chord-tangent group law, 2-isogenies with explicit rational maps, and
 invertible coordinate changes.
 
 All coordinates are RatFunc values, so every computation is exact.
+Reduction happens in the RatFunc operators, so the group law, the
+isogenies and the coordinate changes return reduced coordinates.  The
+checks do not reduce: membership compares the two sides of the curve
+equation, and a coordinate change compares j = c4^3 / disc of both
+curves, as unreduced fractions by cross-multiplying their numerators
+and denominators, with no gcd.
 """
 
 from __future__ import annotations
@@ -136,9 +142,14 @@ class WeierstrassCurve:
         return CurvePoint(self, None, None)
 
     def contains(self, x: RatFunc, y: RatFunc) -> bool:
-        lhs = (y + self.a1 * x + self.a3) * y
-        rhs = ((x + self.a2) * x + self.a4) * x + self.a6
-        return lhs == rhs
+        """Whether y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6.  Both
+        sides are unreduced (num, den) pairs built by products and sums
+        alone, compared by cross-multiplying, so no gcd is taken."""
+        X, Y, a1, a2, a3, a4, a6 = ((v.num, v.den) for v in (
+            x, y, self.a1, self.a2, self.a3, self.a4, self.a6))
+        ln, ld = _fmul(_fadd(_fadd(Y, _fmul(a1, X)), a3), Y)
+        rn, rd = _fadd(_fmul(_fadd(_fmul(_fadd(X, a2), X), a4), X), a6)
+        return ln * rd == rn * ld
 
     def point(self, x: RatFunc, y: RatFunc) -> CurvePoint:
         if not self.contains(x, y):
@@ -199,6 +210,8 @@ class WeierstrassCurve:
     # -- misc -----------------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, WeierstrassCurve) and self.ctx == other.ctx
                 and self.a1 == other.a1 and self.a2 == other.a2
                 and self.a3 == other.a3 and self.a4 == other.a4
@@ -213,6 +226,27 @@ class WeierstrassCurve:
     def to_obj(self):
         return {"a1": self.a1.to_obj(), "a2": self.a2.to_obj(), "a3": self.a3.to_obj(),
                 "a4": self.a4.to_obj(), "a6": self.a6.to_obj()}
+
+
+# ----------------------------------------------------------------------
+# Unreduced fractions: (num, den) pairs of Polys with nonzero den.
+
+def _fadd(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def _fmul(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    return a[0] * b[0], a[1] * b[1]
+
+
+def _same_j(E: WeierstrassCurve, F: WeierstrassCurve) -> bool:
+    """j(E) = j(F), i.e. c4^3 disc' = c4'^3 disc, compared on the
+    unreduced fractions c4^3/disc by cross-multiplying."""
+    def j(curve):
+        c4, disc = curve.c4(), curve.discriminant()
+        return c4.num ** 3 * disc.den, c4.den ** 3 * disc.num
+    (n, d), (n2, d2) = j(E), j(F)
+    return n * d2 == n2 * d
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +378,7 @@ def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurv
     na4 = (a4 - s * a3 + 2 * r * a2 - (t_ + r * s) * a1 + 3 * r * r - 2 * s * t_) / (w ** 4)
     na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t_ * a3 - t_ * t_ - r * t_ * a1) / (w ** 6)
     new_curve = WeierstrassCurve(na1, na2, na3, na4, na6)
-    if new_curve.j_invariant() != curve.j_invariant():
+    if not _same_j(new_curve, curve):
         raise ArithmeticError("j must be preserved")
     return new_curve, CoordChange(curve, new_curve, r, s, t_, w)
 

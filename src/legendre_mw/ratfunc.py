@@ -19,7 +19,11 @@ operands and return canonical results directly, taking gcds only of
 factors that can be shared (Henrici; Knuth, TAOCP 4.5.1): a sum
 a/b + c/d needs g = gcd(b, d) and then gcd of the new numerator with
 g alone, a product needs gcd(a, d) and gcd(c, b), and an inverse only
-rescales.  A gcd with a constant operand is 1 and is not computed.
+rescales.  A gcd with a constant operand is 1 and is not computed,
+and a square x * x of one operand takes no gcd, as the square of a
+reduced fraction is reduced.  A Poly product with a one-row operand is
+a scaling, and a product by 1 returns the other operand without
+building a field element.
 """
 
 from __future__ import annotations
@@ -159,9 +163,9 @@ class Poly:
         self._check(other)
         # a constant factor (most often 1, a RatFunc's denominator) scales
         if self.c.shape[0] == 1:
-            return other.scale(self.coeff(0))
+            return other if _is_one(self.c) else other.scale(self.coeff(0))
         if other.c.shape[0] == 1:
-            return self.scale(other.coeff(0))
+            return self if _is_one(other.c) else self.scale(other.coeff(0))
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
         return Poly(self.ctx, _mul_arrays(self.ctx, self.c, other.c), _trusted=True)
@@ -316,6 +320,11 @@ class Poly:
 
 # ----------------------------------------------------------------------
 # Array kernels.
+
+def _is_one(c: np.ndarray) -> bool:
+    """Whether the one-row coefficient matrix c is the constant 1."""
+    return c[0, 0] == 1 and not c[0, 1:].any()
+
 
 def _mul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of coefficient matrices: per-layer integer
@@ -543,6 +552,9 @@ class RatFunc:
         if o is NotImplemented:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
+        if o is self:
+            # a square of a reduced fraction is reduced
+            return RatFunc(a * a, b * b, _canonical=True)
         if a.is_zero() or c.is_zero():
             return RatFunc.zero(self.ctx)
         # gcd(a c, b d) = gcd(a, d) gcd(c, b)

@@ -9,6 +9,7 @@ import pytest
 
 from legendre_mw import cli
 from legendre_mw.cli import build_parser, main
+from legendre_mw.ratfunc import Poly
 
 
 def _run(capsys, *argv):
@@ -202,6 +203,8 @@ def test_output_matches_benchmark_reference_digest(capsys, cmd):
     ("all --p 11", "fcf909267f93d2926192cf5244eb482db51e382eb7b2149ad4cbb6d33ac03306"),
     ("gram --p 3 --f 2", "43b37e82bafe737c99919ce60207ca21a0197b1fadde30d9e5addae0f5e4ae25"),
     ("points --p 101", "54b691b557ded5544867db78d587a8e18722778678b0c3ca693351f9737529c8"),
+    ("gram --p 3 --f 3", "78cd5a526a21df9023e2c7147d5a3c71ff9834f0eaf3e7591acb64927a0d4330"),
+    ("gram --p 5 --f 2", "d9c9f0901ea8791ac941ef9f13b6be5af2b521c7b1fb4b163e0a8e719bbceff6"),
 ])
 def test_long_command_output_digest(capsys, cmd, digest):
     # sha256 of the JSON of the longer commands outside the benchmark;
@@ -209,6 +212,22 @@ def test_long_command_output_digest(capsys, cmd, digest):
     code, out = _run(capsys, *cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_isogeny_gcd_count(capsys, monkeypatch):
+    # point checks cross-multiply and squares skip the gcd: at most 250
+    # Poly.gcd calls (448 when both were reduced)
+    calls = []
+    real = Poly.gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
+    code, _ = _run(capsys, "isogeny", "--p", "7")
+    assert code == 0
+    assert len(calls) <= 250
 
 
 def test_f_zero_family(capsys):

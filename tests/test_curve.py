@@ -5,6 +5,7 @@ import pytest
 from legendre_mw.curve import (
     IsogenyChain,
     WeierstrassCurve,
+    _same_j,
     change_coords,
     legendre_form_curve,
     two_isogeny_quotient,
@@ -12,7 +13,7 @@ from legendre_mw.curve import (
 )
 from legendre_mw.gf import build_field
 from legendre_mw.legendre import make_family, point_P, torsion_points
-from legendre_mw.ratfunc import RatFunc
+from legendre_mw.ratfunc import Poly, RatFunc
 
 FAM = make_family(3)          # d = 4 over F_9(u)
 
@@ -54,6 +55,94 @@ def test_point_validation():
     P = point_P(FAM, 0)
     assert E.on_curve(P)
     assert E.contains(P.x, P.y)
+
+
+def _contains_oracle(E, x, y):
+    """Both sides of the curve equation reduced, then compared."""
+    lhs = (y + E.a1 * x + E.a3) * y
+    rhs = ((x + E.a2) * x + E.a4) * x + E.a6
+    return lhs == rhs
+
+
+def _moved(E):
+    """E under x = u^2 x' + 1/u, y = u^3 y' + s u^2 x' + t_ with
+    s = 1/(u + 1), t_ = u/(u + 1), so that every a_i' of the new curve
+    has a non-constant denominator, and the map (x, y) -> (x', y') by
+    its formulas, without the point check."""
+    u = RatFunc.variable(E.ctx)
+    r, s, t_, w = 1 / u, 1 / (u + 1), u / (u + 1), u
+    E2, _ = change_coords(E, r, s, t_, w)
+
+    def image(x, y):
+        return (x - r) / (w * w), (y - s * (x - r) - t_) / (w ** 3)
+
+    return E2, image
+
+
+def _membership_cases(fam):
+    """(curve, x, y) on the curve: the P_i, a sum, a 2- and a 4-torsion
+    point and 2-isogeny chain images, on the family's curve, on the chain's
+    source and on both moved by _moved."""
+    E = fam.curve
+    chain = IsogenyChain(fam.t)
+    P0, P1 = point_P(fam, 0), point_P(fam, 1)
+    tors = torsion_points(fam)
+    on_E = [P0, P1, P0 + P1, tors["Qt"], tors["T"], chain.forward(chain.backward(P1))]
+    on_source = [chain.backward(P0), chain.backward(P0 + P1)]
+    cases = []
+    for curve, pts in ((E, on_E), (chain.source, on_source)):
+        moved, image = _moved(curve)
+        for P in pts:
+            cases.append((curve, P.x, P.y))
+            cases.append((moved,) + image(P.x, P.y))
+    return cases
+
+
+_ORACLE_FAMILIES = [make_family(3, f) for f in (1, 2, 3)]   # F_9, F_81, F_729
+
+
+@pytest.mark.parametrize("fam", _ORACLE_FAMILIES, ids=lambda fam: "q=%d" % fam.ctx.order)
+def test_contains_matches_reduced_oracle(fam):
+    # on-curve points, and the same x with y + 1 or y u/(u + 1)
+    u = RatFunc.variable(fam.ctx)
+    cases = _membership_cases(fam)
+    moved = [curve for curve, _, _ in cases if not curve.a1.is_poly()]
+    assert moved and all(not a.is_poly() for curve in moved
+                         for a in (curve.a2, curve.a3, curve.a4, curve.a6))
+    for curve, x, y in cases:
+        assert curve.contains(x, y) and _contains_oracle(curve, x, y)
+        off = [(x, y + 1)] + ([] if y.is_zero() else [(x, y * u / (u + 1))])
+        for ox, oy in off:
+            assert _contains_oracle(curve, ox, oy) is False
+            assert curve.contains(ox, oy) is False
+
+
+@pytest.mark.parametrize("fam", _ORACLE_FAMILIES, ids=lambda fam: "q=%d" % fam.ctx.order)
+def test_same_j_matches_j_invariant(fam):
+    E = fam.curve
+    chain = IsogenyChain(fam.t)
+    moved, other = _moved(E)[0], legendre_form_curve(fam.t + 1)
+    curves = [E, moved, chain.source, _moved(chain.source)[0], other]
+    for A in curves:
+        for B in curves:
+            assert _same_j(A, B) == (A.j_invariant() == B.j_invariant())
+    assert _same_j(E, moved) and not _same_j(E, other)
+
+
+def test_contains_runs_no_gcd(monkeypatch):
+    E, image = _moved(FAM.curve)
+    P = point_P(FAM, 1)
+    x, y = image(P.x, P.y)
+    calls = []
+    real = Poly.gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
+    assert E.contains(x, y) and not E.contains(x, y + 1)
+    assert calls == []
 
 
 def test_point_from_another_curve_rejected():

@@ -104,9 +104,18 @@ def test_products_by_one_return_the_operand(monkeypatch):
         calls.append(1)
         return real(*args)
 
+    scalings = []
+    scale = Poly.scale
+
+    def counted_scale(self, a):
+        scalings.append(1)
+        return scale(self, a)
+
     monkeypatch.setattr(ratfunc, "_mul_arrays", counted)
+    monkeypatch.setattr(Poly, "scale", counted_scale)
     assert p * Poly.one(CTX) is p
     assert Poly.one(CTX) * p is p
+    assert scalings == []
     g = Poly.constant(CTX, CTX.generator())
     assert p * g == g * p == p.scale(CTX.generator())
     assert calls == []
@@ -114,13 +123,15 @@ def test_products_by_one_return_the_operand(monkeypatch):
 
 def test_ratfunc_ops_run_no_gcd_against_a_constant(monkeypatch):
     # x + poly, x * c, x / c and inv meet a denominator or numerator of
-    # degree 0 in every gcd they would need, so Euclid never runs
+    # degree 0 in every gcd they would need, and x * x is reduced as
+    # the square of a reduced fraction, so Euclid never runs
     u = RatFunc.variable(CTX)
     x = (u ** 3 + CTX.generator()) / (u ** 2 + 2)
     f = Poly.variable(CTX) ** 2 + 1
     c = CTX.generator()
     want = [RatFunc(x.num + f * x.den, x.den), RatFunc(x.num * c, x.den),
-            RatFunc(x.num, x.den * c), RatFunc(x.den, x.num)]
+            RatFunc(x.num, x.den * c), RatFunc(x.den, x.num),
+            RatFunc(x.num * x.num, x.den * x.den)]
     calls = []
     real = Poly.gcd
 
@@ -129,7 +140,7 @@ def test_ratfunc_ops_run_no_gcd_against_a_constant(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
-    assert [x + f, x * c, x / c, x.inv()] == want
+    assert [x + f, x * c, x / c, x.inv(), x * x] == want
     assert calls == []
 
 
