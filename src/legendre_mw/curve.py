@@ -6,9 +6,9 @@ All coordinates are RatFunc values, so every computation is exact.
 Reduction happens in the RatFunc operators, so the group law, the
 isogenies and the coordinate changes return reduced coordinates.  The
 checks do not reduce: membership compares the two sides of the curve
-equation, and a coordinate change compares j = c4^3 / disc of both
-curves, as unreduced fractions by cross-multiplying their numerators
-and denominators, with no gcd.
+equation, a new curve checks c4^3 - c6^2 = 1728 disc, and a coordinate
+change compares j = c4^3 / disc of both curves, as unreduced fractions
+by cross-multiplying their numerators and denominators, with no gcd.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class CurvePoint:
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with RatFunc a_i."""
 
-    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_disc")
+    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_c4", "_c6", "_disc")
 
     def __init__(self, a1: RatFunc, a2: RatFunc, a3: RatFunc, a4: RatFunc, a6: RatFunc):
         ctx = a1.ctx
@@ -84,13 +84,15 @@ class WeierstrassCurve:
                 raise ValueError("coefficient field mismatch")
         self.ctx = ctx
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
-        self._disc = None
+        self._c4 = self._c6 = self._disc = None
         disc = self.discriminant()
         if disc.is_zero():
             raise ValueError("singular curve: discriminant is zero")
-        # c4^3 - c6^2 = 1728 * disc must hold identically
+        # c4^3 - c6^2 = 1728 * disc must hold identically; compared on
+        # unreduced fractions by cross-multiplying, like contains()
         c4, c6 = self.c4(), self.c6()
-        if not (c4 ** 3 - c6 ** 2) == disc * 1728:
+        n, d = _fadd((c4.num ** 3, c4.den ** 3), (-(c6.num ** 2), c6.den ** 2))
+        if not n * disc.den == 1728 * disc.num * d:
             raise ArithmeticError("c-invariant identity failed")
 
     @classmethod
@@ -120,11 +122,16 @@ class WeierstrassCurve:
                 - self.a4 * self.a4)
 
     def c4(self) -> RatFunc:
-        return self.b2() * self.b2() - 24 * self.b4()
+        if self._c4 is None:
+            b2 = self.b2()
+            self._c4 = b2 * b2 - 24 * self.b4()
+        return self._c4
 
     def c6(self) -> RatFunc:
-        b2 = self.b2()
-        return -(b2 ** 3) + 36 * b2 * self.b4() - 216 * self.b6()
+        if self._c6 is None:
+            b2 = self.b2()
+            self._c6 = -(b2 ** 3) + 36 * b2 * self.b4() - 216 * self.b6()
+        return self._c6
 
     def discriminant(self) -> RatFunc:
         if self._disc is None:

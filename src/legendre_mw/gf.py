@@ -9,7 +9,7 @@ nonzero element is a power of a fixed generator, and products,
 inverses, powers and square roots are index arithmetic in
 exp/log tables.  A fourth O(q) table, of Zech logarithms
 log(1 + g^e), makes sums index arithmetic too; the polynomial layer
-divides on coefficient logs with it.  The only polynomial arithmetic
+works on coefficient logs with it.  The only polynomial arithmetic
 over F_p here is `_mulmod`, which builds those tables and tests moduli
 for irreducibility.
 """
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-
-import numpy as np
 
 from .exact_linalg import determinant
 
@@ -138,14 +136,12 @@ class FieldCtx:
     log tables of the generator g (the first code whose powers run
     through all q - 1 nonzero elements), and the Zech logarithms
     _zech[e] = log(1 + g^e), None at e = (q - 1)/2 where g^e = -1, so
-    that g^s + g^t = g^(s + _zech[t - s]).  From them it derives the
-    numpy matrices the polynomial layer's products need: reduction rows
-    for w^k..w^{2k-2}, the Frobenius matrix of a -> a^p, and the
-    multiplication matrices of w^0..w^{k-1}.
+    that g^s + g^t = g^(s + _zech[t - s]).  The polynomial layer's
+    products also read _red, the digit tuples of w^k..w^{2k-2}, which
+    reduce the w-degrees >= k of a product of digit vectors.
     """
 
-    __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log", "_zech",
-                 "_red", "_frob", "_wmul")
+    __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log", "_zech", "_red")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p) or p == 2:
@@ -179,17 +175,9 @@ class FieldCtx:
         self._log = log
         # 1 + x adds 1 to the lowest digit of x's code
         self._zech = [log[c - c % p + (c + 1) % p] for c in exp]
-        # w^m for m = 0..2k-2 (w has code p when k > 1); row i of
-        # mul_matrix(w^j) is w^(i+j)
+        # w has code p when k > 1
         lw = log[p] if k > 1 else 0
-        wpow = np.array([digits[exp[m * lw % (q - 1)]] for m in range(2 * k - 1)],
-                        dtype=np.int64)
-        self._red = wpow[k:]
-        self._wmul = np.stack([wpow[j:j + k] for j in range(k)])
-        self._frob = np.array([digits[exp[j * p * lw % (q - 1)]] for j in range(k)],
-                              dtype=np.int64)
-        for table in (self._red, self._wmul, self._frob):
-            table.setflags(write=False)
+        self._red = tuple(digits[exp[m * lw % (q - 1)]] for m in range(k, 2 * k - 1))
 
     # -- basic data -------------------------------------------------
 
@@ -240,22 +228,6 @@ class FieldCtx:
         """Deterministic enumeration of the whole field, by code."""
         for code in range(self.order):
             yield self.from_code(code)
-
-    # -- numpy helpers for the polynomial layer ----------------------
-
-    @property
-    def reduction_rows(self) -> np.ndarray:
-        return self._red
-
-    @property
-    def frobenius_matrix(self) -> np.ndarray:
-        return self._frob
-
-    def mul_matrix(self, a: "FieldElement") -> np.ndarray:
-        """k x k matrix M with row j = coefficients of a*w^j; for a row
-        vector v of digits, v @ M = digits of (element of v) * a."""
-        k = self.k
-        return (np.array(a.c) @ self._wmul.reshape(k, k * k)).reshape(k, k) % self.p
 
     # -- generator / roots of unity ----------------------------------
 

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .curve import CurvePoint
 from .exact_linalg import determinant, kernel_basis, rank
 from .ratfunc import Poly
@@ -56,7 +54,7 @@ def _family_t(P: CurvePoint) -> tuple[Poly, int]:
 
 def _ord_u(f: Poly) -> int:
     """Multiplicity of the root u = 0 of a nonzero polynomial."""
-    return int(np.flatnonzero(f.c.any(axis=1))[0])
+    return next(i for i, e in enumerate(f.c) if e is not None)
 
 
 def _local_height(N: Poly, D: Poly, d: int) -> Fraction:
@@ -75,9 +73,9 @@ def _local_height(N: Poly, D: Poly, d: int) -> Fraction:
 
 def _spread(f: Poly) -> Poly:
     """f(u^2)."""
-    rows = np.zeros((max(2 * f.c.shape[0] - 1, 0), f.ctx.k), dtype=np.int64)
-    rows[::2] = f.c
-    return Poly(f.ctx, rows, _trusted=True)
+    logs = [None] * max(2 * len(f.c) - 1, 0)
+    logs[::2] = f.c
+    return Poly(f.ctx, logs)
 
 
 def canonical_height(P: CurvePoint) -> Fraction:

@@ -1,15 +1,22 @@
 """Polynomials F_q[u] and reduced rational functions F_q(u).
 
-A Poly stores its coefficients as an (L, k) int64 matrix of F_p digit
-vectors, low u-degree first; the zero polynomial is the empty matrix and
-carries the degree sentinel -inf.  Products stay in numpy: exact
-integer convolution layer by layer in the extension basis, in int64
-end to end; a product whose accumulated coefficients could overflow
-int64 (over 4 * 10^12 rows even for F_{101^2}) raises OverflowError.
-Division and gcd run on Python lists of coefficient logs instead (low
-degree first, None for zero): a product of coefficients adds logs and
-a sum reads the field's Zech table, so a long-division step makes no
-numpy call.
+A Poly stores its coefficients as the tuple of their logs to the field's
+generator, low u-degree first, None for a zero coefficient, with no
+trailing None; the zero polynomial is the empty tuple and carries the
+degree sentinel -inf.  Every operation is arithmetic in the field's
+tables: a product of coefficients adds logs, a sum reads the Zech table
+(g^s + g^t = g^(s + zech[t - s])), negation adds n/2 for n = q - 1, as
+-1 = g^(n/2), and the Frobenius a -> a^p multiplies each log by p.
+Division and gcd are long division on these lists.
+
+A product of two polynomials is one Kronecker substitution (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+2009): the operands are split into their k digit components over F_p,
+each component is packed into one Python int with a fixed-width slot per
+coefficient, the packed ints are multiplied, the w-degrees >= k of the
+products are reduced on the big ints by the field's reduction rows, and
+the slots are read back mod p.  The slots are 1, 2, 4 or 8 bytes, wide
+enough for the largest coefficient before the final mod.
 
 A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  The
 general constructor RatFunc(num, den) is the one place that runs
@@ -28,56 +35,53 @@ building a field element.
 
 from __future__ import annotations
 
-import numpy as np
+import sys
+from array import array
 
 from .gf import FieldCtx, FieldElement
 
 NEG_INF = float("-inf")
 
-
-def _as_matrix(ctx: FieldCtx, rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.ndim != 2 or (arr.shape[0] > 0 and arr.shape[1] != ctx.k):
-        raise ValueError("coefficient matrix must have shape (L, k)")
-    return arr
+# (slot bits, array typecode) of the Kronecker slots, narrowest first
+_SLOTS = tuple(sorted({(8 * array(t).itemsize, t) for t in "BHIQ"}))
 
 
-def _trim_rows(arr: np.ndarray) -> np.ndarray:
-    L = arr.shape[0]
-    while L > 0 and not arr[L - 1].any():
-        L -= 1
-    return arr[:L]
+class Logs(tuple):
+    """Coefficient logs of a Poly (see the module docstring).  Like a
+    1-D array, it has a shape, (number of coefficients,)."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (len(self),)
 
 
 class Poly:
     __slots__ = ("ctx", "c")
 
-    def __init__(self, ctx: FieldCtx, rows, _trusted: bool = False):
-        if _trusted:
-            arr = rows
-        else:
-            arr = _trim_rows(_as_matrix(ctx, rows) % ctx.p)
-        arr.setflags(write=False)
+    def __init__(self, ctx: FieldCtx, logs=()):
+        """The polynomial with coefficient logs `logs` (low degree first,
+        None for zero); trailing zeros are dropped."""
+        if logs and logs[-1] is None:
+            logs = _trim(list(logs))
         self.ctx = ctx
-        self.c = arr
+        self.c = Logs(logs)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_elems(cls, ctx: FieldCtx, elems) -> "Poly":
         """Build from a list of FieldElements / ints, low degree first."""
-        rows = [ctx.elem(e).c for e in elems]
-        if not rows:
-            return cls.zero(ctx)
-        return cls(ctx, np.array(rows, dtype=np.int64))
+        return cls(ctx, [ctx.elem(e)._index() for e in elems])
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, np.zeros((0, ctx.k), dtype=np.int64), _trusted=True)
+        return cls(ctx)
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls.constant(ctx, 1)
+        return cls(ctx, (0,))
 
     @classmethod
     def constant(cls, ctx: FieldCtx, value) -> "Poly":
@@ -89,40 +93,35 @@ class Poly:
 
     @classmethod
     def monomial(cls, ctx: FieldCtx, n: int, coeff=1) -> "Poly":
-        e = ctx.elem(coeff)
-        if e.is_zero():
-            return cls.zero(ctx)
-        rows = np.zeros((n + 1, ctx.k), dtype=np.int64)
-        rows[n, :] = e.c
-        return cls(ctx, rows, _trusted=True)
+        return cls(ctx, [None] * n + [ctx.elem(coeff)._index()])
 
     # -- inspection ---------------------------------------------------
 
     @property
     def deg(self):
         """Degree, with -inf for the zero polynomial."""
-        return self.c.shape[0] - 1 if self.c.shape[0] else NEG_INF
+        return len(self.c) - 1 if self.c else NEG_INF
 
     def is_zero(self) -> bool:
-        return self.c.shape[0] == 0
+        return not self.c
 
     def coeff(self, i: int) -> FieldElement:
-        if 0 <= i < self.c.shape[0]:
-            return FieldElement(self.ctx, tuple(int(v) for v in self.c[i]))
+        if 0 <= i < len(self.c) and self.c[i] is not None:
+            return self.ctx._power(self.c[i])
         return self.ctx.zero()
 
     def lc(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeff(self.c.shape[0] - 1)
+        return self.coeff(len(self.c) - 1)
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.lc() == self.ctx.one()
+        return bool(self.c) and self.c[-1] == 0
 
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("coefficient field mismatch")
 
     def __add__(self, other):
@@ -131,12 +130,11 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        la, lb = self.c.shape[0], other.c.shape[0]
-        n = max(la, lb)
-        out = np.zeros((n, self.ctx.k), dtype=np.int64)
-        out[:la] += self.c
-        out[:lb] += other.c
-        return Poly(self.ctx, _trim_rows(out % self.ctx.p), _trusted=True)
+        if not other.c:
+            return self
+        if not self.c:
+            return other
+        return Poly(self.ctx, _add_logs(self.ctx._zech, self.c, other.c))
 
     __radd__ = __add__
 
@@ -153,7 +151,7 @@ class Poly:
         return NotImplemented
 
     def __neg__(self):
-        return Poly(self.ctx, (-self.c) % self.ctx.p, _trusted=True)
+        return self._times(len(self.ctx._zech) // 2)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -162,13 +160,13 @@ class Poly:
             return NotImplemented
         self._check(other)
         # a constant factor (most often 1, a RatFunc's denominator) scales
-        if self.c.shape[0] == 1:
-            return other if _is_one(self.c) else other.scale(self.coeff(0))
-        if other.c.shape[0] == 1:
-            return self if _is_one(other.c) else self.scale(other.coeff(0))
+        if len(self.c) == 1:
+            return other._times(self.c[0])
+        if len(other.c) == 1:
+            return self._times(other.c[0])
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
-        return Poly(self.ctx, _mul_arrays(self.ctx, self.c, other.c), _trusted=True)
+        return Poly(self.ctx, _mul_logs(self.ctx, self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -189,101 +187,86 @@ class Poly:
         """Multiply every coefficient by the field element a."""
         if a.is_zero() or self.is_zero():
             return Poly.zero(self.ctx)
-        if a == self.ctx.one():
+        return self._times(a._index())
+
+    def _times(self, s: int) -> "Poly":
+        """self * g^s, by adding s to every log; self itself for s = 0."""
+        if not s:
             return self
-        m = self.ctx.mul_matrix(a)
-        return Poly(self.ctx, (self.c @ m) % self.ctx.p, _trusted=True)
+        n = len(self.ctx._zech)
+        return Poly(self.ctx, [None if e is None else (e + s) % n for e in self.c])
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         q, r = self._divide(other, want_quotient=True)
-        return self._from_logs(q), self._from_logs(r)
+        return Poly(self.ctx, q), Poly(self.ctx, r)
 
     def __floordiv__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._from_logs(self._divide(other, want_quotient=True)[0])
+        return Poly(self.ctx, self._divide(other, want_quotient=True)[0])
 
     def __mod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._from_logs(self._divide(other, want_quotient=False)[1])
+        return Poly(self.ctx, self._divide(other, want_quotient=False)[1])
 
     def _divide(self, other: "Poly", want_quotient: bool):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        return _divmod_logs(self.ctx._zech, self._logs(), other._logs(),
-                            want_quotient)
+        return _divmod_logs(self.ctx._zech, self.c, other.c, want_quotient)
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Monic gcd (gcd(0, 0) = 0) by the Euclidean algorithm on
-        coefficient-log lists: each step is one `_divmod_logs` remainder,
-        with no Poly and no monic copy per step; the result is made
-        monic once, by subtracting its leading log."""
+        """Monic gcd (gcd(0, 0) = 0) by the Euclidean algorithm: each
+        step is one `_divmod_logs` remainder, with no Poly and no monic
+        copy per step; the result is made monic once, by subtracting its
+        leading log."""
         a._check(b)
         zech = a.ctx._zech
-        x, y = a._logs(), b._logs()
+        x, y = a.c, b.c
         while y:
             x, y = y, _divmod_logs(zech, x, y, want_quotient=False)[1]
-        if x:
-            n, top = len(zech), x[-1]
-            x = [None if e is None else (e - top) % n for e in x]
-        return a._from_logs(x)
-
-    def _logs(self) -> list:
-        """Coefficient logs to the field's generator, None for zero."""
-        ctx = self.ctx
-        log = ctx._log
-        return [log[c] for c in (self.c @ ctx.p ** np.arange(ctx.k)).tolist()]
-
-    def _from_logs(self, logs: list) -> "Poly":
-        """The Poly over self's field with trimmed coefficient logs."""
-        ctx = self.ctx
-        digits, exp, zero = ctx._digits, ctx._exp, ctx._digits[0]
-        rows = [zero if e is None else digits[exp[e]] for e in logs]
-        return Poly(ctx, np.array(rows, dtype=np.int64).reshape(-1, ctx.k),
-                    _trusted=True)
+        g = Poly(a.ctx, x)
+        return g.monic() if x else g
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(self.lc().inv())
+        return self._times(-self.c[-1])
 
     # -- maps ----------------------------------------------------------
 
     def eval(self, a: FieldElement) -> FieldElement:
         """Horner evaluation at a field element."""
         acc = self.ctx.zero()
-        for i in range(self.c.shape[0] - 1, -1, -1):
+        for i in range(len(self.c) - 1, -1, -1):
             acc = acc * a + self.coeff(i)
         return acc
 
     def scale_var(self, a: FieldElement) -> "Poly":
         """The substitution u -> a*u (coefficient i picks up a^i)."""
-        if self.is_zero():
-            return self
-        rows = np.array(self.c)
-        power = self.ctx.one()
-        for i in range(1, rows.shape[0]):
-            power = power * a
-            rows[i] = (rows[i] @ self.ctx.mul_matrix(power)) % self.ctx.p
-        return Poly(self.ctx, _trim_rows(rows), _trusted=True)
+        la = a._index()
+        if la is None:
+            return Poly(self.ctx, self.c[:1])
+        n = len(self.ctx._zech)
+        return Poly(self.ctx, [None if e is None else (e + i * la) % n
+                               for i, e in enumerate(self.c)])
 
     def frobenius(self) -> "Poly":
         """Apply a -> a^p to every coefficient (fixes u)."""
-        if self.is_zero() or self.ctx.k == 1:
+        if self.ctx.k == 1:
             return self
-        return Poly(self.ctx, (self.c @ self.ctx.frobenius_matrix) % self.ctx.p,
-                    _trusted=True)
+        p, n = self.ctx.p, len(self.ctx._zech)
+        return Poly(self.ctx, [None if e is None else e * p % n for e in self.c])
 
     # -- misc -----------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ctx == other.ctx
-                and np.array_equal(self.c, other.c))
+                and self.c == other.c)
 
     __hash__ = None
 
@@ -291,7 +274,7 @@ class Poly:
         if self.is_zero():
             return "0"
         terms = []
-        for i in range(self.c.shape[0] - 1, -1, -1):
+        for i in range(len(self.c) - 1, -1, -1):
             a = self.coeff(i)
             if a.is_zero():
                 continue
@@ -309,50 +292,91 @@ class Poly:
         return " + ".join(terms)
 
     def to_obj(self):
-        return [[int(v) for v in row] for row in self.c]
+        """Coefficient digit rows over F_p, low degree first."""
+        return [self.coeff(i).to_obj() for i in range(len(self.c))]
 
     @classmethod
     def from_obj(cls, ctx: FieldCtx, obj) -> "Poly":
-        if not obj:
-            return cls.zero(ctx)
-        return cls(ctx, np.array(obj, dtype=np.int64))
+        if any(len(row) != ctx.k for row in obj):
+            raise ValueError("every coefficient row must have k = %d digits" % ctx.k)
+        return cls.from_elems(ctx, [ctx.elem(row) for row in obj])
 
 
 # ----------------------------------------------------------------------
-# Array kernels.
+# Kernels on coefficient-log lists (low degree first, None for zero).
 
-def _is_one(c: np.ndarray) -> bool:
-    """Whether the one-row coefficient matrix c is the constant 1."""
-    return c[0, 0] == 1 and not c[0, 1:].any()
+def _trim(logs: list) -> list:
+    while logs and logs[-1] is None:
+        logs.pop()
+    return logs
 
 
-def _mul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of coefficient matrices: per-layer integer
-    convolution in u, then reduction of w-degrees >= k, then mod p."""
+def _add_logs(zech: list, a, b) -> list:
+    """a + b for nonzero a, b, coefficient by coefficient:
+    g^s + g^t = g^(s + zech[t - s]), where t - s lies in (-n, n) and
+    Python's negative indexing reads zech at t - s mod n; a None from
+    zech is a coefficient cancelled to zero."""
+    n = len(zech)
+    if len(a) < len(b):
+        a, b = b, a
+    out = [t if s is None else s if t is None
+           else None if (z := zech[t - s]) is None else (s + z) % n
+           for s, t in zip(a, b)]
+    if len(a) > len(b):
+        out += a[len(b):]
+        return out
+    return _trim(out)
+
+
+def _slot(bound: int) -> tuple[int, str]:
+    """(bits, array typecode) of the narrowest slot that holds bound."""
+    for bits, code in _SLOTS:
+        if bound >> bits == 0:
+            return bits, code
+    raise OverflowError("polynomial product too large for %d-bit slots" % _SLOTS[-1][0])
+
+
+def _mul_logs(ctx: FieldCtx, a, b) -> list:
+    """Exact product of nonzero coefficient-log lists by Kronecker
+    substitution (see the module docstring).  Column i of a holds digit i
+    of every coefficient; the product of columns i and j lands in w-degree
+    i + j, so before the reduction a slot is at most
+    k min(la, lb) (p - 1)^2, and each of the k - 1 reduced w-degrees adds
+    at most (p - 1) times that."""
     k, p = ctx.k, ctx.p
-    la, lb = a.shape[0], b.shape[0]
-    # worst-case accumulated magnitude before the final mod
-    if min(la, lb) * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)) >= 2 ** 62:
-        raise OverflowError("polynomial product too large for int64 accumulation")
-    acc = np.zeros((la + lb - 1, 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        ai = a[:, i]
-        if not ai.any():
-            continue
-        for j in range(k):
-            bj = b[:, j]
-            if bj.any():
-                acc[:, i + j] += np.convolve(ai, bj)
-    if k > 1:
-        red = ctx.reduction_rows
-        for m in range(2 * k - 2, k - 1, -1):
-            col = acc[:, m]
-            if col.any():
-                acc[:, :k] += col[:, None] * red[m - k][None, :]
-    return _trim_rows(acc[:, :k] % p)
+    la, lb = len(a), len(b)
+    bits, code = _slot(min(la, lb) * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
+    order = sys.byteorder
+    digits, exp, zero = ctx._digits, ctx._exp, ctx._digits[0]
+
+    def pack(logs):
+        rows = [zero if e is None else digits[exp[e]] for e in logs]
+        return [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
+
+    A = pack(a)
+    B = A if b is a else pack(b)
+    acc = [0] * (2 * k - 1)
+    for i, x in enumerate(A):
+        if x:
+            for j, y in enumerate(B):
+                if y:
+                    acc[i + j] += x * y
+    for m, row in enumerate(ctx._red, k):
+        if acc[m]:
+            for r, c in enumerate(row):
+                if c:
+                    acc[r] += c * acc[m]
+    size = (la + lb - 1) * bits // 8
+    codes = [0] * (la + lb - 1)
+    for x in reversed(acc[:k]):
+        slots = array(code)
+        slots.frombytes(x.to_bytes(size, order))
+        codes = [c * p + v % p for c, v in zip(codes, slots)]
+    log = ctx._log
+    return [log[c] for c in codes]
 
 
-def _divmod_logs(zech: list, a: list, b: list, want_quotient: bool):
+def _divmod_logs(zech: list, a, b, want_quotient: bool):
     """Long division of a by b, both trimmed lists of coefficient logs
     (low degree first, None for zero); zech is the field's Zech table,
     of length n = q - 1.  Returns (quotient or None, remainder), trimmed.
@@ -360,13 +384,12 @@ def _divmod_logs(zech: list, a: list, b: list, want_quotient: bool):
     The quotient term of dividend row i is r_i / lc(b), of log
     r_i - log lc(b), so b is never made monic.  Subtracting that term
     times b_j adds g^t with t = r_i - log lc(b) + n/2 + log b_j (the
-    n/2 is the sign, as -1 = g^(n/2)), and g^s + g^t = g^(s + zech[t - s]),
-    where t - s lies in (-n, n) and Python's negative indexing reads
-    zech at t - s mod n.  A None from zech is a coefficient cancelled
-    to zero."""
+    n/2 is the sign, as -1 = g^(n/2)) to g^s, giving g^(s + zech[t - s])
+    as in `_add_logs`."""
     n = len(zech)
     db = len(b) - 1
-    shift = n // 2 - b[db]
+    top = b[db]
+    shift = n // 2 - top
     low = b[:db]
     r = list(a)
     q = [None] * max(len(r) - db, 0) if want_quotient else None
@@ -375,23 +398,13 @@ def _divmod_logs(zech: list, a: list, b: list, want_quotient: bool):
         if c is None:
             continue
         if want_quotient:
-            q[i - db] = (c - b[db]) % n
+            q[i - db] = (c - top) % n
         c += shift
-        row = []
-        for s, e in zip(r[i - db:i], low):
-            if e is not None:
-                t = (c + e) % n
-                if s is None:
-                    s = t
-                else:
-                    z = zech[t - s]
-                    s = None if z is None else (s + z) % n
-            row.append(s)
-        r[i - db:i] = row
+        r[i - db:i] = [s if e is None else (c + e) % n if s is None
+                       else None if (z := zech[(c + e - s) % n]) is None else (s + z) % n
+                       for s, e in zip(r[i - db:i], low)]
     del r[db:]
-    while r and r[-1] is None:
-        r.pop()
-    return q, r
+    return q, _trim(r)
 
 
 def poly_sqrt(f: Poly) -> Poly:
@@ -426,10 +439,10 @@ def poly_sqrt(f: Poly) -> Poly:
 def _common(a: Poly, b: Poly) -> Poly | None:
     """gcd(a, b) of nonzero a and b, or None when it is 1; a constant
     operand makes it 1 without running Euclid."""
-    if a.c.shape[0] == 1 or b.c.shape[0] == 1:
+    if len(a.c) == 1 or len(b.c) == 1:
         return None
     g = Poly.gcd(a, b)
-    return g if g.c.shape[0] > 1 else None
+    return g if len(g.c) > 1 else None
 
 
 # ----------------------------------------------------------------------

@@ -28,28 +28,29 @@ MAX_LEVEL = 6
 
 
 def _unit_rows(F, d):
-    """The coefficient rows of F, zero-padded and split into blocks of
-    d, shape (blocks, d, k): block j holds the coefficients of u^(jd)
+    """The coefficient digit rows of F, zero-padded and split into blocks
+    of d, shape (blocks, d, k): block j holds the coefficients of u^(jd)
     to u^(jd + d - 1)."""
-    L, k = F.c.shape
+    L, k = len(F.c), F.ctx.k
     rows = np.zeros((-(-L // d) * d, k), dtype=np.int64)
-    rows[:L] = F.c
+    if L:
+        rows[:L] = F.to_obj()
     return rows.reshape(-1, d, k)
 
 
 def _mod_unit(F, d):
     """F mod (u^d - 1), by folding the blocks of d coefficients."""
-    return Poly(F.ctx, _unit_rows(F, d).sum(axis=0))
+    return Poly.from_obj(F.ctx, (_unit_rows(F, d).sum(axis=0) % F.ctx.p).tolist())
 
 
 def _div_unit(F, d):
     """F / (u^d - 1) for a multiple F: the quotient Q has
     Q_i = Q_{i-d} - F_i, a running sum over each residue class mod d."""
-    L, k = F.c.shape
+    L, k = len(F.c), F.ctx.k
     q = (-np.cumsum(_unit_rows(F, d), axis=0) % F.ctx.p).reshape(-1, k)
     if q[L - d:].any():
         raise ArithmeticError("u^d - 1 does not divide the polynomial")
-    return Poly(F.ctx, q[:L - d], _trusted=True)
+    return Poly.from_obj(F.ctx, q[:L - d].tolist())
 
 
 def _strip(F, G, d):
@@ -58,7 +59,7 @@ def _strip(F, G, d):
     (F h) / (u^d - 1) with h = (u^d - 1) / c, until it is 1."""
     ctx = F.ctx
     e0 = min(_ord_u(F), _ord_u(G))
-    F, G = Poly(ctx, F.c[e0:], _trusted=True), Poly(ctx, G.c[e0:], _trusted=True)
+    F, G = Poly(ctx, F.c[e0:]), Poly(ctx, G.c[e0:])
     unit = Poly.monomial(ctx, d) - 1
     while True:
         c = Poly.gcd(Poly.gcd(unit, _mod_unit(F, d)), _mod_unit(G, d))

@@ -41,6 +41,26 @@ def test_curve_invariants():
     assert j == E.c4() ** 3 / E.discriminant()
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_c_invariant_identity_is_checked(monkeypatch, p):
+    # the cross-multiplied check in __init__ accepts the true c4, c6
+    # (reduced identity as the oracle; 1728 = 0 in characteristic 3) and
+    # refuses a wrong c6, on curves whose c4, c6 and disc have constant
+    # and non-constant denominators
+    fam = make_family(p)
+    u = RatFunc.variable(fam.ctx)
+    curves = [fam.curve, _moved(fam.curve)[0], change_coords(fam.curve, 0, 0, 0, u + 2)[0],
+              IsogenyChain(fam.t).source]
+    assert any(not E.discriminant().is_poly() for E in curves)
+    for E in curves:
+        assert E.c4() ** 3 - E.c6() ** 2 == E.discriminant() * 1728
+    c6 = WeierstrassCurve.c6
+    monkeypatch.setattr(WeierstrassCurve, "c6", lambda self: c6(self) + 1)
+    for E in curves:
+        with pytest.raises(ArithmeticError, match="c-invariant"):
+            WeierstrassCurve(E.a1, E.a2, E.a3, E.a4, E.a6)
+
+
 def test_singular_curve_rejected():
     ctx = build_field(3, 2)
     with pytest.raises(ValueError):

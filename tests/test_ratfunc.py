@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from legendre_mw import ratfunc
 from legendre_mw.gf import build_field
-from legendre_mw.ratfunc import NEG_INF, Poly, RatFunc, _mul_arrays, poly_sqrt
+from legendre_mw.ratfunc import NEG_INF, Poly, RatFunc, _mul_logs, poly_sqrt
 
 CTX = build_field(3, 2)
 CTX5 = build_field(5, 1)
@@ -45,6 +45,8 @@ def test_constructors():
     assert Poly.zero(CTX).deg == NEG_INF
     assert Poly.one(CTX).deg == 0
     assert Poly.monomial(CTX, 5).deg == 5
+    # shape[0] counts the coefficients, as for a 1-D array
+    assert Poly.monomial(CTX, 5).c.shape == (6,)
     assert Poly.constant(CTX, 2).coeff(0) == CTX.elem(2)
 
 
@@ -84,13 +86,13 @@ def test_pow_products_by_bits(monkeypatch, e, products):
     for _ in range(e):
         want = want * f
     calls = []
-    real = ratfunc._mul_arrays
+    real = ratfunc._mul_logs
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(ratfunc, "_mul_arrays", counted)
+    monkeypatch.setattr(ratfunc, "_mul_logs", counted)
     assert f ** e == want
     assert len(calls) == products
 
@@ -98,7 +100,7 @@ def test_pow_products_by_bits(monkeypatch, e, products):
 def test_products_by_one_return_the_operand(monkeypatch):
     p = Poly.variable(CTX) ** 3 + 2
     calls = []
-    real = ratfunc._mul_arrays
+    real = ratfunc._mul_logs
 
     def counted(*args):
         calls.append(1)
@@ -111,7 +113,7 @@ def test_products_by_one_return_the_operand(monkeypatch):
         scalings.append(1)
         return scale(self, a)
 
-    monkeypatch.setattr(ratfunc, "_mul_arrays", counted)
+    monkeypatch.setattr(ratfunc, "_mul_logs", counted)
     monkeypatch.setattr(Poly, "scale", counted_scale)
     assert p * Poly.one(CTX) is p
     assert Poly.one(CTX) * p is p
@@ -145,12 +147,66 @@ def test_ratfunc_ops_run_no_gcd_against_a_constant(monkeypatch):
 
 
 def test_mul_overflow_guard():
-    # a product whose int64 accumulation could overflow is refused; the
-    # operands are stride-0 views, so nothing of that size is allocated
-    rows = 2 ** 62 // ((3 - 1) ** 2 * (1 + (3 - 1))) + 1
-    big = np.broadcast_to(np.ones((1, CTX.k), dtype=np.int64), (rows, CTX.k))
+    # a product whose coefficients could exceed the widest (64-bit) slot
+    # before the final mod is refused; the operands are ranges, which
+    # have a length but allocate nothing
+    rows = 2 ** 64 // (CTX.k * (3 - 1) ** 2 * (1 + (3 - 1))) + 1
     with pytest.raises(OverflowError):
-        _mul_arrays(CTX, big, big)
+        _mul_logs(CTX, range(rows), range(rows))
+
+
+def _digit_rows(f):
+    return np.array(f.to_obj(), dtype=np.int64).reshape(-1, f.ctx.k)
+
+
+def _convolve_mul(a, b):
+    """Test-side product: per-digit-column integer convolution in int64
+    (np.convolve), w^m for m >= k reduced by rows from FieldElement
+    powers of w, then mod p."""
+    ctx = a.ctx
+    k, p = ctx.k, ctx.p
+    A, B = _digit_rows(a), _digit_rows(b)
+    acc = np.zeros((A.shape[0] + B.shape[0] - 1, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            acc[:, i + j] += np.convolve(A[:, i], B[:, j])
+    w = ctx.from_code(p) if k > 1 else ctx.one()
+    for m in range(k, 2 * k - 1):
+        acc[:, :k] += acc[:, m:m + 1] * np.array((w ** m).c, dtype=np.int64)
+    return (acc[:, :k] % p).tolist()
+
+
+# (p, k, operand lengths): each field's lengths put min(la, lb) on both
+# sides of the slot-width steps min(la, lb) k (p-1)^2 (1 + (k-1)(p-1))
+# < 2^8, 2^16, 2^32: for F_7 between 7 and 8 and between 1820 and 1821
+# rows, for F_729 between 248 and 249, for F_{101^2} between 2126 and 2127
+_KRONECKER_CASES = [
+    (7, 1, [(2, 2), (7, 7), (7, 40), (8, 8), (1820, 1900), (1821, 1821)]),
+    (3, 6, [(2, 3), (248, 300), (249, 249)]),
+    (101, 2, [(2, 5), (2126, 2200), (2127, 2127)]),
+]
+
+
+@pytest.mark.parametrize("p,k,lengths", _KRONECKER_CASES)
+def test_kronecker_product_matches_convolution(monkeypatch, p, k, lengths):
+    ctx = build_field(p, k)
+    rng = random.Random(p * k)
+    widths = []
+    slot = ratfunc._slot
+
+    def recorded(bound):
+        bits, code = slot(bound)
+        widths.append(bits)
+        return bits, code
+
+    monkeypatch.setattr(ratfunc, "_slot", recorded)
+    for la, lb in lengths:
+        a, b = (Poly.from_elems(ctx, [ctx.from_code(rng.randrange(ctx.order))
+                                      for _ in range(n - 1)]
+                                + [ctx.from_code(rng.randrange(1, ctx.order))])
+                for n in (la, lb))
+        assert (a * b).to_obj() == _convolve_mul(a, b)
+    assert sorted(set(widths)) == {7: [8, 16, 32], 3: [16, 32], 101: [32, 64]}[p]
 
 
 @pytest.mark.parametrize("ctx,seed", [(CTX, 31), (CTX5, 32)])
@@ -202,8 +258,8 @@ def _school_divmod(a, b):
     """Schoolbook long division coefficient by coefficient in
     FieldElement arithmetic (the test-side reference)."""
     ctx = a.ctx
-    r = [a.coeff(i) for i in range(a.c.shape[0])]
-    db = b.c.shape[0] - 1
+    r = [a.coeff(i) for i in range(len(a.c))]
+    db = len(b.c) - 1
     inv = b.lc().inv()
     q = [ctx.zero()] * max(len(r) - db, 0)
     for i in range(len(r) - 1, db - 1, -1):
@@ -220,7 +276,7 @@ def _school_gcd(a, b):
     if a.is_zero():
         return a
     inv = a.lc().inv()
-    return Poly.from_elems(a.ctx, [a.coeff(i) * inv for i in range(a.c.shape[0])])
+    return Poly.from_elems(a.ctx, [a.coeff(i) * inv for i in range(len(a.c))])
 
 
 def _gcd_cases(ctx, rng):
@@ -237,7 +293,7 @@ def test_divmod_and_gcd_match_sympy_galoistools(p):
     from sympy.polys.domains import ZZ
 
     def dense(f):  # high degree first, as galoistools wants
-        return [int(row[0]) for row in f.c[::-1]]
+        return [row[0] for row in f.to_obj()[::-1]]
 
     ctx = build_field(p, 1)
     rng = random.Random(p)
