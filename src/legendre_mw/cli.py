@@ -192,8 +192,6 @@ def run_isogeny(params: FamilyParams) -> tuple[dict, dict]:
 
 
 def run_rb(params: FamilyParams) -> tuple[dict, dict]:
-    if params.f != 1:
-        raise ValueError("the rb command needs f = 1 (points R_b live on the f = 1 model)")
     p, d = params.p, params.d
     bs = admissible_b_values(params)
     rows = []

@@ -1,17 +1,17 @@
-"""Arithmetic in small finite fields F_p and F_{p^k} (polynomial basis).
+"""Arithmetic in small finite fields F_p and F_{p^k}.
 
-Elements are coefficient vectors over F_p in the basis w^0..w^{k-1},
-reduced modulo a fixed monic irreducible modulus.  Everything is
-immutable and exact.  The fields this package meets are small
-(q up to about 10^4; `build_field` refuses q > MAX_FIELD_ORDER), so
-each FieldCtx tabulates its whole multiplicative group once: every
-nonzero element is a power of a fixed generator, and products,
-inverses, powers and square roots are index arithmetic in
-exp/log tables.  A fourth O(q) table, of Zech logarithms
-log(1 + g^e), makes sums index arithmetic too; the polynomial layer
-works on coefficient logs with it.  The only polynomial arithmetic
-over F_p here is `_mulmod`, which builds those tables and tests moduli
-for irreducibility.
+F_{p^k} is F_p[w] modulo a fixed monic irreducible modulus.  The fields
+this package meets are small (q up to about 10^4; `build_field` refuses
+q > MAX_FIELD_ORDER), so each FieldCtx tabulates its whole
+multiplicative group once, and an element is stored as its log to a
+fixed generator g, None for zero: the same number a Poly keeps per
+coefficient.  Products, inverses, powers and square roots add or scale
+logs mod q - 1, and a table of Zech logarithms log(1 + g^e) makes sums
+one lookup.  The digits of an element over F_p in the basis
+w^0..w^{k-1} are read from a table only to be shown.  Everything is
+immutable and exact.  The only polynomial arithmetic over F_p here is
+`_mulmod`, which builds the tables and tests moduli for
+irreducibility.
 """
 
 from __future__ import annotations
@@ -131,14 +131,13 @@ class FieldCtx:
     """Context for F_{p^k}: odd prime p, extension degree k, monic
     irreducible modulus (coefficient tuple, low degree first, length k+1).
 
-    Elements are numbered by their code sum c_i p^i.  The context holds
-    four tables of O(q) ints: the digit tuple of each code, the exp and
-    log tables of the generator g (the first code whose powers run
-    through all q - 1 nonzero elements), and the Zech logarithms
-    _zech[e] = log(1 + g^e), None at e = (q - 1)/2 where g^e = -1, so
-    that g^s + g^t = g^(s + _zech[t - s]).  The polynomial layer's
-    products also read _red, the digit tuples of w^k..w^{2k-2}, which
-    reduce the w-degrees >= k of a product of digit vectors.
+    It holds four tables of O(q) ints: _digits, the digit tuple of each
+    code sum c_i p^i; _exp and _log, from a log to a code and back, for
+    the generator g (the first code whose powers run through all q - 1
+    nonzero elements); and the Zech logarithms _zech[e] = log(1 + g^e),
+    None at e = (q - 1)/2 where g^e = -1, so that g^s + g^t =
+    g^(s + _zech[t - s]).  Poly products also read _red, the digit
+    tuples of w^k..w^{2k-2}, which reduce the w-degrees >= k.
     """
 
     __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log", "_zech", "_red")
@@ -204,41 +203,32 @@ class FieldCtx:
                 raise ValueError("field mismatch")
             return value
         if isinstance(value, int):
-            c = [value % self.p] + [0] * (self.k - 1)
-            return FieldElement(self, tuple(c))
+            return FieldElement(self, self._log[value % self.p])
         c = [int(v) % self.p for v in value]
         if len(c) > self.k:
             raise ValueError("coefficient vector longer than k")
-        c += [0] * (self.k - len(c))
-        return FieldElement(self, tuple(c))
+        return FieldElement(self, self._log[_code(c, self.p)])
 
     def zero(self) -> "FieldElement":
-        return self.elem(0)
+        return FieldElement(self, None)
 
     def one(self) -> "FieldElement":
-        return self.elem(1)
+        return FieldElement(self, 0)
 
     def from_code(self, code: int) -> "FieldElement":
         """Element with base-p digit vector of code (0 <= code < p^k)."""
         if not 0 <= code < self.order:
             raise ValueError("code out of range")
-        return FieldElement(self, self._digits[code])
+        return FieldElement(self, self._log[code])
 
     def elements(self):
         """Deterministic enumeration of the whole field, by code."""
         for code in range(self.order):
             yield self.from_code(code)
 
-    # -- generator / roots of unity ----------------------------------
-
     def generator(self) -> "FieldElement":
         """First multiplicative generator in code order (deterministic)."""
-        return self._power(1)
-
-    def _power(self, i: int) -> "FieldElement":
-        """generator()^i, for any integer i."""
-        exp = self._exp
-        return FieldElement(self, self._digits[exp[i % len(exp)]])
+        return FieldElement(self, 1)
 
     # -- serialization ------------------------------------------------
 
@@ -251,13 +241,15 @@ class FieldCtx:
 
 
 class FieldElement:
-    """Immutable element of F_{p^k}, stored as a length-k digit tuple."""
+    """Immutable element of F_{p^k}, stored as its log e to
+    ctx.generator() mod q - 1, None for zero (a Poly coefficient's
+    format).  Its digits `c` are read from ctx._digits to be shown."""
 
-    __slots__ = ("ctx", "c")
+    __slots__ = ("ctx", "e")
 
-    def __init__(self, ctx: FieldCtx, c: tuple[int, ...]):
+    def __init__(self, ctx: FieldCtx, e: int | None):
         self.ctx = ctx
-        self.c = c
+        self.e = e
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -272,8 +264,12 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a + b) % p for a, b in zip(self.c, o.c)))
+        if self.e is None or o.e is None:
+            return o if self.e is None else self
+        # g^s + g^t = g^(s + zech[t - s]); None is a sum cancelled to zero
+        zech = self.ctx._zech
+        z = zech[o.e - self.e]
+        return FieldElement(self.ctx, None if z is None else (self.e + z) % len(zech))
 
     __radd__ = __add__
 
@@ -281,24 +277,24 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a - b) % p for a, b in zip(self.c, o.c)))
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple(-a % p for a in self.c))
+        if self.e is None:
+            return self
+        n = len(self.ctx._exp)
+        return FieldElement(self.ctx, (self.e + n // 2) % n)   # -1 = g^(n/2)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        i, j = self._index(), o._index()
-        if i is None or j is None:
+        if self.e is None or o.e is None:
             return self.ctx.zero()
-        return self.ctx._power(i + j)
+        return FieldElement(self.ctx, (self.e + o.e) % len(self.ctx._exp))
 
     __rmul__ = __mul__
 
@@ -312,19 +308,17 @@ class FieldElement:
         return self.inv() * other
 
     def __pow__(self, e: int):
-        i = self._index()
-        if i is None:
+        if self.e is None:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return self.ctx.one() if e == 0 else self
-        return self.ctx._power(i * e)
+        return FieldElement(self.ctx, self.e * e % len(self.ctx._exp))
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse: generator^(-log self)."""
-        i = self._index()
-        if i is None:
+        if self.e is None:
             raise ZeroDivisionError("inverse of zero")
-        return self.ctx._power(-i)
+        return FieldElement(self.ctx, -self.e % len(self.ctx._exp))
 
     def frobenius(self) -> "FieldElement":
         return self ** self.ctx.p
@@ -333,40 +327,39 @@ class FieldElement:
         """Square root with the smaller code, or None: a nonzero element
         is a square iff its log is even, and its roots are
         +-generator^(log/2)."""
-        i = self._index()
-        if i is None:
+        if self.e is None:
             return self
-        if i % 2:
+        if self.e % 2:
             return None
-        r = self.ctx._power(i // 2)
+        r = FieldElement(self.ctx, self.e // 2)
         return min(r, -r, key=FieldElement.code)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.c)
+        return self.e is None
+
+    @property
+    def c(self) -> tuple[int, ...]:
+        """Digit tuple over F_p in the basis w^0..w^{k-1}, low first."""
+        return self.ctx._digits[self.code()]
 
     def code(self) -> int:
         """Integer encoding sum c_i p^i (the deterministic element order)."""
-        return _code(self.c, self.ctx.p)
-
-    def _index(self):
-        """log of self to the generator, or None for zero."""
-        return self.ctx._log[_code(self.c, self.ctx.p)]
+        return 0 if self.e is None else self.ctx._exp[self.e]
 
     def multiplicative_order(self) -> int:
-        i = self._index()
-        if i is None:
+        if self.e is None:
             raise ValueError("zero has no multiplicative order")
         n = self.ctx.order - 1
-        return n // gcd(i, n)
+        return n // gcd(self.e, n)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ctx.elem(other)
         return (isinstance(other, FieldElement) and self.ctx == other.ctx
-                and self.c == other.c)
+                and self.e == other.e)
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.k, self.c))
+        return hash((self.ctx.p, self.ctx.k, self.e))
 
     def __repr__(self):
         if self.ctx.k == 1:
@@ -384,7 +377,7 @@ class FieldElement:
         return "(" + (" + ".join(terms) if terms else "0") + ")"
 
     def to_obj(self):
-        return [int(a) for a in self.c]
+        return list(self.c)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .curve import CurvePoint
 from .exact_linalg import determinant, kernel_basis, rank
+from .invariants import regulator_coefficient
 from .ratfunc import Poly
 
 
@@ -138,14 +139,14 @@ class GramMatrix:
         return len(self.labels)
 
     def rank(self) -> int:
-        return rank([list(row) for row in self.entries])
+        return rank(self.entries)
 
     def det(self) -> Fraction:
-        return determinant([list(row) for row in self.entries])
+        return determinant(self.entries)
 
     def kernel(self) -> list[tuple[int, ...]]:
         """Primitive integer vectors spanning the null space."""
-        return kernel_basis([list(row) for row in self.entries])
+        return kernel_basis(self.entries)
 
     def submatrix(self, indices) -> "GramMatrix":
         idx = list(indices)
@@ -199,8 +200,8 @@ def expected_gram(d: int, indices) -> GramMatrix:
 
 
 def expected_lattice_det(d: int) -> Fraction:
-    """det of the pairing matrix of P_0 .. P_{d-3}: 2^(4-d) (d-1)^(d-2) / d^2."""
-    return Fraction(2 ** 4 * (d - 1) ** (d - 2), 2 ** d * d ** 2)
+    """det of the pairing matrix of P_0 .. P_{d-3}: the regulator coefficient at m = 1."""
+    return regulator_coefficient(d, 1)
 
 
 def combination(points: list[CurvePoint], coeffs) -> CurvePoint:

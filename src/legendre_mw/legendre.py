@@ -107,14 +107,10 @@ def admissible_b_values(params: FamilyParams) -> list[FieldElement]:
     """b in F_p with b^2 - 4 a nonsquare in F_p; exactly (p-1)/2 values."""
     if params.f != 1:
         raise ValueError("R_b points are defined for f = 1 only")
-    ctx = params.ctx
-    squares = {(ctx.elem(c) * ctx.elem(c)).code() for c in range(params.p)}
-    out = []
-    for c in range(params.p):
-        b = ctx.elem(c)
-        if (b * b - 4).code() not in squares:
-            out.append(b)
-    if len(out) != (params.p - 1) // 2:
+    # Euler's criterion, as in point_R
+    p = params.p
+    out = [b for b in map(params.ctx.elem, range(p)) if (b * b - 4) ** ((p - 1) // 2) == -1]
+    if len(out) != (p - 1) // 2:
         raise ArithmeticError("expected (p-1)/2 admissible b values, found %d" % len(out))
     return out
 
@@ -135,7 +131,7 @@ def point_R(params: FamilyParams, b: FieldElement) -> CurvePoint:
     disc = b * b - 4
     # Euler criterion in F_p (the ambient field is F_{p^2}, where every
     # prime-field element is a square, so sqrt() would be the wrong test)
-    if disc.is_zero() or disc ** ((p - 1) // 2) == 1:
+    if disc ** ((p - 1) // 2) != -1:
         raise ValueError("b^2 - 4 must be a nonsquare in F_p")
     u = Poly.variable(ctx)
     core = u ** (p + 1) * 2 + (u ** p) * b + u * b + 2 - (u * u + u * b + 1) ** (d // 2) * 2

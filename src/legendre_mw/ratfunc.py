@@ -1,12 +1,13 @@
 """Polynomials F_q[u] and reduced rational functions F_q(u).
 
 A Poly stores its coefficients as the tuple of their logs to the field's
-generator, low u-degree first, None for a zero coefficient, with no
-trailing None; the zero polynomial is the empty tuple and carries the
-degree sentinel -inf.  Every operation is arithmetic in the field's
-tables: a product of coefficients adds logs, a sum reads the Zech table
-(g^s + g^t = g^(s + zech[t - s])), negation adds n/2 for n = q - 1, as
--1 = g^(n/2), and the Frobenius a -> a^p multiplies each log by p.
+generator (each the `e` of a FieldElement), low u-degree first, None for
+a zero coefficient, with no trailing None; the zero polynomial is the
+empty tuple and carries the degree sentinel -inf.  Every operation is
+arithmetic in the field's tables: a product of coefficients adds logs,
+a sum reads the Zech table (g^s + g^t = g^(s + zech[t - s])), negation
+adds n/2 for n = q - 1, as -1 = g^(n/2), and the Frobenius a -> a^p
+multiplies each log by p.
 Division and gcd are long division on these lists.
 
 A product of two polynomials is one Kronecker substitution (Harvey,
@@ -73,7 +74,7 @@ class Poly:
     @classmethod
     def from_elems(cls, ctx: FieldCtx, elems) -> "Poly":
         """Build from a list of FieldElements / ints, low degree first."""
-        return cls(ctx, [ctx.elem(e)._index() for e in elems])
+        return cls(ctx, [ctx.elem(e).e for e in elems])
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
@@ -93,7 +94,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, ctx: FieldCtx, n: int, coeff=1) -> "Poly":
-        return cls(ctx, [None] * n + [ctx.elem(coeff)._index()])
+        return cls(ctx, [None] * n + [ctx.elem(coeff).e])
 
     # -- inspection ---------------------------------------------------
 
@@ -106,14 +107,12 @@ class Poly:
         return not self.c
 
     def coeff(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.c) and self.c[i] is not None:
-            return self.ctx._power(self.c[i])
-        return self.ctx.zero()
+        return FieldElement(self.ctx, self.c[i] if 0 <= i < len(self.c) else None)
 
     def lc(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeff(len(self.c) - 1)
+        return FieldElement(self.ctx, self.c[-1])
 
     def is_monic(self) -> bool:
         return bool(self.c) and self.c[-1] == 0
@@ -187,7 +186,7 @@ class Poly:
         """Multiply every coefficient by the field element a."""
         if a.is_zero() or self.is_zero():
             return Poly.zero(self.ctx)
-        return self._times(a._index())
+        return self._times(a.e)
 
     def _times(self, s: int) -> "Poly":
         """self * g^s, by adding s to every log; self itself for s = 0."""
@@ -248,7 +247,7 @@ class Poly:
 
     def scale_var(self, a: FieldElement) -> "Poly":
         """The substitution u -> a*u (coefficient i picks up a^i)."""
-        la = a._index()
+        la = a.e
         if la is None:
             return Poly(self.ctx, self.c[:1])
         n = len(self.ctx._zech)
@@ -275,20 +274,15 @@ class Poly:
             return "0"
         terms = []
         for i in range(len(self.c) - 1, -1, -1):
-            a = self.coeff(i)
-            if a.is_zero():
+            e = self.c[i]
+            if e is None:
                 continue
-            if self.ctx.k == 1:
-                astr = str(a.c[0])
-                one = a.c[0] == 1
-            else:
-                astr = repr(a)
-                one = a == self.ctx.one()
+            astr = repr(FieldElement(self.ctx, e))
             if i == 0:
                 terms.append(astr)
             else:
                 ustr = "u" if i == 1 else "u^%d" % i
-                terms.append(ustr if one else "%s*%s" % (astr, ustr))
+                terms.append(ustr if e == 0 else "%s*%s" % (astr, ustr))
         return " + ".join(terms)
 
     def to_obj(self):

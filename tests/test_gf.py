@@ -220,6 +220,9 @@ def test_field_ops_match_sympy_galoistools(p, k):
     rng = random.Random(p ** k)
     for a, b in _oracle_pairs(ctx, rng):
         A, B = _to_gt(a.c), _to_gt(b.c)
+        assert a + b == _from_gt(ctx, gt.gf_add(A, B, p, ZZ))
+        assert a - b == _from_gt(ctx, gt.gf_sub(A, B, p, ZZ))
+        assert -a == _from_gt(ctx, gt.gf_neg(A, p, ZZ))
         assert a * b == _from_gt(ctx, gt.gf_rem(gt.gf_mul(A, B, p, ZZ), f, p, ZZ))
         assert a.frobenius() == _from_gt(ctx, gt.gf_pow_mod(A, p, f, p, ZZ))
         if not a.is_zero():

@@ -1,7 +1,8 @@
 """Source-level checks: no `assert` statement under src/, since
 `python -O` strips them, every name in `legendre_mw.__all__`
-resolves, and the package imports no numpy, whose import alone took
-longer than most commands' own work."""
+resolves, the package imports no numpy, whose import alone took
+longer than most commands' own work, and the element format of F_q
+stays behind gf.py."""
 
 import ast
 import os
@@ -49,3 +50,45 @@ def test_cli_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
     assert out.stdout == "False\n"
+
+
+# FieldCtx tables that other modules' kernels may read directly
+KERNEL_TABLES = {"_zech", "_digits", "_exp", "_log", "_red"}
+
+
+def _private_members(tree, classes=None):
+    """Single-underscore names a module's classes (or only `classes`)
+    define: slots, methods and class-level assignments."""
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or (classes and node.name not in classes):
+            continue
+        for item in ast.walk(node):
+            if isinstance(item, ast.FunctionDef):
+                names.add(item.name)
+            elif isinstance(item, ast.Constant) and isinstance(item.value, str):
+                names.add(item.value)   # __slots__ entries
+            elif isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store):
+                names.add(item.attr)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_field_element_format_stays_in_gf():
+    # another module may read FieldCtx's kernel tables, but no other
+    # private member of FieldCtx or FieldElement: how an element is
+    # stored is gf.py's business (a name the module's own classes also
+    # define, such as RatFunc._coerce, is that class's member)
+    gf = SRC / "legendre_mw" / "gf.py"
+    hidden = _private_members(ast.parse(gf.read_text()), {"FieldCtx", "FieldElement"})
+    hidden -= KERNEL_TABLES
+    assert {"_coerce"} <= hidden
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == gf:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = hidden - _private_members(tree)
+        hits += ["%s:%d %s" % (path.relative_to(SRC), node.lineno, node.attr)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in names]
+    assert hits == []
