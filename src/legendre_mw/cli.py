@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from math import gcd
 
 from . import invariants as inv
 from .curve import IsogenyChain
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--p", type=int, required=True, help="odd prime p")
     ap.add_argument("--f", type=int, default=1, help="d = p^f + 1 (default 1)")
     ap.add_argument("--q", type=int, default=None,
-                    help="field of constants (default p^(2f), the smallest valid)")
+                    help="field of constants, a power p^j (default p^(2f), p when f = 0)")
     ap.add_argument("--m", type=int, default=1,
                     help="claimed index of the P_i lattice (default 1)")
     ap.add_argument("--depth", choices=("quick", "full"), default="full",
@@ -303,14 +302,11 @@ def main(argv=None) -> int:
     # parameter validation: anything wrong here is exit code 2
     try:
         params = make_family(args.p, args.f)
-        q = args.q if args.q is not None else (
-            args.p ** (2 * args.f) if args.f >= 1 else args.p)
+        q = args.q if args.q is not None else params.ctx.order
         if args.m < 1:
             raise ValueError("m must be >= 1")
-        if args.command in ("gram", "all"):
-            inv.validate_q(q, args.p, 0)
-            if gcd(q, params.d) != 1:
-                raise ValueError("q must be coprime to d = %d" % params.d)
+        # q = p^j is prime to d = p^f + 1, as the rank formula needs
+        inv.validate_q(q, args.p, 0)
         if args.command in ("invariants", "all"):
             inv.validate_q(q, args.p, args.f)
         if args.command == "rb" and params.f != 1:

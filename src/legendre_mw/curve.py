@@ -14,7 +14,7 @@ by cross-multiplying their numerators and denominators, with no gcd.
 from __future__ import annotations
 
 from .gf import FieldCtx
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly, RatFunc, _as_ratfunc
 
 
 class CurvePoint:
@@ -59,18 +59,6 @@ class CurvePoint:
             return "O"
         return "(%s, %s)" % (self.x, self.y)
 
-    def to_obj(self):
-        if self.is_infinity:
-            return "infinity"
-        return {"x": self.x.to_obj(), "y": self.y.to_obj()}
-
-    @classmethod
-    def from_obj(cls, curve: "WeierstrassCurve", obj) -> "CurvePoint":
-        if obj == "infinity":
-            return curve.infinity()
-        ctx = curve.ctx
-        return curve.point(RatFunc.from_obj(ctx, obj["x"]), RatFunc.from_obj(ctx, obj["y"]))
-
 
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with RatFunc a_i."""
@@ -97,13 +85,7 @@ class WeierstrassCurve:
 
     @classmethod
     def from_coeffs(cls, ctx: FieldCtx, a1, a2, a3, a4, a6) -> "WeierstrassCurve":
-        def co(v):
-            if isinstance(v, RatFunc):
-                return v
-            if isinstance(v, Poly):
-                return RatFunc.from_poly(v)
-            return RatFunc.constant(ctx, v)
-        return cls(co(a1), co(a2), co(a3), co(a4), co(a6))
+        return cls(*(_as_ratfunc(ctx, a) for a in (a1, a2, a3, a4, a6)))
 
     # -- invariants ----------------------------------------------------
 
@@ -267,7 +249,8 @@ def legendre_form_curve(t: RatFunc) -> WeierstrassCurve:
 
 
 def two_torsion(curve: WeierstrassCurve) -> tuple[CurvePoint, CurvePoint, CurvePoint]:
-    """(0,0), (-1,0), (-t,0) on a Legendre-form curve y^2 = x(x+1)(x+t)."""
+    """(0,0), (-1,0), (-t,0) on a Legendre-form curve y^2 = x(x+1)(x+t);
+    raises ValueError for a curve of any other shape."""
     ctx = curve.ctx
     zero = RatFunc.zero(ctx)
     t = curve.a4
@@ -370,12 +353,7 @@ class CoordChange:
 def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurve, CoordChange]:
     """Transformed curve and the point map for x = w^2 x' + r,
     y = w^3 y' + s w^2 x' + t_.  Preserves j."""
-    ctx = curve.ctx
-
-    def co(v):
-        return v if isinstance(v, RatFunc) else RatFunc.constant(ctx, v)
-
-    r, s, t_, w = co(r), co(s), co(t_), co(w)
+    r, s, t_, w = (_as_ratfunc(curve.ctx, v) for v in (r, s, t_, w))
     if w.is_zero():
         raise ValueError("w must be invertible")
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6

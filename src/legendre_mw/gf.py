@@ -235,10 +235,6 @@ class FieldCtx:
     def to_obj(self):
         return {"p": self.p, "k": self.k, "modulus": [int(c) for c in self.modulus]}
 
-    @classmethod
-    def from_obj(cls, obj) -> "FieldCtx":
-        return cls(obj["p"], obj["k"], tuple(obj["modulus"]))
-
 
 class FieldElement:
     """Immutable element of F_{p^k}, stored as its log e to
@@ -252,11 +248,7 @@ class FieldElement:
         self.e = e
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("field mismatch")
-            return other
-        if isinstance(other, int):
+        if isinstance(other, (FieldElement, int)):
             return self.ctx.elem(other)
         return NotImplemented
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import CurvePoint
+from .curve import CurvePoint, two_torsion
 from .exact_linalg import determinant, kernel_basis, rank
 from .invariants import regulator_coefficient
 from .ratfunc import Poly
@@ -39,11 +39,8 @@ from .ratfunc import Poly
 def _family_t(P: CurvePoint) -> tuple[Poly, int]:
     """Check the curve has the shape y^2 = x(x+1)(x+u^d) and return
     (t as a polynomial, d)."""
-    curve = P.curve
-    t = curve.a4
-    if not (curve.a1.is_zero() and curve.a3.is_zero() and curve.a6.is_zero()
-            and curve.a2 == 1 + t):
-        raise ValueError("curve is not in y^2 = x(x+1)(x+t) form")
+    two_torsion(P.curve)   # raises ValueError for any other shape
+    t = P.curve.a4
     if not t.is_poly():
         raise ValueError("t must be the polynomial u^d")
     tp = t.num
@@ -133,10 +130,6 @@ def pairing(P: CurvePoint, Q: CurvePoint) -> Fraction:
 class GramMatrix:
     labels: tuple[str, ...]
     entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
     def rank(self) -> int:
         return rank(self.entries)

@@ -92,25 +92,16 @@ def frobenius_orbits(d: int, q: int) -> list[list[int]]:
 # ----------------------------------------------------------------------
 # Parameter checks.
 
-def is_power_of(q: int, b: int) -> bool:
-    if q < 1 or b < 2:
-        return False
-    while q % b == 0:
-        q //= b
-    return q == 1
-
-
 def validate_q(q: int, p: int, f: int) -> int:
     """q must be a power of p^{2f} (of p when f = 0); returns the
-    exponent j with q = (p^{2f})^j."""
+    exponent j >= 1 with q = (p^{2f})^j."""
     base = p ** (2 * f) if f >= 1 else p
-    if q < base or not is_power_of(q, base):
-        raise ValueError("q = %d is not a power of %d" % (q, base))
-    j = 0
-    while base ** (j + 1) <= q:
+    j, power = 1, base
+    while 1 < power < q:    # a base below 2 would never pass q
+        power *= base
         j += 1
-    if base ** j != q:
-        raise ArithmeticError("q = %d is not %d^%d" % (q, base, j))
+    if power != q:
+        raise ValueError("q = %d is not a power of %d" % (q, base))
     return j
 
 
@@ -140,13 +131,10 @@ def torsion_order() -> int:
 
 
 def sha_order(p: int, f: int, q: int, m: int) -> int:
-    """|Sha| = m^2 * (q / p^{2f})^((p^f - 1)/2)."""
+    """|Sha| = m^2 * (q / p^{2f})^((p^f - 1)/2), which for q = (p^{2f})^j
+    is m^2 * p^(f (j - 1) (p^f - 1)); f = 0 gives m^2."""
     j = validate_q(q, p, f)
-    base = p ** (2 * f) if f >= 1 else p
-    ratio = q // base  # = base^(j-1)
-    if ratio != base ** (j - 1):
-        raise ArithmeticError("q / %d = %d is not %d^%d" % (base, ratio, base, j - 1))
-    return m * m * ratio ** ((p ** f - 1) // 2)
+    return m * m * p ** (f * (j - 1) * (p ** f - 1))
 
 
 def index_bound(p: int, f: int) -> int:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf import FieldCtx, FieldElement, build_field, is_prime, zeta as primitive_root_of_unity
+from .gf import FieldCtx, FieldElement, build_field, zeta as primitive_root_of_unity
 from .ratfunc import Poly, RatFunc, poly_sqrt
 from .curve import CurvePoint, WeierstrassCurve, legendre_form_curve, two_torsion
+from .invariants import frobenius_orbits
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,13 @@ def make_family(p: int, f: int = 1) -> FamilyParams:
     """Field, root of unity and curve for d = p^f + 1.
 
     f = 0 gives d = 2 over F_p; f >= 1 needs F_{p^{2f}} so that
-    d | p^{2f} - 1.
+    d | p^{2f} - 1.  `build_field` rejects a p that is not an odd prime.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
     if f < 0:
         raise ValueError("f must be >= 0")
-    d = p ** f + 1
     k = 2 * f if f >= 1 else 1
     ctx = build_field(p, k)
+    d = p ** f + 1
     zeta = primitive_root_of_unity(ctx, d)
     u = RatFunc.variable(ctx)
     t = u ** d
@@ -89,13 +88,9 @@ def trace_point(params: FamilyParams, i: int) -> CurvePoint:
 
 def frobenius_orbit_sum(params: FamilyParams, i: int, q: int) -> CurvePoint:
     """Sum of P over the orbit of i under multiplication by q mod d."""
-    seen = []
-    j = i % params.d
-    while j not in seen:
-        seen.append(j)
-        j = (j * q) % params.d
+    orbit = next(o for o in frobenius_orbits(params.d, q) if i % params.d in o)
     acc = params.curve.infinity()
-    for j in seen:
+    for j in orbit:
         acc = acc + point_P(params, j)
     return acc
 

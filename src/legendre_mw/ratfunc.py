@@ -289,12 +289,6 @@ class Poly:
         """Coefficient digit rows over F_p, low degree first."""
         return [self.coeff(i).to_obj() for i in range(len(self.c))]
 
-    @classmethod
-    def from_obj(cls, ctx: FieldCtx, obj) -> "Poly":
-        if any(len(row) != ctx.k for row in obj):
-            raise ValueError("every coefficient row must have k = %d digits" % ctx.k)
-        return cls.from_elems(ctx, [ctx.elem(row) for row in obj])
-
 
 # ----------------------------------------------------------------------
 # Kernels on coefficient-log lists (low degree first, None for zero).
@@ -499,25 +493,10 @@ class RatFunc:
     def is_poly(self) -> bool:
         return self.den.deg == 0
 
-    def deg(self) -> int:
-        """Height-style degree max(deg num, deg den); errors on zero."""
-        if self.is_zero():
-            raise ValueError("deg of the zero rational function is undefined")
-        return int(max(self.num.deg, self.den.deg))
-
     # -- field operations ----------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Poly):
-            return RatFunc.from_poly(other)
-        if isinstance(other, (int, FieldElement)):
-            return RatFunc.constant(self.ctx, other)
-        return NotImplemented
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
         return self._sum(o.num, o.den)
@@ -525,13 +504,13 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
         return self._sum(-o.num, o.den)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
         return o - self
@@ -555,7 +534,7 @@ class RatFunc:
         return RatFunc(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
@@ -576,7 +555,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
         if o.is_zero():
@@ -584,7 +563,7 @@ class RatFunc:
         return self * o.inv()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
         return o / self
@@ -620,8 +599,7 @@ class RatFunc:
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldElement, Poly)):
-            other = self._coerce(other)
+        other = _as_ratfunc(self.ctx, other)
         return (isinstance(other, RatFunc) and self.num == other.num
                 and self.den == other.den)
 
@@ -635,6 +613,15 @@ class RatFunc:
     def to_obj(self):
         return {"num": self.num.to_obj(), "den": self.den.to_obj()}
 
-    @classmethod
-    def from_obj(cls, ctx: FieldCtx, obj) -> "RatFunc":
-        return cls(Poly.from_obj(ctx, obj["num"]), Poly.from_obj(ctx, obj["den"]))
+
+def _as_ratfunc(ctx: FieldCtx, value):
+    """value as a RatFunc: a RatFunc itself, a Poly over its own field,
+    an int or a FieldElement as a constant over ctx, and NotImplemented
+    for anything else."""
+    if isinstance(value, RatFunc):
+        return value
+    if isinstance(value, Poly):
+        return RatFunc.from_poly(value)
+    if isinstance(value, (int, FieldElement)):
+        return RatFunc.constant(ctx, value)
+    return NotImplemented

@@ -40,7 +40,8 @@ def _unit_rows(F, d):
 
 def _mod_unit(F, d):
     """F mod (u^d - 1), by folding the blocks of d coefficients."""
-    return Poly.from_obj(F.ctx, (_unit_rows(F, d).sum(axis=0) % F.ctx.p).tolist())
+    rows = (_unit_rows(F, d).sum(axis=0) % F.ctx.p).tolist()
+    return Poly.from_elems(F.ctx, [F.ctx.elem(row) for row in rows])
 
 
 def _div_unit(F, d):
@@ -50,7 +51,7 @@ def _div_unit(F, d):
     q = (-np.cumsum(_unit_rows(F, d), axis=0) % F.ctx.p).reshape(-1, k)
     if q[L - d:].any():
         raise ArithmeticError("u^d - 1 does not divide the polynomial")
-    return Poly.from_obj(F.ctx, q[:L - d].tolist())
+    return Poly.from_elems(F.ctx, [F.ctx.elem(row) for row in q[:L - d].tolist()])
 
 
 def _strip(F, G, d):

@@ -159,6 +159,8 @@ def test_out_file(tmp_path, capsys):
     ["gram", "--p", "3", "--q", "1"],   # p^0: q must be p^j with j >= 1
     ["points", "--p", "3", "--f", "8"],  # F_{3^16}: too large to tabulate
     ["points", "--p", "100000007"],      # F_{p^2}, q about 10^16
+    ["points", "--p", "3", "--q", "-5"],  # every command checks q = p^j
+    ["rb", "--p", "5", "--q", "0"],
 ])
 def test_invalid_parameters_exit_2(capsys, argv):
     code = main(argv)

@@ -339,6 +339,3 @@ def test_isogeny_chain_matches_displayed_substitutions(p):
 def test_curve_serialization():
     obj = FAM.curve.to_obj()
     assert obj["a2"] == FAM.curve.a2.to_obj()
-    P = point_P(FAM, 1)
-    from legendre_mw.curve import CurvePoint
-    assert CurvePoint.from_obj(FAM.curve, P.to_obj()) == P

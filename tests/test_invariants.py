@@ -12,7 +12,6 @@ from legendre_mw.invariants import (
     frobenius_orbits,
     index_bound,
     integrality_check,
-    is_power_of,
     multiplicative_order,
     rank_formula,
     regulator_coefficient,
@@ -57,12 +56,10 @@ def test_frobenius_orbits():
 
 
 def test_is_power_of_and_validate_q():
-    assert is_power_of(81, 3) and is_power_of(3, 3) and is_power_of(1, 3)
-    assert not is_power_of(12, 3) and not is_power_of(0, 3)
     assert validate_q(9, 3, 1) == 1
     assert validate_q(81, 3, 1) == 2
     assert validate_q(3, 3, 0) == 1
-    for bad in (27, 3, 12):
+    for bad in (27, 3, 12, 0, 1, -9):
         with pytest.raises(ValueError):
             validate_q(bad, 3, 1)   # must be a power of p^{2f}
 

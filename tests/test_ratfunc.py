@@ -583,6 +583,6 @@ def test_ratfunc_eval_and_scale_var():
 def test_ratfunc_serialization_roundtrip():
     u = RatFunc.variable(CTX)
     r = (u ** 3 + 2) / (u ** 2 + u)
-    assert RatFunc.from_obj(CTX, r.to_obj()) == r
-    f = u.num
-    assert Poly.from_obj(CTX, f.to_obj()) == f
+    assert r.to_obj() == {"num": [[2, 0], [0, 0], [0, 0], [1, 0]],
+                          "den": [[0, 0], [1, 0], [1, 0]]}
+    assert u.num.to_obj() == [[0, 0], [1, 0]]

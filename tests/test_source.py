@@ -1,10 +1,13 @@
 """Source-level checks: no `assert` statement under src/, since
 `python -O` strips them, every name in `legendre_mw.__all__`
 resolves, the package imports no numpy, whose import alone took
-longer than most commands' own work, and the element format of F_q
-stays behind gf.py."""
+longer than most commands' own work, the element format of F_q
+stays behind gf.py, and the names the benchmark's tracer rebinds
+exist."""
 
 import ast
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -77,7 +80,7 @@ def test_field_element_format_stays_in_gf():
     # another module may read FieldCtx's kernel tables, but no other
     # private member of FieldCtx or FieldElement: how an element is
     # stored is gf.py's business (a name the module's own classes also
-    # define, such as RatFunc._coerce, is that class's member)
+    # define is that class's member)
     gf = SRC / "legendre_mw" / "gf.py"
     hidden = _private_members(ast.parse(gf.read_text()), {"FieldCtx", "FieldElement"})
     hidden -= KERNEL_TABLES
@@ -92,3 +95,27 @@ def test_field_element_format_stays_in_gf():
                  for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr in names]
     assert hits == []
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/layers.py traces a run by rebinding these names at run
+    # time; loading the module installs nothing, Tracer.install() does
+    path = SRC.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = []
+    for layer, module, owner, names in layers.LAYERS:
+        mod = importlib.import_module(module)
+        home = mod if owner is None else getattr(mod, owner, None)
+        missing += ["%s %s" % (layer, name) for name in names
+                    if home is None or name not in vars(home)]
+    assert missing == []
+    # the ratfunc_canon namer reads _canonical as the fourth positional
+    # argument, and the Poly namers read a row count off c.shape[0]
+    from legendre_mw.gf import build_field
+    from legendre_mw.ratfunc import Poly, RatFunc
+    assert list(inspect.signature(RatFunc.__init__).parameters)[3] == "_canonical"
+    ctx = build_field(3, 2)
+    for coeffs, count in (([], 0), ([1], 1), ([0, 2, 0, 1], 4), ([2, 0], 1)):
+        assert Poly.from_elems(ctx, coeffs).c.shape[0] == count
