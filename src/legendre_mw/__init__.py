@@ -13,8 +13,8 @@ from .heights import (GramMatrix, canonical_height, combination,
                       expected_gram, expected_lattice_det, gram_matrix,
                       is_torsion_point, pairing, point_order,
                       relation_is_torsion)
-from .invariants import (BSDReport, FiberData, LFunctionInfo, bad_fibers,
-                         bsd_report, conductor_degree, euler_totient,
+from .invariants import (BSDReport, LFunctionInfo, bad_fibers, bsd_report,
+                         conductor_degree, euler_totient,
                          fiber_audit, frobenius_orbits, index_bound,
                          integrality_check, multiplicative_order,
                          rank_formula, regulator_coefficient, sha_order,
@@ -34,7 +34,7 @@ __all__ = [
     "GramMatrix", "canonical_height", "combination", "expected_gram",
     "expected_lattice_det", "gram_matrix", "is_torsion_point", "pairing",
     "point_order", "relation_is_torsion",
-    "BSDReport", "FiberData", "LFunctionInfo", "bad_fibers", "bsd_report",
+    "BSDReport", "LFunctionInfo", "bad_fibers", "bsd_report",
     "conductor_degree", "euler_totient", "fiber_audit", "frobenius_orbits",
     "index_bound", "integrality_check", "multiplicative_order", "rank_formula",
     "regulator_coefficient", "sha_order", "tamagawa_factor", "torsion_order",

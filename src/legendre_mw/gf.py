@@ -382,7 +382,8 @@ def build_field(p: int, k: int) -> FieldCtx:
         raise ValueError("p must be an odd prime, got %r" % (p,))
     if k < 1:
         raise ValueError("extension degree k must be >= 1")
-    if p ** k > MAX_FIELD_ORDER:
+    # p^k > 2^k, so a large k is refused before p^k is computed
+    if k >= MAX_FIELD_ORDER.bit_length() or p ** k > MAX_FIELD_ORDER:
         raise ValueError("field of order %d^%d is larger than the %d elements "
                          "this package tabulates" % (p, k, MAX_FIELD_ORDER))
     for c in itertools.product(range(p), repeat=k):

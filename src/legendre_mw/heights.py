@@ -27,7 +27,7 @@ The torsion test `point_order` reads x(2P) off the duplication formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .curve import CurvePoint, two_torsion
@@ -126,10 +126,11 @@ def pairing(P: CurvePoint, Q: CurvePoint) -> Fraction:
 # ----------------------------------------------------------------------
 # Gram matrices.
 
-@dataclass(frozen=True)
-class GramMatrix:
-    labels: tuple[str, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+class GramMatrix(namedtuple("GramMatrix", "labels entries")):
+    """A pairing matrix: one label per point, and the entries as a tuple
+    of rows of Fractions."""
+
+    __slots__ = ()
 
     def rank(self) -> int:
         return rank(self.entries)

@@ -14,7 +14,7 @@ which cancels to exactly 1 for every valid q and claimed index m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -149,12 +149,11 @@ def integrality_check(d: int, m: int) -> bool:
     return (d - 1) ** (d - 2) % (m * m) == 0
 
 
-@dataclass(frozen=True)
-class LFunctionInfo:
+class LFunctionInfo(namedtuple("LFunctionInfo", "base_q exponent")):
     """L(s) = (1 - q^(1-s))^exponent; leading coefficient at s = 1 is
     (log q)^exponent, rational part 1."""
-    base_q: int
-    exponent: int
+
+    __slots__ = ()
 
     @property
     def order_of_vanishing(self) -> int:
@@ -172,23 +171,15 @@ class LFunctionInfo:
                 "leading_rational_part": str(self.leading_rational_part)}
 
 
-@dataclass(frozen=True)
-class BSDReport:
-    p: int
-    f: int
-    d: int
-    q: int
-    m: int
-    rank: int
-    conductor_degree: int
-    lfunction: LFunctionInfo
-    regulator: Fraction
-    tamagawa: Fraction
-    torsion: int
-    sha: int
-    index_bound: int
-    m_is_admissible: bool
-    ratio: Fraction
+class BSDReport(namedtuple("BSDReport", "p f d q m rank conductor_degree lfunction "
+                                        "regulator tamagawa torsion sha index_bound "
+                                        "m_is_admissible ratio")):
+    """Every BSD ingredient of `bsd_report`: the family (p, f, d), q, the
+    index m, the rank, deg N, the L-function, the rational parts of the
+    regulator and Tamagawa product, |torsion|, |Sha|, the index bound,
+    whether m can be an index, and the BSD ratio."""
+
+    __slots__ = ()
 
     @property
     def passes(self) -> bool:
@@ -247,32 +238,15 @@ def bsd_report(p: int, f: int, q: int, m: int = 1) -> BSDReport:
 # ----------------------------------------------------------------------
 # Reduction data.
 
-@dataclass(frozen=True)
-class FiberData:
-    place: str
-    kodaira: str
-    components: int
-    delta_valuation: int
-    count: int = 1
-
-    def to_obj(self):
-        return {"place": self.place, "kodaira": self.kodaira,
-                "components": self.components,
-                "delta_valuation": self.delta_valuation,
-                "count": self.count}
-
-
-def bad_fibers(d: int) -> list[FiberData]:
-    """The multiplicative fibers: I_{2d} at u = 0 and u = infinity, I_2
-    at each of the d roots of u^d = 1."""
-    return [
-        FiberData(place="u=0", kodaira="I%d" % (2 * d), components=2 * d,
-                  delta_valuation=2 * d),
-        FiberData(place="u^%d=1" % d, kodaira="I2", components=2,
-                  delta_valuation=2, count=d),
-        FiberData(place="u=infinity", kodaira="I%d" % (2 * d), components=2 * d,
-                  delta_valuation=2 * d),
-    ]
+def bad_fibers(d: int) -> list[dict]:
+    """The multiplicative fibers as JSON rows: I_{2d} at u = 0 and
+    u = infinity, I_2 at each of the d roots of u^d = 1 (count d)."""
+    big = {"kodaira": "I%d" % (2 * d), "components": 2 * d,
+           "delta_valuation": 2 * d, "count": 1}
+    return [{"place": "u=0", **big},
+            {"place": "u^%d=1" % d, "kodaira": "I2", "components": 2,
+             "delta_valuation": 2, "count": d},
+            {"place": "u=infinity", **big}]
 
 
 def fiber_audit(d: int) -> dict:
@@ -280,10 +254,10 @@ def fiber_audit(d: int) -> dict:
     bad places d + 2 (the conductor degree, all reduction being
     multiplicative)."""
     fibers = bad_fibers(d)
-    total_delta = sum(fb.delta_valuation * fb.count for fb in fibers)
-    places = sum(fb.count for fb in fibers)
+    total_delta = sum(fb["delta_valuation"] * fb["count"] for fb in fibers)
+    places = sum(fb["count"] for fb in fibers)
     ok = total_delta == 6 * d and places == conductor_degree(d)
-    return {"fibers": [fb.to_obj() for fb in fibers],
+    return {"fibers": fibers,
             "delta_degree_affine_plus_infinity": total_delta,
             "euler_characteristic_times_12": 6 * d,
             "bad_places": places,

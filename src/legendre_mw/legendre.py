@@ -11,25 +11,21 @@ points R_b on the F_p(u) model (f = 1 only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .gf import FieldCtx, FieldElement, build_field, zeta as primitive_root_of_unity
+from .gf import FieldElement, build_field, zeta as primitive_root_of_unity
 from .ratfunc import Poly, RatFunc, poly_sqrt
-from .curve import CurvePoint, WeierstrassCurve, legendre_form_curve, two_torsion
+from .curve import CurvePoint, legendre_form_curve, two_torsion
 from .invariants import frobenius_orbits
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Everything fixed once (p, f) are chosen."""
-    p: int
-    f: int
-    d: int                      # p^f + 1
-    ctx: FieldCtx               # F_{p^{2f}} (F_p when f = 0)
-    zeta: FieldElement          # primitive d-th root of unity
-    u: RatFunc
-    t: RatFunc                  # u^d
-    curve: WeierstrassCurve = field(repr=False)
+class FamilyParams(namedtuple("FamilyParams", "p f d ctx zeta u t curve")):
+    """Everything fixed once (p, f) are chosen: d = p^f + 1, ctx the
+    constants field F_{p^{2f}} (F_p when f = 0), zeta a primitive d-th
+    root of unity in it, u the variable, t = u^d and curve the Legendre
+    curve y^2 = x(x+1)(x+t)."""
+
+    __slots__ = ()
 
 
 def make_family(p: int, f: int = 1) -> FamilyParams:
@@ -130,13 +126,8 @@ def point_R(params: FamilyParams, b: FieldElement) -> CurvePoint:
         raise ValueError("b^2 - 4 must be a nonsquare in F_p")
     u = Poly.variable(ctx)
     core = u ** (p + 1) * 2 + (u ** p) * b + u * b + 2 - (u * u + u * b + 1) ** (d // 2) * 2
-    num, rem = divmod(core, Poly.constant(ctx, disc))
-    if not rem.is_zero():
-        raise ArithmeticError("b^2 - 4 does not divide the numerator of x(R_b)")
-    x = RatFunc.from_poly(num)
+    x = RatFunc.from_poly(core * disc.inv())
     rhs = x * (x + 1) * (x + params.t)
-    if not rhs.is_poly():
-        raise ArithmeticError("x(x+1)(x+t) must be a polynomial here")
     y_poly = poly_sqrt(rhs.num)
     if not y_poly.is_zero():
         neg = -y_poly
@@ -155,13 +146,13 @@ def matching_index(params: FamilyParams, b: FieldElement) -> int:
     raise ValueError("no index matches b")
 
 
-def substitute_zeta_u(params: FamilyParams, P: CurvePoint, i: int = 1) -> CurvePoint:
-    """Galois conjugate over F_q(t): substitute u -> zeta^i u.
+def substitute_zeta_u(params: FamilyParams, P: CurvePoint) -> CurvePoint:
+    """Galois conjugate over F_q(t): substitute u -> zeta u.
 
-    t = u^d is fixed, so this maps the curve to itself and permutes
-    the P_j (P_j -> P_{j+i} up to the y-sign convention built into the
-    closed form, which this matches)."""
-    zi = params.zeta ** (i % params.d)
+    t = u^d is fixed, so this maps the curve to itself and sends P_j to
+    P_{j+1} (with the y-sign convention built into the closed form,
+    which this matches)."""
     if P.is_infinity:
         return P
-    return params.curve.point(P.x.scale_var(zi), P.y.scale_var(zi))
+    z = params.zeta
+    return params.curve.point(P.x.scale_var(z), P.y.scale_var(z))

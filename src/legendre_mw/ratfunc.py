@@ -21,8 +21,10 @@ enough for the largest coefficient before the final mod.
 
 A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  The
 general constructor RatFunc(num, den) is the one place that runs
-Euclid on a whole numerator and denominator; it serves parsing and
-the coefficient maps.  The field operators start from canonical
+Euclid on a whole numerator and denominator; it serves arbitrary
+fractions and the substitution u -> 0.  The Frobenius and u -> a*u
+(a != 0) are automorphisms of F_q[u], so they keep num and den
+coprime and at most rescale.  The field operators start from canonical
 operands and return canonical results directly, taking gcds only of
 factors that can be shared (Henrici; Knuth, TAOCP 4.5.1): a sum
 a/b + c/d needs g = gcd(b, d) and then gcd of the new numerator with
@@ -93,8 +95,9 @@ class Poly:
         return cls.monomial(ctx, 1)
 
     @classmethod
-    def monomial(cls, ctx: FieldCtx, n: int, coeff=1) -> "Poly":
-        return cls(ctx, [None] * n + [ctx.elem(coeff).e])
+    def monomial(cls, ctx: FieldCtx, n: int) -> "Poly":
+        """u^n."""
+        return cls(ctx, [None] * n + [0])
 
     # -- inspection ---------------------------------------------------
 
@@ -589,12 +592,21 @@ class RatFunc:
         return self.num.eval(a) / d
 
     def scale_var(self, a: FieldElement) -> "RatFunc":
-        return RatFunc(self.num.scale_var(a), self.den.scale_var(a))
+        """The substitution u -> a*u.  For a != 0 it is an automorphism of
+        F_q[u], so num and den stay coprime and only den's new leading
+        coefficient a^deg(den) is divided out."""
+        num, den = self.num.scale_var(a), self.den.scale_var(a)
+        if a.is_zero():
+            return RatFunc(num, den)
+        s = -den.c[-1]
+        return RatFunc(num._times(s), den._times(s), _canonical=True)
 
     def frobenius(self) -> "RatFunc":
         """Coefficient-wise p-power Frobenius; fixes u.  A rational
-        function is defined over F_p(u) iff this fixes it."""
-        return RatFunc(self.num.frobenius(), self.den.frobenius())
+        function is defined over F_p(u) iff this fixes it.  An
+        automorphism of F_q[u] fixing 1, so num and den stay coprime and
+        den monic."""
+        return RatFunc(self.num.frobenius(), self.den.frobenius(), _canonical=True)
 
     # -- misc --------------------------------------------------------------
 

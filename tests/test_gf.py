@@ -38,8 +38,9 @@ def test_build_field_rejects_bad_p():
 
 
 def test_build_field_refuses_fields_too_large_to_tabulate():
-    # the check comes before any table is built, so these return at once
-    for p, k in ((3, 16), (100000007, 2), (2 ** 31 - 1, 1)):
+    # the check comes before any table is built, and a large k is
+    # refused before p^k is computed, so these return at once
+    for p, k in ((3, 16), (3, 10 ** 9), (100000007, 2), (2 ** 31 - 1, 1)):
         with pytest.raises(ValueError, match="larger than"):
             build_field(p, k)
     assert 3 ** 12 <= MAX_FIELD_ORDER and 101 ** 2 <= MAX_FIELD_ORDER

@@ -135,6 +135,6 @@ def test_fiber_audit():
         assert audit["delta_degree_affine_plus_infinity"] == 6 * d
         assert audit["bad_places"] == d + 2
     fibers = bad_fibers(4)
-    kinds = {fb.place: fb.kodaira for fb in fibers}
+    kinds = {fb["place"]: fb["kodaira"] for fb in fibers}
     assert kinds["u=0"] == "I8" and kinds["u=infinity"] == "I8"
     assert kinds["u^4=1"] == "I2"

@@ -580,6 +580,35 @@ def test_ratfunc_eval_and_scale_var():
     assert r.scale_var(z).eval(pt) == r.eval(z * pt)
 
 
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_coefficient_maps_run_no_gcd(monkeypatch, k):
+    # the Frobenius and u -> a*u (a != 0) are automorphisms of F_q[u],
+    # so they keep a reduced fraction reduced; the general constructor
+    # on the mapped num and den is the oracle
+    ctx = build_field(3, k)
+    rng = random.Random(k)
+    cases = []
+    for _ in range(12):
+        num = _rand_poly(ctx, rng, sparse=True)
+        den = _rand_poly(ctx, rng, max_deg=5, allow_zero=False)
+        x = RatFunc(num, den)
+        a = ctx.from_code(rng.randrange(1, ctx.order))
+        cases.append((x, a, RatFunc(x.num.frobenius(), x.den.frobenius()),
+                      RatFunc(x.num.scale_var(a), x.den.scale_var(a))))
+    calls = []
+    real = Poly.gcd
+
+    def counted(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
+    # equal to the canonical oracle, so reduced with a monic den
+    for x, a, frob, scaled in cases:
+        assert x.frobenius() == frob and x.scale_var(a) == scaled
+    assert calls == []
+
+
 def test_ratfunc_serialization_roundtrip():
     u = RatFunc.variable(CTX)
     r = (u ** 3 + 2) / (u ** 2 + u)

@@ -1,9 +1,10 @@
 """Source-level checks: no `assert` statement under src/, since
 `python -O` strips them, every name in `legendre_mw.__all__`
 resolves, the package imports no numpy, whose import alone took
-longer than most commands' own work, the element format of F_q
-stays behind gf.py, and the names the benchmark's tracer rebinds
-exist."""
+longer than most commands' own work, nor dataclasses, which loads
+inspect, ast, dis and tokenize for a few records, the element format
+of F_q stays behind gf.py, and the names the benchmark's tracer
+rebinds exist."""
 
 import ast
 import importlib.util
@@ -33,7 +34,8 @@ def test_public_names_resolve():
     assert [n for n in names if not hasattr(legendre_mw, n)] == []
 
 
-def test_src_imports_no_numpy():
+def _src_imports(top):
+    """file:line of every import of the top-level module `top` under src/."""
     hits = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -44,15 +46,33 @@ def test_src_imports_no_numpy():
             else:
                 continue
             hits += ["%s:%d" % (path.relative_to(SRC), node.lineno)
-                     for n in names if n.split(".")[0] == "numpy"]
-    assert hits == []
+                     for n in names if n.split(".")[0] == top]
+    return hits
+
+
+def _loaded_by_cli_import(modules, *flags):
+    """Which of `modules` a fresh `import legendre_mw.cli` loads."""
+    code = "import sys, legendre_mw.cli; print([m for m in %r if m in sys.modules])" % (modules,)
+    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    return out.stdout
+
+
+def test_src_imports_no_numpy():
+    assert _src_imports("numpy") == []
+
+
+def test_src_imports_no_dataclasses():
+    assert _src_imports("dataclasses") == []
 
 
 def test_cli_import_loads_no_numpy():
-    code = "import sys, legendre_mw.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
-    assert out.stdout == "False\n"
+    assert _loaded_by_cli_import(("numpy",)) == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S: no site hook (such as a .pth file) decides what is loaded
+    assert _loaded_by_cli_import(("dataclasses", "inspect"), "-S") == "[]\n"
 
 
 # FieldCtx tables that other modules' kernels may read directly
