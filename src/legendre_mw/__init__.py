@@ -6,17 +6,14 @@ from .ratfunc import Poly, RatFunc, poly_sqrt
 from .curve import (CoordChange, CurvePoint, IsogenyChain, IsogenyMap,
                     WeierstrassCurve, change_coords, legendre_form_curve,
                     two_isogeny_quotient, two_torsion)
-from .legendre import (FamilyParams, admissible_b_values, frobenius_orbit_sum,
-                       make_family, matching_index, point_P, point_R,
-                       substitute_zeta_u, torsion_points, trace_point)
-from .heights import (GramMatrix, canonical_height, combination,
-                      expected_gram, expected_lattice_det, gram_matrix,
-                      is_torsion_point, pairing, point_order,
-                      relation_is_torsion)
-from .invariants import (BSDReport, LFunctionInfo, bad_fibers, bsd_report,
-                         conductor_degree, euler_totient,
-                         fiber_audit, frobenius_orbits, index_bound,
-                         integrality_check, multiplicative_order,
+from .legendre import (FamilyParams, admissible_b_values, make_family,
+                       matching_index, point_P, point_R, substitute_zeta_u,
+                       torsion_points, trace_point)
+from .heights import (canonical_height, combination, expected_gram,
+                      gram_matrix, is_torsion_point, pairing, point_order)
+from .invariants import (bad_fibers, bsd_report, conductor_degree,
+                         euler_totient, fiber_audit, frobenius_orbits,
+                         index_bound, integrality_check, multiplicative_order,
                          rank_formula, regulator_coefficient, sha_order,
                          tamagawa_factor, torsion_order, validate_q)
 
@@ -28,15 +25,12 @@ __all__ = [
     "CoordChange", "CurvePoint", "IsogenyChain", "IsogenyMap",
     "WeierstrassCurve", "change_coords", "legendre_form_curve",
     "two_isogeny_quotient", "two_torsion",
-    "FamilyParams", "admissible_b_values", "frobenius_orbit_sum",
-    "make_family", "matching_index", "point_P", "point_R", "substitute_zeta_u",
-    "torsion_points", "trace_point",
-    "GramMatrix", "canonical_height", "combination", "expected_gram",
-    "expected_lattice_det", "gram_matrix", "is_torsion_point", "pairing",
-    "point_order", "relation_is_torsion",
-    "BSDReport", "LFunctionInfo", "bad_fibers", "bsd_report",
-    "conductor_degree", "euler_totient", "fiber_audit", "frobenius_orbits",
-    "index_bound", "integrality_check", "multiplicative_order", "rank_formula",
-    "regulator_coefficient", "sha_order", "tamagawa_factor", "torsion_order",
-    "validate_q",
+    "FamilyParams", "admissible_b_values", "make_family", "matching_index",
+    "point_P", "point_R", "substitute_zeta_u", "torsion_points", "trace_point",
+    "canonical_height", "combination", "expected_gram", "gram_matrix",
+    "is_torsion_point", "pairing", "point_order",
+    "bad_fibers", "bsd_report", "conductor_degree", "euler_totient",
+    "fiber_audit", "frobenius_orbits", "index_bound", "integrality_check",
+    "multiplicative_order", "rank_formula", "regulator_coefficient",
+    "sha_order", "tamagawa_factor", "torsion_order", "validate_q",
 ]

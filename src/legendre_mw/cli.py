@@ -11,14 +11,16 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import invariants as inv
 from .curve import IsogenyChain
-from .heights import (expected_gram, expected_lattice_det, gram_matrix,
-                      is_torsion_point, point_order, relation_is_torsion)
-from .legendre import (FamilyParams, admissible_b_values, frobenius_orbit_sum,
-                       make_family, matching_index, point_P, point_R,
-                       substitute_zeta_u, torsion_points, trace_point)
+from .exact_linalg import determinant, kernel_basis, rank
+from .heights import (combination, expected_gram, gram_matrix,
+                      is_torsion_point, point_order)
+from .legendre import (FamilyParams, admissible_b_values, make_family,
+                       matching_index, point_P, point_R, substitute_zeta_u,
+                       torsion_points, trace_point)
 
 
 def _params_obj(params: FamilyParams, q: int, m: int) -> dict:
@@ -85,42 +87,41 @@ def run_gram(params: FamilyParams, q: int, depth: str) -> tuple[dict, dict]:
     else:
         indices = list(range(d))
     pts = [point_P(params, i) for i in indices]
-    G = gram_matrix(pts, ["P%d" % i for i in indices])
+    labels = ["P%d" % i for i in indices]
+    G = gram_matrix(pts)
     expected = expected_gram(d, indices)
-    entries_ok = G.entries == expected.entries
 
     payload = {
         "indices": indices,
-        "gram": G.to_obj(),
-        "expected": expected.to_obj(),
-        "heights": [str(G.entries[i][i]) for i in range(len(indices))],
+        "gram": {"labels": labels, "entries": G},
+        "expected": {"labels": labels, "entries": expected},
+        "heights": [G[i][i] for i in range(len(indices))],
     }
-    checks = {"entries_match_closed_form": entries_ok}
+    checks = {"entries_match_closed_form": G == expected}
 
     if depth == "full":
-        basis = list(range(d - 2))
-        sub = G.submatrix(basis)
-        det = sub.det()
-        want_det = expected_lattice_det(d)
-        kern = G.kernel()
-        realized = [relation_is_torsion(pts, v) for v in kern]
-        payload["basis_indices"] = basis
-        payload["lattice_det"] = str(det)
-        payload["expected_lattice_det"] = str(want_det)
-        g_rank = G.rank()
+        # P_0 .. P_{d-3} span the lattice; pts holds every P_j
+        n = d - 2
+        det = determinant([row[:n] for row in G[:n]])
+        want_det = inv.regulator_coefficient(d, 1)
+        kern = kernel_basis(G)
+        realized = [is_torsion_point(combination(pts, v)) for v in kern]
+        payload["basis_indices"] = list(range(n))
+        payload["lattice_det"] = det
+        payload["expected_lattice_det"] = want_det
+        g_rank = rank(G)
         payload["rank"] = g_rank
-        payload["kernel"] = [list(v) for v in kern]
+        payload["kernel"] = kern
         checks["lattice_det_matches"] = det == want_det
-        checks["rank_is_d_minus_2"] = g_rank == d - 2
+        checks["rank_is_d_minus_2"] = g_rank == n
         checks["kernel_relations_are_torsion"] = all(realized)
 
         orbits = inv.frobenius_orbits(d, q)
-        osums = [frobenius_orbit_sum(params, orbit[0], q) for orbit in orbits]
+        osums = [sum((pts[j] for j in orbit), params.curve.infinity())
+                 for orbit in orbits]
         live = [S for S in osums if not S.is_infinity]
-        og = gram_matrix(live, ["orbit(%d)" % orbit[0] for orbit, S
-                                in zip(orbits, osums) if not S.is_infinity])
         payload["frobenius_orbits"] = orbits
-        og_rank, want_rank = og.rank(), inv.rank_formula(d, q)
+        og_rank, want_rank = rank(gram_matrix(live)), inv.rank_formula(d, q)
         payload["orbit_gram_rank"] = og_rank
         payload["rank_formula"] = want_rank
         checks["orbit_rank_matches_formula"] = og_rank == want_rank
@@ -129,7 +130,7 @@ def run_gram(params: FamilyParams, q: int, depth: str) -> tuple[dict, dict]:
 
 def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
     d = params.d
-    report = inv.bsd_report(params.p, params.f, q, m)
+    bsd = inv.bsd_report(params.p, params.f, q, m)
     audit = inv.fiber_audit(d)
 
     t = params.t
@@ -139,7 +140,7 @@ def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
     deg_ok = disc.is_poly() and disc.num.deg == 4 * d
 
     payload = {
-        "bsd": report.to_obj(),
+        "bsd": bsd,
         "fibers": audit,
         "discriminant": {
             "value": str(disc),
@@ -148,8 +149,8 @@ def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
         },
     }
     checks = {
-        "bsd_ratio_is_one": report.ratio == 1,
-        "index_is_admissible": report.m_is_admissible,
+        "bsd_ratio_is_one": bsd["bsd_ratio"] == 1,
+        "index_is_admissible": bsd["m_is_admissible"],
         "fiber_data_consistent": audit["consistent"],
         "discriminant_is_16_t2_tm1_2": disc_ok,
         "discriminant_degree": deg_ok,
@@ -210,12 +211,12 @@ def run_rb(params: FamilyParams) -> tuple[dict, dict]:
     # descended rank
     rational = rpts + [point_P(params, 0), point_P(params, d // 2)]
     labels = ["R%d" % r["b"] for r in rows] + ["P0", "P%d" % (d // 2)]
-    G = gram_matrix(rational, labels)
-    g_rank, want_rank = G.rank(), (p - 1) // 2
+    G = gram_matrix(rational)
+    g_rank, want_rank = rank(G), (p - 1) // 2
     payload = {
         "admissible_b": [b.code() for b in bs],
         "points": rows,
-        "descended_gram": G.to_obj(),
+        "descended_gram": {"labels": labels, "entries": G},
         "descended_rank": g_rank,
         "expected_rank": want_rank,
     }
@@ -228,7 +229,15 @@ def run_rb(params: FamilyParams) -> tuple[dict, dict]:
 
 
 # ----------------------------------------------------------------------
-# Rendering.
+# Rendering.  Payloads hold Fractions, which print as str(v) in both
+# formats; tuples print as lists.
+
+def _json_default(v):
+    if isinstance(v, Fraction):
+        return str(v)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(v).__name__)
+
 
 def _render_table(obj, indent=0, out=None):
     pad = "  " * indent
@@ -236,14 +245,14 @@ def _render_table(obj, indent=0, out=None):
     if isinstance(obj, dict):
         for key in obj:
             val = obj[key]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 lines.append("%s%s:" % (pad, key))
                 _render_table(val, indent + 1, lines)
             else:
                 lines.append("%s%-28s %s" % (pad, key + ":", val))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for item in obj:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.append("%s-" % pad)
                 _render_table(item, indent + 1, lines)
             else:
@@ -255,7 +264,7 @@ def _render_table(obj, indent=0, out=None):
 
 def _emit(doc: dict, fmt: str, out_path: str | None):
     if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
     else:
         text = "\n".join(_render_table(doc))
     if out_path:

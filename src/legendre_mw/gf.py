@@ -272,7 +272,10 @@ class FieldElement:
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o - self
 
     def __neg__(self):
         if self.e is None:
@@ -297,7 +300,10 @@ class FieldElement:
         return self * o.inv()
 
     def __rtruediv__(self, other):
-        return self.inv() * other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, e: int):
         if self.e is None:

@@ -27,12 +27,9 @@ The torsion test `point_order` reads x(2P) off the duplication formula.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .curve import CurvePoint, two_torsion
-from .exact_linalg import determinant, kernel_basis, rank
-from .invariants import regulator_coefficient
 from .ratfunc import Poly
 
 
@@ -120,47 +117,15 @@ def is_torsion_point(P: CurvePoint) -> bool:
 
 def pairing(P: CurvePoint, Q: CurvePoint) -> Fraction:
     """Height pairing <P, Q> = (h(P+Q) - h(P) - h(Q)) / 2."""
-    return gram_matrix([P, Q]).entries[0][1]
+    return gram_matrix([P, Q])[0][1]
 
 
 # ----------------------------------------------------------------------
-# Gram matrices.
+# Gram matrices: tuples of rows of Fractions.
 
-class GramMatrix(namedtuple("GramMatrix", "labels entries")):
-    """A pairing matrix: one label per point, and the entries as a tuple
-    of rows of Fractions."""
-
-    __slots__ = ()
-
-    def rank(self) -> int:
-        return rank(self.entries)
-
-    def det(self) -> Fraction:
-        return determinant(self.entries)
-
-    def kernel(self) -> list[tuple[int, ...]]:
-        """Primitive integer vectors spanning the null space."""
-        return kernel_basis(self.entries)
-
-    def submatrix(self, indices) -> "GramMatrix":
-        idx = list(indices)
-        return GramMatrix(
-            labels=tuple(self.labels[i] for i in idx),
-            entries=tuple(tuple(self.entries[i][j] for j in idx) for i in idx),
-        )
-
-    def to_obj(self):
-        return {"labels": list(self.labels),
-                "entries": [[str(v) for v in row] for row in self.entries]}
-
-
-def gram_matrix(points: list[CurvePoint], labels: list[str] | None = None) -> GramMatrix:
+def gram_matrix(points: list[CurvePoint]) -> tuple[tuple[Fraction, ...], ...]:
     """Pairing matrix of the given points, heights computed exactly."""
     n = len(points)
-    if labels is None:
-        labels = ["P%d" % i for i in range(n)]
-    if len(labels) != n:
-        raise ValueError("one label per point")
     heights = [canonical_height(P) for P in points]
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -169,11 +134,10 @@ def gram_matrix(points: list[CurvePoint], labels: list[str] | None = None) -> Gr
             hs = canonical_height(points[i] + points[j])
             v = (hs - heights[i] - heights[j]) / 2
             rows[i][j] = rows[j][i] = v
-    return GramMatrix(labels=tuple(labels),
-                      entries=tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
-def expected_gram(d: int, indices) -> GramMatrix:
+def expected_gram(d: int, indices) -> tuple[tuple[Fraction, ...], ...]:
     """Predicted pairing matrix of the points P_i: diagonal
     (d-1)(d-2)/2d, off-diagonal (1-d)/d for i - j even and 0 for odd."""
     idx = list(indices)
@@ -190,12 +154,7 @@ def expected_gram(d: int, indices) -> GramMatrix:
             else:
                 row.append(Fraction(0))
         rows.append(tuple(row))
-    return GramMatrix(labels=tuple("P%d" % i for i in idx), entries=tuple(rows))
-
-
-def expected_lattice_det(d: int) -> Fraction:
-    """det of the pairing matrix of P_0 .. P_{d-3}: the regulator coefficient at m = 1."""
-    return regulator_coefficient(d, 1)
+    return tuple(rows)
 
 
 def combination(points: list[CurvePoint], coeffs) -> CurvePoint:
@@ -207,8 +166,3 @@ def combination(points: list[CurvePoint], coeffs) -> CurvePoint:
     for P, c in zip(points, coeffs):
         acc = acc + curve.smul(int(c), P)
     return acc
-
-
-def relation_is_torsion(points: list[CurvePoint], coeffs) -> bool:
-    """Whether sum coeffs[i] * points[i] is torsion."""
-    return is_torsion_point(combination(points, coeffs))

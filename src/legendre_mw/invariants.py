@@ -14,7 +14,6 @@ which cancels to exactly 1 for every valid q and claimed index m.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -149,90 +148,45 @@ def integrality_check(d: int, m: int) -> bool:
     return (d - 1) ** (d - 2) % (m * m) == 0
 
 
-class LFunctionInfo(namedtuple("LFunctionInfo", "base_q exponent")):
-    """L(s) = (1 - q^(1-s))^exponent; leading coefficient at s = 1 is
-    (log q)^exponent, rational part 1."""
-
-    __slots__ = ()
-
-    @property
-    def order_of_vanishing(self) -> int:
-        return self.exponent
-
-    @property
-    def leading_rational_part(self) -> Fraction:
-        return Fraction(1)
-
-    def to_obj(self):
-        return {"form": "(1 - q^(1-s))^%d" % self.exponent,
-                "q": self.base_q,
-                "order_of_vanishing": self.exponent,
-                "leading_log_power": self.exponent,
-                "leading_rational_part": str(self.leading_rational_part)}
-
-
-class BSDReport(namedtuple("BSDReport", "p f d q m rank conductor_degree lfunction "
-                                        "regulator tamagawa torsion sha index_bound "
-                                        "m_is_admissible ratio")):
-    """Every BSD ingredient of `bsd_report`: the family (p, f, d), q, the
-    index m, the rank, deg N, the L-function, the rational parts of the
-    regulator and Tamagawa product, |torsion|, |Sha|, the index bound,
-    whether m can be an index, and the BSD ratio."""
-
-    __slots__ = ()
-
-    @property
-    def passes(self) -> bool:
-        return self.ratio == 1 and self.m_is_admissible
-
-    def to_obj(self):
-        return {
-            "p": self.p, "f": self.f, "d": self.d, "q": self.q, "m": self.m,
-            "rank": self.rank,
-            "conductor_degree": self.conductor_degree,
-            "l_function": self.lfunction.to_obj(),
-            "regulator_rational_part": str(self.regulator),
-            "tamagawa": str(self.tamagawa),
-            "torsion_order": self.torsion,
-            "sha_order": self.sha,
-            "index_bound": self.index_bound,
-            "m_is_admissible": self.m_is_admissible,
-            "bsd_ratio": str(self.ratio),
-            "passes": self.passes,
-        }
-
-
-def bsd_report(p: int, f: int, q: int, m: int = 1) -> BSDReport:
+def bsd_report(p: int, f: int, q: int, m: int = 1) -> dict:
     """Assemble every invariant for d = p^f + 1 over F_q(u) and form the
-    BSD ratio; exact cancellation to 1 is the consistency check.
+    BSD ratio; exact cancellation to 1 is the consistency check.  The
+    result is the JSON row, with the rational parts left as Fractions.
 
     The log-power bookkeeping: the regulator carries (log q)^rank and
     the leading L-coefficient carries (log q)^(d-2); these must match,
-    which pins rank = d - 2 (q = 1 mod d holds for every valid q)."""
+    which pins rank = d - 2 (q = 1 mod d holds for every valid q).  The
+    leading coefficient's rational part is 1, so nothing divides the
+    ratio."""
     validate_q(q, p, f)
     d = p ** f + 1
     r = rank_formula(d, q)
     if r != d - 2:
         raise ArithmeticError("every valid q is 1 mod d, forcing full rank")
-    lfunc = LFunctionInfo(base_q=q, exponent=d - 2)
     reg = regulator_coefficient(d, m)
     tam = tamagawa_factor(q, d)
     tors = torsion_order()
     sha = sha_order(p, f, q, m)
-    ratio = (sha * reg * tam / tors ** 2) / lfunc.leading_rational_part
-    return BSDReport(
-        p=p, f=f, d=d, q=q, m=m,
-        rank=r,
-        conductor_degree=conductor_degree(d),
-        lfunction=lfunc,
-        regulator=reg,
-        tamagawa=tam,
-        torsion=tors,
-        sha=sha,
-        index_bound=index_bound(p, f),
-        m_is_admissible=integrality_check(d, m),
-        ratio=ratio,
-    )
+    ratio = sha * reg * tam / tors ** 2
+    admissible = integrality_check(d, m)
+    return {
+        "p": p, "f": f, "d": d, "q": q, "m": m,
+        "rank": r,
+        "conductor_degree": conductor_degree(d),
+        "l_function": {"form": "(1 - q^(1-s))^%d" % (d - 2),
+                       "q": q,
+                       "order_of_vanishing": d - 2,
+                       "leading_log_power": d - 2,
+                       "leading_rational_part": Fraction(1)},
+        "regulator_rational_part": reg,
+        "tamagawa": tam,
+        "torsion_order": tors,
+        "sha_order": sha,
+        "index_bound": index_bound(p, f),
+        "m_is_admissible": admissible,
+        "bsd_ratio": ratio,
+        "passes": ratio == 1 and admissible,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from collections import namedtuple
 from .gf import FieldElement, build_field, zeta as primitive_root_of_unity
 from .ratfunc import Poly, RatFunc, poly_sqrt
 from .curve import CurvePoint, legendre_form_curve, two_torsion
-from .invariants import frobenius_orbits
 
 
 class FamilyParams(namedtuple("FamilyParams", "p f d ctx zeta u t curve")):
@@ -79,15 +78,6 @@ def trace_point(params: FamilyParams, i: int) -> CurvePoint:
     acc = params.curve.infinity()
     for j in range(params.f):
         acc = acc + point_P(params, (i * params.p ** j) % params.d)
-    return acc
-
-
-def frobenius_orbit_sum(params: FamilyParams, i: int, q: int) -> CurvePoint:
-    """Sum of P over the orbit of i under multiplication by q mod d."""
-    orbit = next(o for o in frobenius_orbits(params.d, q) if i % params.d in o)
-    acc = params.curve.infinity()
-    for j in orbit:
-        acc = acc + point_P(params, j)
     return acc
 
 

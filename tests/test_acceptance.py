@@ -15,16 +15,15 @@ import pytest
 
 from doubling_oracle import doubling_limit
 from legendre_mw.curve import IsogenyChain
+from legendre_mw.exact_linalg import determinant, kernel_basis, rank
 from legendre_mw.gf import build_field
 from legendre_mw.heights import (
     canonical_height,
     combination,
     expected_gram,
-    expected_lattice_det,
     gram_matrix,
     is_torsion_point,
     pairing,
-    relation_is_torsion,
 )
 from legendre_mw.invariants import (
     bsd_report,
@@ -32,6 +31,7 @@ from legendre_mw.invariants import (
     index_bound,
     integrality_check,
     rank_formula,
+    regulator_coefficient,
 )
 from legendre_mw.legendre import (
     admissible_b_values,
@@ -77,7 +77,7 @@ def test_criterion_01_small_gram_matrices():
             start = time.monotonic()
             g = gram_matrix(pts)
             elapsed = time.monotonic() - start
-            assert g.entries == expected_gram(fam.d, range(fam.d)).entries
+            assert g == expected_gram(fam.d, range(fam.d))
             assert elapsed < 60.0
 
 
@@ -89,11 +89,11 @@ def test_criterion_02_d10_gram_matrix(d10_gram):
         for i in range(10):
             for j in range(10):
                 if i == j:
-                    assert g.entries[i][j] == Fraction(18, 5)
+                    assert g[i][j] == Fraction(18, 5)
                 elif (i - j) % 2 == 0:
-                    assert g.entries[i][j] == Fraction(-9, 10)
+                    assert g[i][j] == Fraction(-9, 10)
                 else:
-                    assert g.entries[i][j] == 0
+                    assert g[i][j] == 0
         assert elapsed < 600.0
 
 
@@ -105,11 +105,11 @@ def test_criterion_03_lattice_determinants(d10_gram):
         for p, f in CASES[:3]:
             fam = make_family(p, f)
             pts = [point_P(fam, i) for i in range(fam.d - 2)]
-            det = gram_matrix(pts).det()
-            assert det == expected[fam.d] == expected_lattice_det(fam.d)
+            det = determinant(gram_matrix(pts))
+            assert det == expected[fam.d] == regulator_coefficient(fam.d, 1)
         _, _, g, _ = d10_gram
-        sub = g.submatrix(range(8))
-        assert sub.det() == expected[10] == expected_lattice_det(10)
+        det = determinant([row[:8] for row in g[:8]])
+        assert det == expected[10] == regulator_coefficient(10, 1)
 
 
 def test_criterion_04_kernel_sums_are_torsion(d10_gram):
@@ -121,11 +121,10 @@ def test_criterion_04_kernel_sums_are_torsion(d10_gram):
             even = tuple(1 - i % 2 for i in range(fam.d))
             odd = tuple(i % 2 for i in range(fam.d))
             for coeffs in (even, odd):
-                assert relation_is_torsion(pts, coeffs)
                 assert is_torsion_point(combination(pts, coeffs))
         # and those two vectors span the Gram kernel
         _, _, g, _ = d10_gram
-        span = {tuple(v) for v in g.kernel()}
+        span = {tuple(v) for v in kernel_basis(g)}
         assert span == {tuple(1 - i % 2 for i in range(10)),
                         tuple(i % 2 for i in range(10))}
 
@@ -166,7 +165,7 @@ def test_criterion_06_descended_rb_points():
                 assert not is_torsion_point(R)
                 rpts.append(R)
             spanning = rpts + [point_P(fam, 0), point_P(fam, fam.d // 2)]
-            assert gram_matrix(spanning).rank() == (p - 1) // 2
+            assert rank(gram_matrix(spanning)) == (p - 1) // 2
         # p = 3: the lone R_0 degenerates to a torsion point
         fam3 = make_family(3)
         R0 = point_R(fam3, fam3.ctx.elem(0))
@@ -183,11 +182,11 @@ def test_criterion_07_rank_formula():
         assert rank_formula(10, 3) == 2
         # Frobenius-orbit sums over F_3(u) for d = 4 realize rank 1
         fam = make_family(3)
-        from legendre_mw.legendre import frobenius_orbit_sum
-        orbit_pts = [frobenius_orbit_sum(fam, o[0], 3)
+        pts = [point_P(fam, i) for i in range(4)]
+        orbit_pts = [combination(pts, [int(i in o) for i in range(4)])
                      for o in frobenius_orbits(4, 3)]
         g = gram_matrix([P for P in orbit_pts if not is_torsion_point(P)])
-        assert g.rank() == rank_formula(4, 3)
+        assert rank(g) == rank_formula(4, 3)
 
 
 def test_criterion_08_bsd_identity():
@@ -199,8 +198,8 @@ def test_criterion_08_bsd_identity():
             for q in (base, base ** 2):
                 for m in (1, p):
                     rep = bsd_report(p, f, q, m)
-                    assert rep.ratio == 1 and rep.passes
-                    assert integrality_check(rep.d, m)
+                    assert rep["bsd_ratio"] == 1 and rep["passes"]
+                    assert integrality_check(rep["d"], m)
             bounds.append(index_bound(p, f))
         assert bounds == [3, 25, 343, 6561]
 

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from legendre_mw import cli
 from legendre_mw.cli import build_parser, main
+from legendre_mw.legendre import make_family, point_P
 from legendre_mw.ratfunc import Poly
 
 
@@ -168,6 +170,18 @@ def test_invalid_parameters_exit_2(capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_json_output_refuses_values_other_than_fractions(capsys):
+    # a Fraction prints as str(v); any other object the encoder does not
+    # know is an error, not its repr in the output
+    fam = make_family(3)
+    cli._emit({"h": (Fraction(3, 4), Fraction(2))}, "json", None)
+    assert json.loads(capsys.readouterr().out) == {"h": ["3/4", "2"]}
+    for value in (fam.u, point_P(fam, 0)):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._emit({"x": value}, "json", None)
+    assert capsys.readouterr().out == ""
+
+
 def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     code = main(["points", "--p", "3", "--out", str(target)])
@@ -207,10 +221,13 @@ def test_output_matches_benchmark_reference_digest(capsys, cmd):
     ("points --p 101", "54b691b557ded5544867db78d587a8e18722778678b0c3ca693351f9737529c8"),
     ("gram --p 3 --f 3", "78cd5a526a21df9023e2c7147d5a3c71ff9834f0eaf3e7591acb64927a0d4330"),
     ("gram --p 5 --f 2", "d9c9f0901ea8791ac941ef9f13b6be5af2b521c7b1fb4b163e0a8e719bbceff6"),
+    ("all --p 3 --format table", "6a0bcc04c23701598d11bb0931f2174dcc630ad2d3887a6888a6872a2fd8d6b8"),
+    ("gram --p 3 --q 3", "6cbbfd8ff545ba82f52c4cb7ee655c2ba4c1dad29f922a2e974e0cfa39a28cd7"),
 ])
 def test_long_command_output_digest(capsys, cmd, digest):
-    # sha256 of the JSON of the longer commands outside the benchmark;
-    # it changes only when the JSON is meant to change
+    # sha256 of the output of the longer commands outside the benchmark,
+    # of the table renderer, and of a Gram whose Frobenius orbits are not
+    # all singletons; it changes only when the output is meant to change
     code, out = _run(capsys, *cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -121,6 +121,18 @@ def test_inverse_and_pow(p, k):
         zero.multiplicative_order()
 
 
+def test_reflected_operators_refuse_unsupported_operands():
+    # the other operand is coerced before self is inverted or negated
+    ctx = build_field(3, 2)
+    g = ctx.generator()
+    with pytest.raises(TypeError, match="for /:"):
+        "a" / ctx.zero()
+    with pytest.raises(TypeError, match="for -:"):
+        "a" - g
+    assert 1 / g == g.inv() and (1 / g) * g == ctx.one()
+    assert 1 - g == ctx.one() + (-g) and (1 - g) + g == ctx.one()
+
+
 def test_generator_and_zeta():
     ctx = build_field(3, 2)
     g = ctx.generator()

@@ -107,20 +107,24 @@ def test_bsd_ratio_is_one(p, f):
     for q in (base, base ** 2):
         for m in (1, p):
             rep = bsd_report(p, f, q, m)
-            assert rep.ratio == 1
-            assert rep.passes
-            assert rep.rank == p ** f - 1
-            assert rep.torsion == 8
-            assert rep.lfunction.order_of_vanishing == rep.rank
+            assert rep["bsd_ratio"] == 1
+            assert rep["passes"]
+            assert rep["rank"] == p ** f - 1
+            assert rep["torsion_order"] == 8
+            assert rep["l_function"]["order_of_vanishing"] == rep["rank"]
 
 
 def test_bsd_report_fields():
     rep = bsd_report(3, 1, 9, 1)
-    assert rep.d == 4 and rep.conductor_degree == 6
-    assert rep.sha == 1 and rep.regulator == Fraction(9, 16)
-    assert rep.index_bound == 3
-    obj = rep.to_obj()
-    assert obj["bsd_ratio"] == "1" and obj["passes"] is True
+    assert rep["d"] == 4 and rep["conductor_degree"] == 6
+    assert rep["sha_order"] == 1
+    assert rep["regulator_rational_part"] == Fraction(9, 16)
+    assert rep["index_bound"] == 3
+    assert rep["l_function"] == {"form": "(1 - q^(1-s))^2", "q": 9,
+                                 "order_of_vanishing": 2,
+                                 "leading_log_power": 2,
+                                 "leading_rational_part": 1}
+    assert rep["bsd_ratio"] == 1 and rep["passes"] is True
 
 
 def test_bsd_rejects_invalid_q():

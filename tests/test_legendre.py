@@ -4,7 +4,6 @@ import pytest
 
 from legendre_mw.legendre import (
     admissible_b_values,
-    frobenius_orbit_sum,
     make_family,
     matching_index,
     point_P,
@@ -13,7 +12,8 @@ from legendre_mw.legendre import (
     torsion_points,
     trace_point,
 )
-from legendre_mw.heights import is_torsion_point
+from legendre_mw.heights import combination, is_torsion_point
+from legendre_mw.invariants import frobenius_orbits
 from legendre_mw.ratfunc import Poly, RatFunc
 
 
@@ -105,11 +105,15 @@ def test_trace_point():
 
 def test_frobenius_orbit_sum():
     fam = make_family(3)
+    pts = [point_P(fam, i) for i in range(4)]
     # q = 3 acts on Z/4 with orbits {0}, {1,3}, {2}
-    assert frobenius_orbit_sum(fam, 0, 3) == point_P(fam, 0)
-    s13 = frobenius_orbit_sum(fam, 1, 3)
-    assert s13 == point_P(fam, 1) + point_P(fam, 3)
-    assert frobenius_orbit_sum(fam, 3, 3) == s13
+    orbits = frobenius_orbits(4, 3)
+    assert orbits == [[0], [1, 3], [2]]
+    sums = [combination(pts, [int(i in o) for i in range(4)]) for o in orbits]
+    assert sums == [pts[0], pts[1] + pts[3], pts[2]]
+    # each orbit sum is defined over F_3(u)
+    for S in sums:
+        assert S.x.frobenius() == S.x and S.y.frobenius() == S.y
 
 
 @pytest.mark.parametrize("p,codes", [(3, [0]), (5, [1, 4]), (7, [0, 3, 4])])
