@@ -37,26 +37,24 @@ def _point_obj(P, extra=None) -> dict:
         obj = {"x": None, "y": None, "infinity": True}
     else:
         obj = {"x": str(P.x), "y": str(P.y)}
-    if extra:
-        obj.update(extra)
+    obj.update(extra or {})
     return obj
 
 
 # ----------------------------------------------------------------------
 # Subcommand payloads.  Each returns (payload_dict, checks_dict).
 
-def run_points(params: FamilyParams) -> tuple[dict, dict]:
+def run_points(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
     d = params.d
     curve = params.curve
-    pts = [point_P(params, i) for i in range(d)]
-    tors = torsion_points(params)
     pts_torsion = [is_torsion_point(P) for P in pts]
     orders = {label: point_order(P) for label, P in tors.items()}
 
     galois_ok = all(substitute_zeta_u(params, pts[i]) == pts[(i + 1) % d]
                     for i in range(d))
     torsion_profile_ok = sorted(orders.values()) == [1, 2, 2, 2, 4, 4, 4, 4]
-    pts_nontorsion = not any(pts_torsion) if d > 2 else True
+    # rank d - 2: the P_i are torsion exactly when d = 2
+    pts_nontorsion = all(t == (d == 2) for t in pts_torsion)
 
     payload = {
         "points": [
@@ -80,15 +78,11 @@ def run_points(params: FamilyParams) -> tuple[dict, dict]:
     return payload, checks
 
 
-def run_gram(params: FamilyParams, q: int, depth: str) -> tuple[dict, dict]:
+def run_gram(params: FamilyParams, pts, q: int, depth: str) -> tuple[dict, dict]:
     d = params.d
-    if depth == "quick":
-        indices = list(range(min(4, d)))
-    else:
-        indices = list(range(d))
-    pts = [point_P(params, i) for i in indices]
+    indices = list(range(min(4, d) if depth == "quick" else d))
     labels = ["P%d" % i for i in indices]
-    G = gram_matrix(pts)
+    G = gram_matrix(pts[:len(indices)])
     expected = expected_gram(d, indices)
 
     payload = {
@@ -135,8 +129,7 @@ def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
 
     t = params.t
     disc = params.curve.discriminant()
-    want = 16 * t * t * (t - 1) * (t - 1)
-    disc_ok = disc == want
+    disc_ok = disc == 16 * t * t * (t - 1) * (t - 1)
     deg_ok = disc.is_poly() and disc.num.deg == 4 * d
 
     payload = {
@@ -158,13 +151,12 @@ def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
     return payload, checks
 
 
-def run_isogeny(params: FamilyParams) -> tuple[dict, dict]:
-    d = params.d
+def run_isogeny(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
     chain = IsogenyChain(params.t)
-    samples = [point_P(params, i) for i in range(min(d, 4))]
+    samples = pts[:4]
     samples.append(params.curve.add(samples[0], samples[1 % len(samples)]))
     samples.append(params.curve.smul(2, samples[0]))
-    samples.extend(torsion_points(params).values())
+    samples.extend(tors.values())
 
     back = [chain.backward(R) for R in samples]
     imgs = [chain.forward(S) for S in back]
@@ -191,25 +183,22 @@ def run_isogeny(params: FamilyParams) -> tuple[dict, dict]:
     return payload, checks
 
 
-def run_rb(params: FamilyParams) -> tuple[dict, dict]:
+def run_rb(params: FamilyParams, pts) -> tuple[dict, dict]:
     p, d = params.p, params.d
     bs = admissible_b_values(params)
-    rows = []
-    match_ok, frob_ok = [], []
-    rpts = []
+    rows, rpts, match_ok, frob_ok = [], [], [], []
     for b in bs:
         R = point_R(params, b)
         i = matching_index(params, b)
-        S = point_P(params, i) + point_P(params, d - i)
+        S = pts[i] + pts[d - i]
         match_ok.append(R.x == S.x)
         frob_ok.append(R.x.frobenius() == R.x and R.y.frobenius() == R.y)
-        tors = is_torsion_point(R)
         rows.append({"b": b.code(), "index": i, "x": str(R.x), "y": str(R.y),
-                     "is_torsion": tors})
+                     "is_torsion": is_torsion_point(R)})
         rpts.append(R)
     # R_b together with the rational points P_0, P_{d/2} realize the
     # descended rank
-    rational = rpts + [point_P(params, 0), point_P(params, d // 2)]
+    rational = rpts + [pts[0], pts[d // 2]]
     labels = ["R%d" % r["b"] for r in rows] + ["P0", "P%d" % (d // 2)]
     G = gram_matrix(rational)
     g_rank, want_rank = rank(G), (p - 1) // 2
@@ -267,7 +256,7 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
         text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
     else:
         text = "\n".join(_render_table(doc))
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -281,7 +270,7 @@ def _check_out_path(path: str):
     before any work is done; opening it may still fail later, and
     `main` reports that too."""
     folder = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(folder) \
+    if not path or os.path.isdir(path) or not os.path.isdir(folder) \
             or not os.access(folder, os.W_OK):
         raise ValueError("cannot write --out file %s" % path)
 
@@ -326,20 +315,27 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
+    # one set of points for all sections; isogeny and quick gram use P_0..P_3
+    cmd = args.command
+    quick = cmd == "isogeny" or (cmd, args.depth) == ("gram", "quick")
+    n = min(4, params.d) if quick else params.d
+    pts = [point_P(params, i) for i in range(n)] if cmd != "invariants" else []
+    tors = torsion_points(params) if cmd in ("points", "isogeny", "all") else None
+
     sections: dict[str, tuple[dict, dict]] = {}
-    if args.command in ("points", "all"):
-        sections["points"] = run_points(params)
-    if args.command in ("gram", "all"):
-        sections["gram"] = run_gram(params, q, args.depth)
-    if args.command in ("invariants", "all"):
+    if cmd in ("points", "all"):
+        sections["points"] = run_points(params, pts, tors)
+    if cmd in ("gram", "all"):
+        sections["gram"] = run_gram(params, pts, q, args.depth)
+    if cmd in ("invariants", "all"):
         sections["invariants"] = run_invariants(params, q, args.m)
-    if args.command in ("isogeny", "all"):
-        sections["isogeny"] = run_isogeny(params)
-    if args.command == "rb" or (args.command == "all" and params.f == 1):
-        sections["rb"] = run_rb(params)
+    if cmd in ("isogeny", "all"):
+        sections["isogeny"] = run_isogeny(params, pts, tors)
+    if cmd == "rb" or (cmd == "all" and params.f == 1):
+        sections["rb"] = run_rb(params, pts)
 
     checks = {}
-    doc = {"params": _params_obj(params, q, args.m), "command": args.command}
+    doc = {"params": _params_obj(params, q, args.m), "command": cmd}
     for name, (payload, section_checks) in sections.items():
         doc[name] = payload
         for key, val in section_checks.items():

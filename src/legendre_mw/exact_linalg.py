@@ -14,6 +14,8 @@ from math import gcd, lcm
 def _to_int_matrix(rows):
     """Scale a matrix of Fractions/ints to integers; returns (M, L) with
     M = L * rows entrywise."""
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows must have equal length")
     fr = [[Fraction(x) for x in row] for row in rows]
     L = 1
     for row in fr:

@@ -159,10 +159,11 @@ def expected_gram(d: int, indices) -> tuple[tuple[Fraction, ...], ...]:
 
 def combination(points: list[CurvePoint], coeffs) -> CurvePoint:
     """sum coeffs[i] * points[i] by the group law."""
-    if not points:
-        raise ValueError("need at least one point")
+    if not points or len(coeffs) != len(points) \
+            or not all(isinstance(c, int) for c in coeffs):
+        raise ValueError("need points and one int coefficient per point")
     curve = points[0].curve
     acc = curve.infinity()
     for P, c in zip(points, coeffs):
-        acc = acc + curve.smul(int(c), P)
+        acc = acc + curve.smul(c, P)
     return acc

@@ -163,6 +163,7 @@ def test_out_file(tmp_path, capsys):
     ["points", "--p", "100000007"],      # F_{p^2}, q about 10^16
     ["points", "--p", "3", "--q", "-5"],  # every command checks q = p^j
     ["rb", "--p", "5", "--q", "0"],
+    ["points", "--p", "3", "--out", ""],  # an empty path is no file
 ])
 def test_invalid_parameters_exit_2(capsys, argv):
     code = main(argv)
@@ -191,10 +192,11 @@ def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):
 
 
 def test_out_file_checked_before_any_work(tmp_path, capsys, monkeypatch):
-    def refuse(params):
-        raise AssertionError("run_points ran before --out was checked")
+    def refuse(*args):
+        raise AssertionError("work began before --out was checked")
 
-    monkeypatch.setattr(cli, "run_points", refuse)
+    for name in ("run_points", "point_P", "torsion_points"):
+        monkeypatch.setattr(cli, name, refuse)
     target = tmp_path / "missing" / "x.json"
     code = main(["points", "--p", "3", "--out", str(target)])
     assert code == 2
@@ -247,6 +249,45 @@ def test_isogeny_gcd_count(capsys, monkeypatch):
     code, _ = _run(capsys, "isogeny", "--p", "7")
     assert code == 0
     assert len(calls) <= 250
+
+
+@pytest.mark.parametrize("cmd,n_points,n_torsion", [
+    ("all --p 5", 6, 1),
+    ("gram --p 3 --f 2 --depth quick", 4, 0),
+    ("isogeny --p 7", 4, 1),
+])
+def test_points_built_once_per_run(capsys, monkeypatch, cmd, n_points, n_torsion):
+    # every section reads the one set of P_i and torsion points that
+    # main builds, and no command builds more than its sections read
+    calls = {"point_P": 0, "torsion_points": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, _ = _run(capsys, *cmd.split())
+    assert code == 0
+    assert calls == {"point_P": n_points, "torsion_points": n_torsion}
+
+
+def test_d2_points_are_checked_torsion(capsys, monkeypatch):
+    # for d = 2 the rank d - 2 is 0, so every P_i must be torsion; the
+    # check is computed, not taken as true
+    code, out = _run(capsys, "points", "--p", "3", "--f", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert [P["is_torsion"] for P in doc["points"]["points"]] == [True, True]
+    assert doc["checks"]["points.explicit_points_nontorsion"] is True
+    monkeypatch.setattr(cli, "is_torsion_point", lambda P: False)
+    code, out = _run(capsys, "points", "--p", "3", "--f", "0")
+    assert code == 1
+    assert json.loads(out)["checks"]["points.explicit_points_nontorsion"] is False
 
 
 def test_f_zero_family(capsys):

@@ -95,6 +95,14 @@ def test_kernel_of_parity_gram():
     assert (1, 0, 1, 0) in span and (0, 1, 0, 1) in span
 
 
+def test_ragged_rows_are_refused():
+    # a ragged matrix is an error, not read by the length of its first row
+    with pytest.raises(ValueError, match="equal length"):
+        rank([[1], [0, 1]])
+    with pytest.raises(ValueError, match="equal length"):
+        kernel_basis([[1, 0], [0]])
+
+
 def test_kernel_primitive():
     ker = kernel_basis([[2, 4, 6]])
     for v in ker:

@@ -219,6 +219,14 @@ def test_gram_kernel_relations_are_torsion():
     assert not is_torsion_point(combination(pts, (1, 0, 0, 0)))
 
 
+def test_combination_refuses_bad_coefficients():
+    # extra coefficients are not dropped, nor 1/2 or 1.9 truncated
+    pts = [point_P(FAM4, i) for i in range(2)]
+    for coeffs in ((1,), (1, 0, 1), (1, Fraction(1, 2)), (1.9, 0)):
+        with pytest.raises(ValueError):
+            combination(pts, coeffs)
+
+
 def test_basis_determinants():
     # P_0 .. P_{d-3} generate a finite-index sublattice with known det
     # (the regulator coefficient at index m = 1)
