@@ -67,7 +67,7 @@ def run_points(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
         ],
     }
     if params.f > 1:
-        tr = trace_point(params, 1)
+        tr = trace_point(params, pts, 1)
         payload["trace_of_P1"] = _point_obj(tr)
     checks = {
         "points_on_curve": all(curve.on_curve(P) for P in pts + list(tors.values())),
@@ -103,19 +103,18 @@ def run_gram(params: FamilyParams, pts, q: int, depth: str) -> tuple[dict, dict]
         payload["basis_indices"] = list(range(n))
         payload["lattice_det"] = det
         payload["expected_lattice_det"] = want_det
-        g_rank = rank(G)
+        g_rank = len(G) - len(kern)
         payload["rank"] = g_rank
         payload["kernel"] = kern
         checks["lattice_det_matches"] = det == want_det
         checks["rank_is_d_minus_2"] = g_rank == n
         checks["kernel_relations_are_torsion"] = all(realized)
 
+        # the pairing is bilinear, so the Gram of the orbit sums is C G C^T
         orbits = inv.frobenius_orbits(d, q)
-        osums = [sum((pts[j] for j in orbit), params.curve.infinity())
-                 for orbit in orbits]
-        live = [S for S in osums if not S.is_infinity]
+        og = [[sum(G[i][j] for i in a for j in b) for b in orbits] for a in orbits]
         payload["frobenius_orbits"] = orbits
-        og_rank, want_rank = rank(gram_matrix(live)), inv.rank_formula(d, q)
+        og_rank, want_rank = rank(og), inv.rank_formula(d, q)
         payload["orbit_gram_rank"] = og_rank
         payload["rank_formula"] = want_rank
         checks["orbit_rank_matches_formula"] = og_rank == want_rank

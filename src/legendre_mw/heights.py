@@ -158,12 +158,13 @@ def expected_gram(d: int, indices) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def combination(points: list[CurvePoint], coeffs) -> CurvePoint:
-    """sum coeffs[i] * points[i] by the group law."""
+    """sum coeffs[i] * points[i] by the group law, added pairwise as a
+    balanced tree so the operands stay small; terms equal to O are dropped."""
     if not points or len(coeffs) != len(points) \
             or not all(isinstance(c, int) for c in coeffs):
         raise ValueError("need points and one int coefficient per point")
     curve = points[0].curve
-    acc = curve.infinity()
-    for P, c in zip(points, coeffs):
-        acc = acc + curve.smul(c, P)
-    return acc
+    terms = [S for S in map(curve.smul, coeffs, points) if not S.is_infinity]
+    while len(terms) > 1:
+        terms = [A + B for A, B in zip(terms[::2], terms[1::2])] + terms[len(terms) // 2 * 2:]
+    return terms[0] if terms else curve.infinity()

@@ -71,14 +71,13 @@ def torsion_points(params: FamilyParams) -> dict[str, CurvePoint]:
     return pts
 
 
-def trace_point(params: FamilyParams, i: int) -> CurvePoint:
-    """Galois trace sum_{j<f} P_{i p^j} (Frobenius acts on indices by p)."""
+def trace_point(params: FamilyParams, pts: list[CurvePoint], i: int) -> CurvePoint:
+    """Galois trace sum_{j<f} P_{i p^j} of pts = [P_0, ..., P_{d-1}]
+    (Frobenius acts on indices by p)."""
     if params.f < 1:
         raise ValueError("traces need f >= 1")
-    acc = params.curve.infinity()
-    for j in range(params.f):
-        acc = acc + point_P(params, (i * params.p ** j) % params.d)
-    return acc
+    p, d = params.p, params.d
+    return sum((pts[i * p ** j % d] for j in range(1, params.f)), pts[i % d])
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from legendre_mw import cli
+from legendre_mw import cli, legendre
 from legendre_mw.cli import build_parser, main
+from legendre_mw.curve import WeierstrassCurve
+from legendre_mw.exact_linalg import rank
+from legendre_mw.heights import gram_matrix
 from legendre_mw.legendre import make_family, point_P
 from legendre_mw.ratfunc import Poly
 
@@ -225,11 +228,12 @@ def test_output_matches_benchmark_reference_digest(capsys, cmd):
     ("gram --p 5 --f 2", "d9c9f0901ea8791ac941ef9f13b6be5af2b521c7b1fb4b163e0a8e719bbceff6"),
     ("all --p 3 --format table", "6a0bcc04c23701598d11bb0931f2174dcc630ad2d3887a6888a6872a2fd8d6b8"),
     ("gram --p 3 --q 3", "6cbbfd8ff545ba82f52c4cb7ee655c2ba4c1dad29f922a2e974e0cfa39a28cd7"),
+    ("gram --p 3 --f 2 --q 3", "952d7759da76867b4285b4b0f641899052a66727984c4569d042c0378c47f230"),
 ])
 def test_long_command_output_digest(capsys, cmd, digest):
     # sha256 of the output of the longer commands outside the benchmark,
-    # of the table renderer, and of a Gram whose Frobenius orbits are not
-    # all singletons; it changes only when the output is meant to change
+    # of the table renderer, and of two Grams whose Frobenius orbits are
+    # not all singletons; it changes only when the output is meant to change
     code, out = _run(capsys, *cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -251,18 +255,64 @@ def test_isogeny_gcd_count(capsys, monkeypatch):
     assert len(calls) <= 250
 
 
+def test_gram_work_count(capsys, monkeypatch):
+    # the orbit Gram is read off G and each kernel relation is summed
+    # pairwise: d = 10 makes one Gram and 45 + 2 * 4 adds of two affine
+    # points (2 Grams and 98 adds when the orbit sums had their own Gram)
+    grams, adds = [], []
+    real_gram, real_add = cli.gram_matrix, WeierstrassCurve.add
+
+    def gram(points):
+        grams.append(len(points))
+        return real_gram(points)
+
+    def add(self, P, Q):
+        if not (P.is_infinity or Q.is_infinity):
+            adds.append(1)
+        return real_add(self, P, Q)
+
+    monkeypatch.setattr(cli, "gram_matrix", gram)
+    monkeypatch.setattr(WeierstrassCurve, "add", add)
+    code, _ = _run(capsys, "gram", "--p", "3", "--f", "2")
+    assert code == 0
+    assert grams == [10]
+    assert len(adds) <= 53
+
+
+@pytest.mark.parametrize("p,f,q", [(3, 1, 3), (3, 2, 3), (3, 2, 9)])
+def test_orbit_gram_is_read_off_G_by_bilinearity(capsys, p, f, q):
+    # the CLI reads the Gram of the Frobenius-orbit sums off G as C G C^T;
+    # witness it with the sums formed by the group law, none filtered out
+    # (a torsion orbit sum gives a zero row on both sides)
+    code, out = _run(capsys, "gram", "--p", str(p), "--f", str(f), "--q", str(q))
+    assert code == 0
+    doc = json.loads(out)["gram"]
+    G = [[Fraction(v) for v in row] for row in doc["gram"]["entries"]]
+    orbits = doc["frobenius_orbits"]
+    fam = make_family(p, f)
+    pts = [point_P(fam, i) for i in range(fam.d)]
+    sums = [sum((pts[i] for i in orbit), fam.curve.infinity()) for orbit in orbits]
+    by_law = gram_matrix(sums)
+    read_off = tuple(tuple(sum(G[i][j] for i in a for j in b) for b in orbits)
+                     for a in orbits)
+    assert read_off == by_law
+    assert doc["orbit_gram_rank"] == rank(by_law)
+
+
 @pytest.mark.parametrize("cmd,n_points,n_torsion", [
     ("all --p 5", 6, 1),
     ("gram --p 3 --f 2 --depth quick", 4, 0),
     ("isogeny --p 7", 4, 1),
+    ("points --p 3 --f 2", 10, 1),   # the trace of P_1 reads the same P_i
 ])
 def test_points_built_once_per_run(capsys, monkeypatch, cmd, n_points, n_torsion):
     # every section reads the one set of P_i and torsion points that
-    # main builds, and no command builds more than its sections read
+    # main builds, and no command builds more than its sections read,
+    # counting calls from the cli and from inside the legendre module
     calls = {"point_P": 0, "torsion_points": 0}
 
     def counted(name):
-        real = getattr(cli, name)
+        real = getattr(legendre, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -270,7 +320,9 @@ def test_points_built_once_per_run(capsys, monkeypatch, cmd, n_points, n_torsion
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+        wrapper = counted(name)
+        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(legendre, name, wrapper)
     code, _ = _run(capsys, *cmd.split())
     assert code == 0
     assert calls == {"point_P": n_points, "torsion_points": n_torsion}

@@ -97,10 +97,11 @@ def test_galois_substitution_permutes_points():
 
 def test_trace_point():
     fam = make_family(3, 2)   # d = 10, Frobenius multiplies indices by 3
-    tr = trace_point(fam, 1)
-    assert tr == point_P(fam, 1) + point_P(fam, 3)
+    pts = [point_P(fam, i) for i in range(fam.d)]
+    assert trace_point(fam, pts, 1) == pts[1] + pts[3]
+    assert trace_point(fam, pts, 11) == pts[1] + pts[3]
     with pytest.raises(ValueError):
-        trace_point(make_family(3, 0), 1)
+        trace_point(make_family(3, 0), [], 1)
 
 
 def test_frobenius_orbit_sum():
