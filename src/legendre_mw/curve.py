@@ -72,13 +72,20 @@ class WeierstrassCurve:
                 raise ValueError("coefficient field mismatch")
         self.ctx = ctx
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
-        self._c4 = self._c6 = self._disc = None
-        disc = self.discriminant()
+        b2 = a1 * a1 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        self._c4 = b2 * b2 - 24 * b4
+        self._c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
+        self._disc = -(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+        # the checks read the stored invariants back through c4(), c6()
+        # and discriminant(), the values every caller sees
+        c4, c6, disc = self.c4(), self.c6(), self.discriminant()
         if disc.is_zero():
             raise ValueError("singular curve: discriminant is zero")
         # c4^3 - c6^2 = 1728 * disc must hold identically; compared on
         # unreduced fractions by cross-multiplying, like contains()
-        c4, c6 = self.c4(), self.c6()
         n, d = _fadd((c4.num ** 3, c4.den ** 3), (-(c6.num ** 2), c6.den ** 2))
         if not n * disc.den == 1728 * disc.num * d:
             raise ArithmeticError("c-invariant identity failed")
@@ -87,39 +94,15 @@ class WeierstrassCurve:
     def from_coeffs(cls, ctx: FieldCtx, a1, a2, a3, a4, a6) -> "WeierstrassCurve":
         return cls(*(_as_ratfunc(ctx, a) for a in (a1, a2, a3, a4, a6)))
 
-    # -- invariants ----------------------------------------------------
-
-    def b2(self) -> RatFunc:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    def b4(self) -> RatFunc:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    def b6(self) -> RatFunc:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    def b8(self) -> RatFunc:
-        return (self.a1 * self.a1 * self.a6 + 4 * self.a2 * self.a6
-                - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 * self.a3
-                - self.a4 * self.a4)
+    # -- invariants, computed once in __init__ ---------------------------
 
     def c4(self) -> RatFunc:
-        if self._c4 is None:
-            b2 = self.b2()
-            self._c4 = b2 * b2 - 24 * self.b4()
         return self._c4
 
     def c6(self) -> RatFunc:
-        if self._c6 is None:
-            b2 = self.b2()
-            self._c6 = -(b2 ** 3) + 36 * b2 * self.b4() - 216 * self.b6()
         return self._c6
 
     def discriminant(self) -> RatFunc:
-        if self._disc is None:
-            b2, b4, b6, b8 = self.b2(), self.b4(), self.b6(), self.b8()
-            self._disc = (-(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6)
-                          + 9 * b2 * b4 * b6)
         return self._disc
 
     def j_invariant(self) -> RatFunc:

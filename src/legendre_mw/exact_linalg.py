@@ -11,28 +11,21 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _to_int_matrix(rows):
-    """Scale a matrix of Fractions/ints to integers; returns (M, L) with
-    M = L * rows entrywise."""
+def _eliminate(rows):
+    """Scale a matrix of Fractions/ints to integers, M = L * rows with L
+    the lcm of the denominators, and bring M to row echelon form by
+    Bareiss (fraction-free) elimination, whose exact divisions keep the
+    entries small.
+
+    Returns (echelon rows, pivot columns, sign of the row swaps, L).
+    """
     if len({len(row) for row in rows}) > 1:
         raise ValueError("rows must have equal length")
     fr = [[Fraction(x) for x in row] for row in rows]
-    L = 1
-    for row in fr:
-        for x in row:
-            L = lcm(L, x.denominator)
-    return [[int(x * L) for x in row] for row in fr], L
-
-
-def _echelon_bareiss(m):
-    """Fraction-free row echelon form in place.
-
-    Returns (rows, pivot_cols, sign).  Entry growth is controlled by the
-    exact divisions of the Bareiss recurrence.
-    """
-    rows = [list(r) for r in m]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
+    L = lcm(*(x.denominator for row in fr for x in row))
+    m = [[x.numerator * (L // x.denominator) for x in row] for row in fr]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
     pivot_cols = []
     sign = 1
     prev = 1
@@ -40,25 +33,21 @@ def _echelon_bareiss(m):
     for c in range(nc):
         if r >= nr:
             break
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if piv is None:
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        pivot = rows[r][c]
+        pivot = m[r][c]
         for i in range(r + 1, nr):
-            ric = rows[i][c]
+            ric = m[i][c]
             for j in range(c, nc):
-                rows[i][j] = (rows[i][j] * pivot - ric * rows[r][j]) // prev
+                m[i][j] = (m[i][j] * pivot - ric * m[r][j]) // prev
         prev = pivot
         pivot_cols.append(c)
         r += 1
-    return rows, pivot_cols, sign
+    return m, pivot_cols, sign, L
 
 
 def determinant(rows) -> Fraction:
@@ -68,22 +57,16 @@ def determinant(rows) -> Fraction:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return Fraction(1)
-    m, L = _to_int_matrix(rows)
-    ech, pivots, sign = _echelon_bareiss(m)
+    ech, pivots, sign, L = _eliminate(rows)
     if len(pivots) < n:
         return Fraction(0)
-    # after full Bareiss elimination the last pivot is det(M_int)
-    det_int = sign * ech[n - 1][pivots[n - 1]]
-    return Fraction(det_int, L ** n)
+    # after full Bareiss elimination the last pivot is det(L * rows)
+    return Fraction(sign * ech[n - 1][n - 1], L ** n)
 
 
 def rank(rows) -> int:
     """Exact rank of a matrix of Fractions/ints."""
-    if not rows:
-        return 0
-    m, _ = _to_int_matrix(rows)
-    _, pivots, _ = _echelon_bareiss(m)
-    return len(pivots)
+    return len(_eliminate(rows)[1])
 
 
 def kernel_basis(rows) -> list[tuple[int, ...]]:
@@ -96,8 +79,7 @@ def kernel_basis(rows) -> list[tuple[int, ...]]:
     if not rows:
         return []
     nc = len(rows[0])
-    m, _ = _to_int_matrix(rows)
-    ech, pivots, _ = _echelon_bareiss(m)
+    ech, pivots, _, _ = _eliminate(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(nc) if c not in pivot_set]
     basis = []

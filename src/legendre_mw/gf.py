@@ -1,7 +1,7 @@
 """Arithmetic in small finite fields F_p and F_{p^k}.
 
 F_{p^k} is F_p[w] modulo a fixed monic irreducible modulus.  The fields
-this package meets are small (q up to about 10^4; `build_field` refuses
+this package meets are small (q up to about 10^4; a FieldCtx refuses
 q > MAX_FIELD_ORDER), so each FieldCtx tabulates its whole
 multiplicative group once, and an element is stored as its log to a
 fixed generator g, None for zero: the same number a Poly keeps per
@@ -23,7 +23,7 @@ from .exact_linalg import determinant
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Largest field order build_field accepts.  A FieldCtx holds four
+# Largest field order a FieldCtx accepts.  A FieldCtx holds four
 # Python lists of q entries: on a 2-core KVM guest 3^10 takes 6.3 s and
 # 42 MB to build and 3^12 (< 2^20) 25 s and 154 MB, so 3^16 would take
 # about 12 GB; 101^2 (points --p 101) is far below the limit.
@@ -125,6 +125,19 @@ def _is_irreducible(f, p, k):
     return True
 
 
+def _check_field(p: int, k: int) -> None:
+    """F_{p^k} needs an odd prime p, k >= 1 and at most MAX_FIELD_ORDER
+    elements to tabulate; p^k > 2^k, so a large k is refused before p^k
+    is computed."""
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime, got %r" % (p,))
+    if k < 1:
+        raise ValueError("extension degree k must be >= 1")
+    if k >= MAX_FIELD_ORDER.bit_length() or p ** k > MAX_FIELD_ORDER:
+        raise ValueError("field of order %d^%d is larger than the %d elements "
+                         "this package tabulates" % (p, k, MAX_FIELD_ORDER))
+
+
 # ----------------------------------------------------------------------
 
 class FieldCtx:
@@ -143,10 +156,7 @@ class FieldCtx:
     __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log", "_zech", "_red")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        if not is_prime(p) or p == 2:
-            raise ValueError("p must be an odd prime, got %r" % (p,))
-        if k < 1:
-            raise ValueError("extension degree k must be >= 1")
+        _check_field(p, k)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
@@ -384,14 +394,7 @@ def build_field(p: int, k: int) -> FieldCtx:
     """F_{p^k} with the deterministic modulus: the first monic irreducible
     of degree k in integer-encoding order of the low coefficients (for
     k = 1 this is the polynomial x itself)."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime, got %r" % (p,))
-    if k < 1:
-        raise ValueError("extension degree k must be >= 1")
-    # p^k > 2^k, so a large k is refused before p^k is computed
-    if k >= MAX_FIELD_ORDER.bit_length() or p ** k > MAX_FIELD_ORDER:
-        raise ValueError("field of order %d^%d is larger than the %d elements "
-                         "this package tabulates" % (p, k, MAX_FIELD_ORDER))
+    _check_field(p, k)
     for c in itertools.product(range(p), repeat=k):
         try:
             return FieldCtx(p, k, c[::-1] + (1,))

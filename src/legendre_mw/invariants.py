@@ -51,8 +51,7 @@ def rank_formula(d: int, q: int) -> int:
     """Mordell-Weil rank over F_q(u): sum over divisors e of d with
     e > 2 of phi(e) / ord_q(e) (the number of q-power orbits of
     primitive e-th roots of unity)."""
-    if gcd(q, d) != 1:
-        raise ValueError("q and d must be coprime")
+    _check_coprime(d, q)
     total = 0
     for e in divisors(d):
         if e <= 2:
@@ -72,7 +71,9 @@ def conductor_degree(d: int) -> int:
 
 def frobenius_orbits(d: int, q: int) -> list[list[int]]:
     """Orbits of multiplication by q on Z/d, smallest representative
-    first; the orbit count equals rank_formula(d, q) + 2."""
+    first; the orbit count equals rank_formula(d, q) + 2.  Multiplication
+    by q permutes Z/d only when q is prime to d."""
+    _check_coprime(d, q)
     seen = set()
     orbits = []
     for i in range(d):
@@ -90,6 +91,11 @@ def frobenius_orbits(d: int, q: int) -> list[list[int]]:
 
 # ----------------------------------------------------------------------
 # Parameter checks.
+
+def _check_coprime(d: int, q: int) -> None:
+    if gcd(q, d) != 1:
+        raise ValueError("q and d must be coprime")
+
 
 def validate_q(q: int, p: int, f: int) -> int:
     """q must be a power of p^{2f} (of p when f = 0); returns the
@@ -145,6 +151,8 @@ def index_bound(p: int, f: int) -> int:
 def integrality_check(d: int, m: int) -> bool:
     """m can only be an index if m^2 divides (d-1)^(d-2) (the odd part
     of the lattice determinant's numerator)."""
+    if m < 1:
+        raise ValueError("index m must be >= 1")
     return (d - 1) ** (d - 2) % (m * m) == 0
 
 

@@ -232,6 +232,33 @@ def test_smul_doubles_only_to_the_top_bit(monkeypatch):
         assert len(doublings) == want
 
 
+def test_curve_construction_work_count(monkeypatch):
+    # b2..b8, c4, c6 and disc are each computed once per construction:
+    # at most 28 RatFunc products and 13 sums (38 and 18 when c4, c6 and
+    # disc each recomputed the b_i they need)
+    curves = [FAM.curve, IsogenyChain(FAM.t).source]
+    mul, add = RatFunc.__mul__, RatFunc._sum
+    products, sums = [], []
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    def counting_sum(self, c, d):
+        sums.append((c, d))
+        return add(self, c, d)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting_mul)
+    monkeypatch.setattr(RatFunc, "__rmul__", counting_mul)
+    monkeypatch.setattr(RatFunc, "_sum", counting_sum)
+    for E in curves:
+        products.clear()
+        sums.clear()
+        WeierstrassCurve(E.a1, E.a2, E.a3, E.a4, E.a6)
+        assert len(products) <= 28
+        assert len(sums) <= 13
+
+
 def test_two_torsion_shape():
     Q0, Q1, Qt = two_torsion(FAM.curve)
     for Q in (Q0, Q1, Qt):

@@ -44,6 +44,10 @@ def test_build_field_refuses_fields_too_large_to_tabulate():
         with pytest.raises(ValueError, match="larger than"):
             build_field(p, k)
     assert 3 ** 12 <= MAX_FIELD_ORDER and 101 ** 2 <= MAX_FIELD_ORDER
+    # FieldCtx checks the size before Rabin's test and the tables, so the
+    # degree-21 modulus x^21 + 1 is refused for its order 3^21 at once
+    with pytest.raises(ValueError, match="larger than"):
+        FieldCtx(3, 21, (1,) + (0,) * 20 + (1,))
 
 
 def test_modulus_validation():

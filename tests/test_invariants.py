@@ -53,6 +53,11 @@ def test_frobenius_orbits():
         orbs = frobenius_orbits(d, q)
         assert sum(len(o) for o in orbs) == d
         assert len(orbs) == rank_formula(d, q) + 2
+    # multiplication by 2 does not permute Z/4 (it sends 0 and 2 to 0),
+    # so the classes [[0], [1, 2], [3]] it would give are not orbits
+    for d, q in ((4, 2), (6, 9)):
+        with pytest.raises(ValueError, match="coprime"):
+            frobenius_orbits(d, q)
 
 
 def test_is_power_of_and_validate_q():
@@ -99,6 +104,9 @@ def test_integrality_check():
     assert not integrality_check(4, 2)
     assert integrality_check(6, 25)
     assert not integrality_check(6, 125)   # 5^6 has no room for 5^6 squared
+    for m in (0, -1):   # an index is >= 1, as in regulator_coefficient
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            integrality_check(4, m)
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2)])
