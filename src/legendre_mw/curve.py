@@ -5,10 +5,12 @@ invertible coordinate changes.
 All coordinates are RatFunc values, so every computation is exact.
 Reduction happens in the RatFunc operators, so the group law, the
 isogenies and the coordinate changes return reduced coordinates.  The
-checks do not reduce: membership compares the two sides of the curve
-equation, a new curve checks c4^3 - c6^2 = 1728 disc, and a coordinate
-change compares j = c4^3 / disc of both curves, as unreduced fractions
-by cross-multiplying their numerators and denominators, with no gcd.
+checks do not reduce and take no gcd.  Membership builds the two sides
+of the curve equation as unreduced fractions and compares the
+numerators when the denominators agree, otherwise it cross-multiplies.
+A new curve checks c4^3 - c6^2 = 1728 disc, and a coordinate change
+compares j = c4^3 / disc of both curves, as unreduced fractions by
+cross-multiplying their numerators and denominators.
 """
 
 from __future__ import annotations
@@ -116,11 +118,16 @@ class WeierstrassCurve:
     def contains(self, x: RatFunc, y: RatFunc) -> bool:
         """Whether y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6.  Both
         sides are unreduced (num, den) pairs built by products and sums
-        alone, compared by cross-multiplying, so no gcd is taken."""
+        alone, so no gcd is taken.  Equal denominators, the usual case
+        (on a model with polynomial a_i and a1 = a3 = 0 both sides of a
+        reduced point carry den(x)^3 = den(y)^2), leave the numerators to
+        compare; otherwise the two sides are cross-multiplied."""
         X, Y, a1, a2, a3, a4, a6 = ((v.num, v.den) for v in (
             x, y, self.a1, self.a2, self.a3, self.a4, self.a6))
         ln, ld = _fmul(_fadd(_fadd(Y, _fmul(a1, X)), a3), Y)
         rn, rd = _fadd(_fmul(_fadd(_fmul(_fadd(X, a2), X), a4), X), a6)
+        if ld == rd:
+            return ln == rn
         return ln * rd == rn * ld
 
     def point(self, x: RatFunc, y: RatFunc) -> CurvePoint:
@@ -158,9 +165,9 @@ class WeierstrassCurve:
                 / (2 * y1 + self.a1 * x1 + self.a3)
         else:
             lam = (y2 - y1) / (x2 - x1)
-        nu = y1 - lam * x1
-        x3 = lam * lam + self.a1 * lam - self.a2 - x1 - x2
-        y3 = -(lam + self.a1) * x3 - nu - self.a3
+        # the square lam * lam takes no gcd and meets one sum
+        x3 = lam * lam + self.a1 * lam - (self.a2 + x1 + x2)
+        y3 = lam * (x1 - x3) - y1 - self.a1 * x3 - self.a3
         return CurvePoint(self, x3, y3)
 
     def smul(self, n: int, P: CurvePoint) -> CurvePoint:
@@ -204,10 +211,21 @@ class WeierstrassCurve:
 # Unreduced fractions: (num, den) pairs of Polys with nonzero den.
 
 def _fadd(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """a + b; a zero term leaves the other one as it is."""
+    if b[0].is_zero():
+        return a
+    if a[0].is_zero():
+        return b
     return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
 
 
 def _fmul(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """a * b; a zero factor gives 0/1, and a = 1/1 gives b."""
+    if a[0].is_zero() or b[0].is_zero():
+        ctx = a[0].ctx
+        return Poly.zero(ctx), Poly.one(ctx)
+    if a[0].c == a[1].c == (0,):
+        return b
     return a[0] * b[0], a[1] * b[1]
 
 

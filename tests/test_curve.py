@@ -165,6 +165,74 @@ def test_contains_runs_no_gcd(monkeypatch):
     assert calls == []
 
 
+def test_contains_work_count(monkeypatch):
+    # on y^2 = x(x+1)(x+t) both sides of a reduced point carry den(x)^3,
+    # so the numerators are compared: at most 29 Poly products per on/off
+    # pair and no operand above 221 rows (53 products and 433 rows when
+    # the sides were cross-multiplied).  The chain's source (a1 = 1)
+    # still cross-multiplies, in 37 products (53 when its a1 x was a
+    # product).  The count includes the y + 1 of the off-curve point.
+    fam = make_family(7)
+    E, chain = fam.curve, IsogenyChain(fam.t)
+    P0, P1 = point_P(fam, 0), point_P(fam, 1)
+    points = [P0 + P1, P0 + P0, E.smul(2, P0 + P1) + E.smul(4, P0)]
+    sources = [chain.backward(R) for R in points]
+    mul = Poly.__mul__
+    rows = []
+
+    def counting_mul(self, other):
+        if isinstance(other, Poly):
+            rows.append(max(len(self.c), len(other.c)))
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(Poly, "__rmul__", counting_mul)
+    for curve, cases, most in ((E, points, 29), (chain.source, sources, 37)):
+        for R in cases:
+            rows.clear()
+            assert curve.contains(R.x, R.y) and not curve.contains(R.x, R.y + 1)
+            assert len(rows) <= most
+            if curve is E:
+                assert max(rows) <= 221
+
+
+def _parent_chord(E, P, Q):
+    """The chord-tangent law with nu = y1 - lam x1 and the large lam^2
+    meeting two sums, as a reference for add()."""
+    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
+    if x1 == x2:
+        lam = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) / (2 * y1 + E.a1 * x1 + E.a3)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    nu = y1 - lam * x1
+    x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
+    return x3, -(lam + E.a1) * x3 - nu - E.a3
+
+
+def test_chord_law_gcd_count(monkeypatch):
+    # lam * lam meets one sum and y3 = lam (x1 - x3) - y1 - a1 x3 - a3:
+    # 2P0 + 2P1 takes at most 12 gcds and (P0+P1) + (P1+P2) at most 3
+    # (16 and 6 with nu = y1 - lam x1 and lam^2 meeting two sums)
+    fam = make_family(7)
+    E = fam.curve
+    P0, P1, P2 = (point_P(fam, i) for i in range(3))
+    cases = [(P0 + P0, P1 + P1, 12), (P0 + P1, P1 + P2, 3)]
+    wants = [_parent_chord(E, P, Q) for P, Q, _ in cases]
+    calls = []
+    real = Poly.gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
+    for (P, Q, most), (x3, y3) in zip(cases, wants):
+        calls.clear()
+        S = E.add(P, Q)
+        assert len(calls) <= most
+        assert (S.x, S.y) == (x3, y3)
+
+
 def test_point_from_another_curve_rejected():
     # an explicit check, so it also holds under python -O
     fam5 = make_family(5)

@@ -209,6 +209,46 @@ def test_kronecker_product_matches_convolution(monkeypatch, p, k, lengths):
     assert sorted(set(widths)) == {7: [8, 16, 32], 3: [16, 32], 101: [32, 64]}[p]
 
 
+# two moduli of F_9 = F_3[w]: the same (p, k), different digits per log
+_F9_MODULI = [(1, 0, 1), (2, 1, 1)]
+
+
+def test_slot_bytes_belong_to_their_field(monkeypatch):
+    # products over two F_9 with different moduli, interleaved.  The slot
+    # bound 24 min(la, lb) crosses 2^8 between 10 and 11 rows and 2^16
+    # between 2730 and 2731.  A byte table shared by (p, k), or keyed by
+    # id() and so met again by a field built where a dropped one lived,
+    # would pack one field's digits for the other's logs.
+    from legendre_mw.gf import FieldCtx
+    rng = random.Random(18)
+    logs = [None] + list(range(8))
+    widths = []
+    slot = ratfunc._slot
+
+    def recorded(bound):
+        bits, code = slot(bound)
+        widths.append(bits)
+        return bits, code
+
+    def rows(ctx, n):
+        return Poly(ctx, [rng.choice(logs) for _ in range(n - 1)] + [rng.randrange(8)])
+
+    monkeypatch.setattr(ratfunc, "_slot", recorded)
+    fields = [FieldCtx(3, 2, m) for m in _F9_MODULI]
+    for la, lb in [(3, 10), (11, 11), (2730, 2731), (2731, 2731)]:
+        for ctx in fields:
+            a, b = rows(ctx, la), rows(ctx, lb)
+            assert (a * b).to_obj() == _convolve_mul(a, b)
+    assert sorted(set(widths)) == [8, 16, 32]
+    tables = [ctx.slot_bytes("H") for ctx in fields]
+    assert tables[0] != tables[1]
+    for i in range(6):
+        ctx = FieldCtx(3, 2, _F9_MODULI[i % 2])
+        a, b = rows(ctx, 12), rows(ctx, 7)
+        assert (a * b).to_obj() == _convolve_mul(a, b)
+        del ctx, a, b
+
+
 @pytest.mark.parametrize("ctx,seed", [(CTX, 31), (CTX5, 32)])
 def test_divmod_invariant(ctx, seed):
     rng = random.Random(seed)
