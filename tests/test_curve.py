@@ -170,8 +170,9 @@ def test_contains_work_count(monkeypatch):
     # so the numerators are compared: at most 29 Poly products per on/off
     # pair and no operand above 221 rows (53 products and 433 rows when
     # the sides were cross-multiplied).  The chain's source (a1 = 1)
-    # still cross-multiplies, in 37 products (53 when its a1 x was a
-    # product).  The count includes the y + 1 of the off-curve point.
+    # still cross-multiplies, in 37 products (53 when zero terms and the
+    # factor a1 = 1 were multiplied out).  The count includes the y + 1
+    # of the off-curve point.
     fam = make_family(7)
     E, chain = fam.curve, IsogenyChain(fam.t)
     P0, P1 = point_P(fam, 0), point_P(fam, 1)
@@ -196,9 +197,9 @@ def test_contains_work_count(monkeypatch):
                 assert max(rows) <= 221
 
 
-def _parent_chord(E, P, Q):
-    """The chord-tangent law with nu = y1 - lam x1 and the large lam^2
-    meeting two sums, as a reference for add()."""
+def _chord_with_nu(E, P, Q):
+    """The textbook chord-tangent law, with nu = y1 - lam x1 and the
+    large lam^2 meeting two sums, as a reference for add()."""
     x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
     if x1 == x2:
         lam = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) / (2 * y1 + E.a1 * x1 + E.a3)
@@ -217,7 +218,7 @@ def test_chord_law_gcd_count(monkeypatch):
     E = fam.curve
     P0, P1, P2 = (point_P(fam, i) for i in range(3))
     cases = [(P0 + P0, P1 + P1, 12), (P0 + P1, P1 + P2, 3)]
-    wants = [_parent_chord(E, P, Q) for P, Q, _ in cases]
+    wants = [_chord_with_nu(E, P, Q) for P, Q, _ in cases]
     calls = []
     real = Poly.gcd
 
