@@ -220,12 +220,6 @@ def _fadd(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
 
 
 def _fmul(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    """a * b; a zero factor gives 0/1, and a = 1/1 gives b."""
-    if a[0].is_zero() or b[0].is_zero():
-        ctx = a[0].ctx
-        return Poly.zero(ctx), Poly.one(ctx)
-    if a[0].c == a[1].c == (0,):
-        return b
     return a[0] * b[0], a[1] * b[1]
 
 

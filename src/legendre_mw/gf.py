@@ -17,7 +17,6 @@ irreducibility.
 from __future__ import annotations
 
 import itertools
-from array import array
 from math import gcd
 
 from .exact_linalg import determinant
@@ -25,8 +24,7 @@ from .exact_linalg import determinant
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest field order a FieldCtx accepts.  A FieldCtx holds four
-# Python lists of q entries (and, once Poly products run, a dict of q
-# slot strings per slot width): on a 2-core KVM guest 3^10 takes 6.3 s and
+# Python lists of q entries: on a 2-core KVM guest 3^10 takes 6.3 s and
 # 42 MB to build and 3^12 (< 2^20) 25 s and 154 MB, so 3^16 would take
 # about 12 GB; 101^2 (points --p 101) is far below the limit.
 MAX_FIELD_ORDER = 2 ** 20
@@ -152,12 +150,10 @@ class FieldCtx:
     nonzero elements); and the Zech logarithms _zech[e] = log(1 + g^e),
     None at e = (q - 1)/2 where g^e = -1, so that g^s + g^t =
     g^(s + _zech[t - s]).  Poly products also read _red, the digit
-    tuples of w^k..w^{2k-2}, which reduce the w-degrees >= k, and
-    `slot_bytes`, which packs a log's digits into Kronecker slots.
+    tuples of w^k..w^{2k-2}, which reduce the w-degrees >= k.
     """
 
-    __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log", "_zech", "_red",
-                 "_slot_bytes")
+    __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log", "_zech", "_red")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         _check_field(p, k)
@@ -191,20 +187,6 @@ class FieldCtx:
         # w has code p when k > 1
         lw = log[p] if k > 1 else 0
         self._red = tuple(digits[exp[m * lw % (q - 1)]] for m in range(k, 2 * k - 1))
-        self._slot_bytes = {}
-
-    def slot_bytes(self, code: str) -> dict:
-        """{log: the k digits of g^log as array typecode `code` slots, in
-        native byte order}, with None (zero) mapped to k zero slots: one
-        entry per element, built the first time a product uses that slot
-        width and kept for the field's lifetime."""
-        table = self._slot_bytes.get(code)
-        if table is None:
-            digits, exp = self._digits, self._exp
-            table = {e: array(code, digits[c]).tobytes() for e, c in enumerate(exp)}
-            table[None] = array(code, digits[0]).tobytes()
-            self._slot_bytes[code] = table
-        return table
 
     # -- basic data -------------------------------------------------
 

@@ -17,10 +17,7 @@ each component is packed into one Python int with a fixed-width slot per
 coefficient, the packed ints are multiplied, the w-degrees >= k of the
 products are reduced on the big ints by the field's reduction rows, and
 the slots are read back mod p.  The slots are 1, 2, 4 or 8 bytes, wide
-enough for the largest coefficient before the final mod.  An operand is
-packed by joining, per coefficient, the field's bytes for the k digit
-slots of its log (`FieldCtx.slot_bytes`), and component j is every k-th
-slot of that string from slot j.
+enough for the largest coefficient before the final mod.
 
 A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  The
 general constructor RatFunc(num, den) is the one place that runs
@@ -341,11 +338,11 @@ def _mul_logs(ctx: FieldCtx, a, b) -> list:
     la, lb = len(a), len(b)
     bits, code = _slot(min(la, lb) * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
     order = sys.byteorder
-    table = ctx.slot_bytes(code)
+    digits, exp, zero = ctx._digits, ctx._exp, ctx._digits[0]
 
     def pack(logs):
-        slots = memoryview(b"".join(map(table.__getitem__, logs))).cast(code)
-        return [int.from_bytes(slots[j::k], order) for j in range(k)]
+        rows = [zero if e is None else digits[exp[e]] for e in logs]
+        return [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
 
     A = pack(a)
     B = A if b is a else pack(b)
@@ -361,15 +358,12 @@ def _mul_logs(ctx: FieldCtx, a, b) -> list:
                 if c:
                     acc[r] += c * acc[m]
     size = (la + lb - 1) * bits // 8
-    cols = [memoryview(x.to_bytes(size, order)).cast(code) for x in acc[:k]]
-    log = ctx._log
-    if k == 1:
-        return [log[v % p] for v in cols[0]]
-    if k == 2:
-        return [log[v % p + w % p * p] for v, w in zip(*cols)]
     codes = [0] * (la + lb - 1)
-    for col in reversed(cols):
-        codes = [c * p + v % p for c, v in zip(codes, col)]
+    for x in reversed(acc[:k]):
+        slots = array(code)
+        slots.frombytes(x.to_bytes(size, order))
+        codes = [c * p + v % p for c, v in zip(codes, slots)]
+    log = ctx._log
     return [log[c] for c in codes]
 
 

@@ -213,12 +213,12 @@ def test_kronecker_product_matches_convolution(monkeypatch, p, k, lengths):
 _F9_MODULI = [(1, 0, 1), (2, 1, 1)]
 
 
-def test_slot_bytes_belong_to_their_field(monkeypatch):
+def test_products_over_two_moduli_of_one_order(monkeypatch):
     # products over two F_9 with different moduli, interleaved.  The slot
     # bound 24 min(la, lb) crosses 2^8 between 10 and 11 rows and 2^16
-    # between 2730 and 2731.  A byte table shared by (p, k), or keyed by
-    # id() and so met again by a field built where a dropped one lived,
-    # would pack one field's digits for the other's logs.
+    # between 2730 and 2731.  Packing or reduction data shared by (p, k),
+    # or keyed by id() and so met again by a field built where a dropped
+    # one lived, would use one field's digits for the other's logs.
     from legendre_mw.gf import FieldCtx
     rng = random.Random(18)
     logs = [None] + list(range(8))
@@ -235,13 +235,12 @@ def test_slot_bytes_belong_to_their_field(monkeypatch):
 
     monkeypatch.setattr(ratfunc, "_slot", recorded)
     fields = [FieldCtx(3, 2, m) for m in _F9_MODULI]
+    assert fields[0]._exp != fields[1]._exp
     for la, lb in [(3, 10), (11, 11), (2730, 2731), (2731, 2731)]:
         for ctx in fields:
             a, b = rows(ctx, la), rows(ctx, lb)
             assert (a * b).to_obj() == _convolve_mul(a, b)
     assert sorted(set(widths)) == [8, 16, 32]
-    tables = [ctx.slot_bytes("H") for ctx in fields]
-    assert tables[0] != tables[1]
     for i in range(6):
         ctx = FieldCtx(3, 2, _F9_MODULI[i % 2])
         a, b = rows(ctx, 12), rows(ctx, 7)
