@@ -2,11 +2,21 @@
 chord-tangent group law, 2-isogenies with explicit rational maps, and
 invertible coordinate changes.
 
-All coordinates are RatFunc values, so every computation is exact.
-Reduction happens in the RatFunc operators, so the group law, the
-isogenies and the coordinate changes return reduced coordinates.  The
-checks do not reduce and take no gcd.  Membership builds the two sides
-of the curve equation as unreduced fractions and compares the
+All coordinates are RatFunc values, so every computation is exact, and
+the group law, the isogenies and the coordinate changes return reduced
+coordinates.  On a model whose a_i are all polynomials in u, a reduced
+point x = N/D, y = Y/E has D = C^2 and E = C^3 for one monic C: at a
+prime of F_q[u] where x has a pole of order 2m, y has one of order 3m.
+There the point maps read the reduced denominators off this rule
+instead of taking gcds whose answer it fixes: C = E / D (an exact
+division, checked), a coordinate change with polynomial r, t_ and
+constant s, w keeps D and E, the 2-isogeny takes at most gcd(b, N) and
+gcd(Y, N^2 / gcd(b, N^2)), and the group law writes lam^2 + a1 lam over
+den(lam)^2 and reads y3's denominator as den(x3)^(3/2).  On any other
+model the RatFunc operators reduce.
+
+The checks do not reduce and take no gcd.  Membership builds the two
+sides of the curve equation as unreduced fractions and compares the
 numerators when the denominators agree, otherwise it cross-multiplies.
 A new curve checks c4^3 - c6^2 = 1728 disc, and a coordinate change
 compares j = c4^3 / disc of both curves, as unreduced fractions by
@@ -16,7 +26,7 @@ cross-multiplying their numerators and denominators.
 from __future__ import annotations
 
 from .gf import FieldCtx
-from .ratfunc import Poly, RatFunc, _as_ratfunc
+from .ratfunc import Poly, RatFunc, _as_ratfunc, _common, poly_sqrt
 
 
 class CurvePoint:
@@ -65,7 +75,7 @@ class CurvePoint:
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with RatFunc a_i."""
 
-    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_c4", "_c6", "_disc")
+    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_c4", "_c6", "_disc", "_integral")
 
     def __init__(self, a1: RatFunc, a2: RatFunc, a3: RatFunc, a4: RatFunc, a6: RatFunc):
         ctx = a1.ctx
@@ -74,6 +84,8 @@ class WeierstrassCurve:
                 raise ValueError("coefficient field mismatch")
         self.ctx = ctx
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
+        # every a_i a polynomial: the known-denominator rule holds
+        self._integral = all(a.is_poly() for a in (a1, a2, a3, a4, a6))
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
@@ -161,14 +173,37 @@ class WeierstrassCurve:
             if y2 == -y1 - self.a1 * x1 - self.a3:
                 return self.infinity()
             # now P == Q with 2y + a1 x + a3 != 0: tangent line
-            lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) \
+            lam = (3 * (x1 * x1) + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) \
                 / (2 * y1 + self.a1 * x1 + self.a3)
         else:
             lam = (y2 - y1) / (x2 - x1)
+        if self._integral:
+            return CurvePoint(self, *self._chord_known(lam, x1, y1, x2))
         # the square lam * lam takes no gcd and meets one sum
         x3 = lam * lam + self.a1 * lam - (self.a2 + x1 + x2)
         y3 = lam * (x1 - x3) - y1 - self.a1 * x3 - self.a3
         return CurvePoint(self, x3, y3)
+
+    def _chord_known(self, lam: RatFunc, x1: RatFunc, y1: RatFunc,
+                     x2: RatFunc) -> tuple[RatFunc, RatFunc]:
+        """(x3, y3) on a model with polynomial a_i.  For lam = N/D,
+        lam^2 + a1 lam = N (N + a1 D)/D^2 is reduced, its numerator being
+        N^2 mod D.  y3 = lam (x1 - x3) - y1 - a1 x3 - a3 has the reduced
+        denominator E3 C3 for E3 = den(x3) = C3^2.  With x1 = A1/E1,
+        y1 = B1/F1 (F1 = E1 C1) and x3 = A3/E3, y3 = T/(D F1 E3) for
+        T = N (A1 E3 - A3 E1) C1 - B1 D E3 - (a1 A3 + a3 E3) D F1, so its
+        numerator is T C3 / (D F1), an exact division."""
+        N, D = lam.num, lam.den
+        x3 = RatFunc(N * (N + self.a1.num * D), D * D, _canonical=True) \
+            - (self.a2 + x1 + x2)
+        A1, E1, B1, F1 = x1.num, x1.den, y1.num, y1.den
+        A3, E3 = x3.num, x3.den
+        C3 = poly_sqrt(E3)
+        DF1 = D * F1
+        T = N * _exact(F1, E1) * (A1 * E3 - A3 * E1) - B1 * D * E3
+        if not (self.a1.is_zero() and self.a3.is_zero()):
+            T = T - (self.a1.num * A3 + self.a3.num * E3) * DF1
+        return x3, RatFunc(_exact(T * C3, DF1), E3 * C3, _canonical=True)
 
     def smul(self, n: int, P: CurvePoint) -> CurvePoint:
         """n*P by left-to-right double-and-add: one doubling per bit
@@ -223,6 +258,23 @@ def _fmul(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
     return a[0] * b[0], a[1] * b[1]
 
 
+def _exact(a: Poly, b: Poly) -> Poly:
+    """a / b for a monic b that divides a; ArithmeticError otherwise."""
+    if len(b.c) == 1:
+        return a
+    q, r = divmod(a, b)
+    if not r.is_zero():
+        raise ArithmeticError("inexact division: the point is not reduced "
+                              "on a model with polynomial coefficients")
+    return q
+
+
+def _monic_den(num: Poly, den: Poly) -> RatFunc:
+    """num/den for coprime num, den, scaled so that den is monic."""
+    s = den.lc().inv()
+    return RatFunc(num.scale(s), den.scale(s), _canonical=True)
+
+
 def _same_j(E: WeierstrassCurve, F: WeierstrassCurve) -> bool:
     """j(E) = j(F), i.e. c4^3 disc' = c4'^3 disc, compared on the
     unreduced fractions c4^3/disc by cross-multiplying."""
@@ -238,9 +290,18 @@ def _same_j(E: WeierstrassCurve, F: WeierstrassCurve) -> bool:
 
 def legendre_form_curve(t: RatFunc) -> WeierstrassCurve:
     """y^2 = x (x + 1) (x + t), i.e. a2 = 1 + t, a4 = t, a6 = 0."""
-    ctx = t.ctx
-    zero = RatFunc.zero(ctx)
-    return WeierstrassCurve(zero, 1 + t, zero, t, zero)
+    return WeierstrassCurve(*_legendre_coeffs(t))
+
+
+def _legendre_coeffs(t: RatFunc) -> tuple:
+    zero = RatFunc.zero(t.ctx)
+    return zero, 1 + t, zero, t, zero
+
+
+def _has_coeffs(E: WeierstrassCurve, coeffs) -> bool:
+    """Whether E's (a1, a2, a3, a4, a6) are coeffs: the curves' equality,
+    without building and checking a second curve."""
+    return (E.a1, E.a2, E.a3, E.a4, E.a6) == tuple(coeffs)
 
 
 def two_torsion(curve: WeierstrassCurve) -> tuple[CurvePoint, CurvePoint, CurvePoint]:
@@ -275,10 +336,37 @@ class IsogenyMap:
             raise ValueError("point not on the isogeny domain")
         if P.is_infinity or P.x.is_zero():
             return self.codomain.infinity()
+        if self.domain._integral:
+            return self.codomain.point(*self._apply_known(P.x, P.y))
         b_x = self.domain.a4 / P.x
         x2 = P.x + self.domain.a2 + b_x
         y2 = P.y * (1 - b_x / P.x)
         return self.codomain.point(x2, y2)
+
+    def _apply_known(self, x: RatFunc, y: RatFunc) -> tuple[RatFunc, RatFunc]:
+        """(x', y') for x = N/D, y = Y/E reduced, with polynomial a, b.
+        x' = (N^2 + a N D + b D^2)/(N D), where the numerator is prime to
+        D and meets N in gcd(b, N).  y' = Y (N^2 - b D^2)/(E N^2), where
+        gcd(N^2 - b D^2, N^2) = gcd(b, N^2), N^2 - b D^2 is prime to E
+        (it is N^2 mod C), and only Y and N^2 / gcd(b, N^2) can share
+        more; gcd(b, N) = 1 makes both gcds with b 1."""
+        a, b = self.domain.a2.num, self.domain.a4.num
+        N, D, Y, E = x.num, x.den, y.num, y.den
+        N2, ND = N * N, N * D
+        bD2 = b * (D * D)
+        xn, xd, yn, M = N2 + a * ND + bD2, ND, N2 - bD2, N2
+        g = _common(b, N)
+        if g is not None:
+            xn, xd = xn // g, xd // g
+            h = _common(b, N2)
+            yn, M = yn // h, M // h
+        x2 = _monic_den(xn, xd)
+        if not Y.c:
+            return x2, y
+        k = _common(Y, M)
+        if k is not None:
+            Y, M = Y // k, M // k
+        return x2, _monic_den(Y * yn, E * M)
 
     def to_obj(self):
         """The maps as coefficient lists in x, low degree first:
@@ -314,24 +402,38 @@ class CoordChange:
     """Invertible substitution x = w^2 x' + r, y = w^3 y' + s w^2 x' + t_.
 
     forward() maps points of the original curve to the transformed one,
-    backward() inverts.
+    backward() inverts.  With polynomial a_i on the domain, polynomial
+    r, t_ and constant s, w, a point x = N/D, y = Y/E with E = D C maps
+    to fractions over the same D and E: x' = (N - r D)/(w^2 D) and
+    y' = (Y - s (N - r D) C - t_ E)/(w^3 E), already reduced as their
+    numerators are N and Y mod C (and backward() likewise).
     """
 
-    __slots__ = ("domain", "codomain", "r", "s", "t_", "w")
+    __slots__ = ("domain", "codomain", "r", "s", "t_", "w", "_w2", "_w3", "_known")
 
     def __init__(self, domain, codomain, r, s, t_, w):
         self.domain = domain
         self.codomain = codomain
         self.r, self.s, self.t_, self.w = r, s, t_, w
+        self._w2 = w * w
+        self._w3 = self._w2 * w
+        self._known = (domain._integral and r.is_poly() and t_.is_poly()
+                       and _is_constant(s) and _is_constant(w))
 
     def forward(self, P: CurvePoint) -> CurvePoint:
         if P.curve != self.domain:
             raise ValueError("point not on the source curve")
         if P.is_infinity:
             return self.codomain.infinity()
-        w2 = self.w * self.w
-        x2 = (P.x - self.r) / w2
-        y2 = (P.y - self.s * (P.x - self.r) - self.t_) / (w2 * self.w)
+        if self._known:
+            N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
+            X = N - self.r.num * D
+            Y = Y - self.s.num * X * _exact(E, D) - self.t_.num * E
+            x2 = RatFunc(X, D, _canonical=True) / self._w2.num.lc()
+            y2 = RatFunc(Y, E, _canonical=True) / self._w3.num.lc()
+        else:
+            x2 = (P.x - self.r) / self._w2
+            y2 = (P.y - self.s * (P.x - self.r) - self.t_) / self._w3
         return self.codomain.point(x2, y2)
 
     def backward(self, P: CurvePoint) -> CurvePoint:
@@ -339,10 +441,20 @@ class CoordChange:
             raise ValueError("point not on the target curve")
         if P.is_infinity:
             return self.domain.infinity()
-        w2 = self.w * self.w
-        x1 = w2 * P.x + self.r
-        y1 = w2 * self.w * P.y + self.s * w2 * P.x + self.t_
+        if self._known:
+            N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
+            N = self._w2.num * N
+            X = N + self.r.num * D
+            Y = self._w3.num * Y + self.s.num * N * _exact(E, D) + self.t_.num * E
+            x1, y1 = RatFunc(X, D, _canonical=True), RatFunc(Y, E, _canonical=True)
+        else:
+            x1 = self._w2 * P.x + self.r
+            y1 = self._w3 * P.y + self.s * self._w2 * P.x + self.t_
         return self.domain.point(x1, y1)
+
+
+def _is_constant(v: RatFunc) -> bool:
+    return v.is_poly() and v.num.deg <= 0
 
 
 def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurve, CoordChange]:
@@ -393,14 +505,14 @@ class IsogenyChain:
         inv2 = RatFunc.constant(ctx, 2).inv()
         self.mid, self._to_mid = change_coords(
             self.source, -tp, -inv2, 0, RatFunc.constant(ctx, 4).inv())
-        if self.mid != self.expected_mid():
+        if not _has_coeffs(self.mid, self._mid_coeffs()):
             raise ArithmeticError("first displayed model")
         self.phi = two_isogeny_quotient(self.mid)
         self.quotient = self.phi.codomain
-        if self.quotient != self.expected_quotient():
+        if not _has_coeffs(self.quotient, self._quotient_coeffs()):
             raise ArithmeticError("second displayed model")
         self.legendre, self._to_legendre = change_coords(self.quotient, 4, 0, 0, 2)
-        if self.legendre != legendre_form_curve(t):
+        if not _has_coeffs(self.legendre, _legendre_coeffs(t)):
             raise ArithmeticError("must land on y^2 = x(x+1)(x+t)")
         self._dual_phi = two_isogeny_quotient(self.quotient)
         dual_target, self._from_dual = change_coords(
@@ -410,15 +522,19 @@ class IsogenyChain:
 
     def expected_mid(self) -> WeierstrassCurve:
         """y^2 = x^3 + (4 - 2t) x^2 + t^2 x."""
-        ctx = self.t.ctx
-        zero = RatFunc.zero(ctx)
-        return WeierstrassCurve(zero, 4 - 2 * self.t, zero, self.t * self.t, zero)
+        return WeierstrassCurve(*self._mid_coeffs())
 
     def expected_quotient(self) -> WeierstrassCurve:
         """y^2 = x^3 + (4t - 8) x^2 - 16 (t - 1) x = x (x - 4) (x + 4(t-1))."""
-        ctx = self.t.ctx
-        zero = RatFunc.zero(ctx)
-        return WeierstrassCurve(zero, 4 * self.t - 8, zero, -16 * (self.t - 1), zero)
+        return WeierstrassCurve(*self._quotient_coeffs())
+
+    def _mid_coeffs(self) -> tuple:
+        zero = RatFunc.zero(self.t.ctx)
+        return zero, 4 - 2 * self.t, zero, self.t * self.t, zero
+
+    def _quotient_coeffs(self) -> tuple:
+        zero = RatFunc.zero(self.t.ctx)
+        return zero, 4 * self.t - 8, zero, -16 * (self.t - 1), zero
 
     def forward(self, P: CurvePoint) -> CurvePoint:
         """Source -> Legendre form (one isomorphism onto the first

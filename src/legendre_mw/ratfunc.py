@@ -8,16 +8,23 @@ arithmetic in the field's tables: a product of coefficients adds logs,
 a sum reads the Zech table (g^s + g^t = g^(s + zech[t - s])), negation
 adds n/2 for n = q - 1, as -1 = g^(n/2), and the Frobenius a -> a^p
 multiplies each log by p.
-Division and gcd are long division on these lists.
 
-A product of two polynomials is one Kronecker substitution (Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
+The kernels are chosen by operand size, at crossovers measured once and
+named as constants.  A product of an la-row and an lb-row operand with
+la * lb <= 64 k is a convolution of the logs: each pair of nonzero
+terms adds its logs and is summed into its row through the Zech table.
+A larger product is one Kronecker substitution (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
 2009): the operands are split into their k digit components over F_p,
-each component is packed into one Python int with a fixed-width slot per
-coefficient, the packed ints are multiplied, the w-degrees >= k of the
-products are reduced on the big ints by the field's reduction rows, and
-the slots are read back mod p.  The slots are 1, 2, 4 or 8 bytes, wide
-enough for the largest coefficient before the final mod.
+each component is packed into one Python int with a fixed-width slot
+per coefficient, the packed ints are multiplied, the w-degrees >= k of
+the products are reduced on the big ints by the field's reduction rows,
+and the slots are read back mod p.  The slots are 1, 2, 4 or 8 bytes,
+wide enough for the largest coefficient before the final mod.
+Division and gcd are long division on these lists; a division by a
+divisor of at least 24 rows with at least 24 quotient rows over k <= 2
+runs on Kronecker-packed digits, one big-int shift-and-add per quotient
+row, and reads the remainder back mod p once.
 
 A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  The
 general constructor RatFunc(num, den) is the one place that runs
@@ -31,15 +38,19 @@ a/b + c/d needs g = gcd(b, d) and then gcd of the new numerator with
 g alone, a product needs gcd(a, d) and gcd(c, b), and an inverse only
 rescales.  A gcd with a constant operand is 1 and is not computed,
 and a square x * x of one operand takes no gcd, as the square of a
-reduced fraction is reduced.  A Poly product with a one-row operand is
-a scaling, and a product by 1 returns the other operand without
-building a field element.
+reduced fraction is reduced.  A RatFunc times an int or FieldElement
+only moves the numerator's logs, plus one is (num + c den)/den, and a
+sum with a zero term returns the other term: none of them makes a Poly
+product.  A Poly product with a one-row operand is a scaling, and a
+product by 1 returns the other operand without building a field
+element.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import chain
 
 from .gf import FieldCtx, FieldElement
 
@@ -218,19 +229,19 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        return _divmod_logs(self.ctx._zech, self.c, other.c, want_quotient)
+        return _divmod(self.ctx, self.c, other.c, want_quotient)
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
         """Monic gcd (gcd(0, 0) = 0) by the Euclidean algorithm: each
-        step is one `_divmod_logs` remainder, with no Poly and no monic
-        copy per step; the result is made monic once, by subtracting its
+        step is one `_divmod` remainder, with no Poly and no monic copy
+        per step; the result is made monic once, by subtracting its
         leading log."""
         a._check(b)
-        zech = a.ctx._zech
+        ctx = a.ctx
         x, y = a.c, b.c
         while y:
-            x, y = y, _divmod_logs(zech, x, y, want_quotient=False)[1]
+            x, y = y, _divmod(ctx, x, y, want_quotient=False)[1]
         g = Poly(a.ctx, x)
         return g.monic() if x else g
 
@@ -327,7 +338,50 @@ def _slot(bound: int) -> tuple[int, str]:
     raise OverflowError("polynomial product too large for %d-bit slots" % _SLOTS[-1][0])
 
 
+# Kernel crossovers, measured on dense operands on a 2-core Xeon KVM
+# guest (CPython 3.11).  A convolution of logs costs about la * lb Zech
+# steps and beats one Kronecker product up to about 8 x 8 rows at k = 1,
+# 11 x 11 at k = 2, 16 x 16 at k = 4 and 18 x 18 at k = 6 (about 10, 14,
+# 35 and 46 us per product there), so it runs while la * lb <= 64 k.
+_CONVOLVE_ROWS2_PER_K = 64
+# Packed long division beats `_divmod_logs` once the divisor and the
+# quotient both have 24 rows over k <= 2 (1.0-1.2x at 48/24 rows, 2.5x at
+# 100/50 and 3-4x at 200/120 over F_9, F_25 and F_49) and is slower
+# below; over F_81 it is slower at every size measured.
+_PACKED_DIV_ROWS = 24
+_PACKED_DIV_MAX_K = 2
+
+
 def _mul_logs(ctx: FieldCtx, a, b) -> list:
+    """Exact product of nonzero coefficient-log lists: a convolution of
+    the logs while la * lb <= _CONVOLVE_ROWS2_PER_K * k, else one
+    Kronecker product."""
+    if len(a) * len(b) <= _CONVOLVE_ROWS2_PER_K * ctx.k:
+        return _convolve_logs(ctx._zech, a, b)
+    return _kronecker_logs(ctx, a, b)
+
+
+def _convolve_logs(zech: list, a, b) -> list:
+    """Schoolbook product: each pair of nonzero terms adds its logs, and
+    the term is summed into its row through the Zech table."""
+    n = len(zech)
+    out = [None] * (len(a) + len(b) - 1)
+    terms = [(j, e) for j, e in enumerate(b) if e is not None]
+    for i, s in enumerate(a):
+        if s is None:
+            continue
+        for j, e in terms:
+            t = (s + e) % n
+            c = out[i + j]
+            if c is None:
+                out[i + j] = t
+            else:
+                z = zech[t - c]
+                out[i + j] = None if z is None else (c + z) % n
+    return out
+
+
+def _kronecker_logs(ctx: FieldCtx, a, b) -> list:
     """Exact product of nonzero coefficient-log lists by Kronecker
     substitution (see the module docstring).  Column i of a holds digit i
     of every coefficient; the product of columns i and j lands in w-degree
@@ -367,6 +421,74 @@ def _mul_logs(ctx: FieldCtx, a, b) -> list:
     return [log[c] for c in codes]
 
 
+def _divmod(ctx: FieldCtx, a, b, want_quotient: bool):
+    """Long division of nonzero-divisor log lists: packed when the
+    divisor and the quotient both have at least _PACKED_DIV_ROWS rows
+    and k <= _PACKED_DIV_MAX_K, else `_divmod_logs`."""
+    if (len(b) >= _PACKED_DIV_ROWS and len(a) - len(b) + 1 >= _PACKED_DIV_ROWS
+            and ctx.k <= _PACKED_DIV_MAX_K):
+        return _divmod_packed(ctx, a, b, want_quotient)
+    return _divmod_logs(ctx._zech, a, b, want_quotient)
+
+
+def _divmod_packed(ctx: FieldCtx, a, b, want_quotient: bool):
+    """`_divmod_logs` on Kronecker-packed digits: the remainder is one int
+    with k slots per row, one per digit.  The k multiples w^j b are
+    packed once; a quotient term with -q = sum e_j w^j then adds
+    sum_j e_j (w^j b), shifted to its row, kept per distinct q.  Slots
+    only grow and are read mod p: the top row's digits when its quotient
+    term is taken, the remainder once at the end.  A slot starts at most
+    p - 1, and at most min(lq, lb) rows add at most k (p - 1)^2 each."""
+    k, p = ctx.k, ctx.p
+    la, lb = len(a), len(b)
+    db, lq = lb - 1, la - lb + 1
+    bits, code = _slot(p - 1 + max(min(lq, lb), 0) * k * (p - 1) ** 2)
+    order = sys.byteorder
+    digits, exp, log = ctx._digits, ctx._exp, ctx._log
+    n = len(exp)
+    zero = digits[0]
+
+    def pack(logs):
+        rows = [zero if e is None else digits[exp[e]] for e in logs]
+        return int.from_bytes(array(code, chain.from_iterable(rows)).tobytes(), order)
+
+    lw = log[p] if k > 1 else 0
+    wb = [pack([None if e is None else (e + j * lw) % n for e in b]) for j in range(k)]
+    R = pack(a)
+    row_bits = k * bits
+    mask, row_mask = (1 << bits) - 1, (1 << row_bits) - 1
+    top, half = b[db], n // 2
+    q = [None] * lq if want_quotient else None
+    terms = {}
+    for i in range(la - 1, db - 1, -1):
+        x = R >> i * row_bits & row_mask
+        if not x:
+            continue
+        c = 0
+        for j in range(k - 1, -1, -1):
+            c = c * p + (x >> j * bits & mask) % p
+        if not c:
+            continue
+        ql = (log[c] - top) % n
+        if want_quotient:
+            q[i - db] = ql
+        t = terms.get(ql)
+        if t is None:
+            t = 0
+            for e, w in zip(digits[exp[(ql + half) % n]], wb):
+                if e:
+                    t += e * w
+            terms[ql] = t
+        R += t << (i - db) * row_bits
+    size = db * row_bits // 8
+    slots = array(code)
+    slots.frombytes((R & ((1 << 8 * size) - 1)).to_bytes(size, order))
+    codes = [0] * db
+    for j in range(k - 1, -1, -1):
+        codes = [c * p + v % p for c, v in zip(codes, slots[j::k])]
+    return q, _trim([log[c] for c in codes])
+
+
 def _divmod_logs(zech: list, a, b, want_quotient: bool):
     """Long division of a by b, both trimmed lists of coefficient logs
     (low degree first, None for zero); zech is the field's Zech table,
@@ -400,8 +522,9 @@ def _divmod_logs(zech: list, a, b, want_quotient: bool):
 
 def poly_sqrt(f: Poly) -> Poly:
     """Exact square root of a perfect-square polynomial, without
-    factoring: solve g from the top coefficient down, then verify.
-    Raises ValueError if f is not a square."""
+    factoring: solve g from the top coefficient down on coefficient
+    logs, then verify.  The top coefficient is lc(f).sqrt().  Raises
+    ValueError if f is not a square."""
     if f.is_zero():
         return f
     if f.deg % 2 != 0:
@@ -411,17 +534,30 @@ def poly_sqrt(f: Poly) -> Poly:
     top = f.lc().sqrt()
     if top is None:
         raise ValueError("leading coefficient is not a square")
-    g = [ctx.zero()] * (m + 1)
-    g[m] = top
-    inv2gm = (ctx.elem(2) * top).inv()
+    zech, c = ctx._zech, f.c
+    n = len(zech)
+    neg = n // 2
+    g = [None] * (m + 1)
+    g[m] = top.e
+    # log of -1/(2 g_m)
+    scale = (neg - ctx.elem(2).e - top.e) % n
     for i in range(m - 1, -1, -1):
-        # x^(m+i) coefficient of g^2 is 2*g_m*g_i + sum over the already
-        # known ordered pairs (j, m+i-j) with i < j < m
-        s = f.coeff(m + i)
+        # the u^(m+i) coefficient of g^2 is 2 g_m g_i + the sum over the
+        # already known ordered pairs (j, m+i-j) with i < j < m, so with
+        # s = that sum - f_(m+i), g_i = -s/(2 g_m)
+        s = None if c[m + i] is None else (c[m + i] + neg) % n
         for j in range(i + 1, m):
-            s = s - g[j] * g[m + i - j]
-        g[i] = s * inv2gm
-    root = Poly.from_elems(ctx, g)
+            x, y = g[j], g[m + i - j]
+            if x is None or y is None:
+                continue
+            t = (x + y) % n
+            if s is None:
+                s = t
+            else:
+                z = zech[t - s]
+                s = None if z is None else (s + z) % n
+        g[i] = None if s is None else (s + scale) % n
+    root = Poly(ctx, g)
     if not (root * root) == f:
         raise ValueError("not a perfect square")
     return root
@@ -499,6 +635,8 @@ class RatFunc:
     # -- field operations ----------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            return self._plus(self.ctx.elem(other))
         o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
@@ -507,22 +645,38 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            return self._plus(-self.ctx.elem(other))
         o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
         return self._sum(-o.num, o.den)
 
     def __rsub__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            return (-self)._plus(self.ctx.elem(other))
         o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
         return o - self
 
+    def _plus(self, c: FieldElement) -> "RatFunc":
+        """self + c for a field element c: (num + c den)/den is reduced,
+        as num + c den = num mod den."""
+        if c.e is None:
+            return self
+        return RatFunc(self.num + self.den._times(c.e), self.den, _canonical=True)
+
     def _sum(self, c: Poly, d: Poly) -> "RatFunc":
         """self + c/d for coprime c, d with d monic (Henrici): with
         g = gcd(b, d), a/b + c/d = (a d' + c b') / (b' d' g) for b = b' g,
-        d = d' g, and only gcd(a d' + c b', g) can cancel."""
+        d = d' g, and only gcd(a d' + c b', g) can cancel.  A zero term
+        leaves the other one."""
         a, b = self.num, self.den
+        if not c.c:
+            return self
+        if not a.c:
+            return RatFunc(c, d, _canonical=True)
         g = _common(b, d)
         b1, d1 = (b, d) if g is None else (b // g, d // g)
         num = a * d1 + c * b1
@@ -537,6 +691,8 @@ class RatFunc:
         return RatFunc(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            return self._scaled(self.ctx.elem(other))
         o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
@@ -557,7 +713,15 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    def _scaled(self, c: FieldElement) -> "RatFunc":
+        """self * c for a field element c: only the numerator's logs move."""
+        if c.e is None:
+            return RatFunc.zero(self.ctx)
+        return RatFunc(self.num._times(c.e), self.den, _canonical=True)
+
     def __truediv__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            return self._scaled(self.ctx.elem(other).inv())
         o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented
@@ -566,6 +730,8 @@ class RatFunc:
         return self * o.inv()
 
     def __rtruediv__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            return self.inv()._scaled(self.ctx.elem(other))
         o = _as_ratfunc(self.ctx, other)
         if o is NotImplemented:
             return NotImplemented

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from legendre_mw import curve as curve_mod
 from legendre_mw.curve import (
+    CurvePoint,
     IsogenyChain,
+    IsogenyMap,
     WeierstrassCurve,
     _same_j,
     change_coords,
@@ -430,6 +435,124 @@ def test_isogeny_chain_matches_displayed_substitutions(p):
         S = backward(R)
         assert chain.backward(R) == S
         assert chain.forward(S) == forward(S) == R + R
+
+
+# Known denominators: on the chain's models, whose a_i are polynomials,
+# the point maps and the group law read reduced denominators off
+# den(y) = den(x)^(3/2); the RatFunc formulas below are the reference.
+
+_CHAINS = {p: (make_family(p), IsogenyChain(make_family(p).t)) for p in (3, 5)}
+# a change with nonzero polynomial r, t_ and constant s, w on each
+# Legendre-form curve, which the chain's own changes (t_ = 0) lack
+_SHIFTS = {p: change_coords(fam.curve, fam.u, 1, fam.u ** 2 + 1, 2)[1]
+           for p, (fam, _) in _CHAINS.items()}
+
+
+def _change_by_formulas(ch, P, forward):
+    x, y = P.x, P.y
+    if forward:
+        w2 = ch.w * ch.w
+        return (x - ch.r) / w2, (y - ch.s * (x - ch.r) - ch.t_) / (w2 * ch.w)
+    w2 = ch.w * ch.w
+    return w2 * x + ch.r, w2 * ch.w * y + ch.s * w2 * x + ch.t_
+
+
+def _isogeny_by_formulas(phi, P):
+    b_x = phi.domain.a4 / P.x
+    return P.x + phi.domain.a2 + b_x, P.y * (1 - b_x / P.x)
+
+
+@st.composite
+def _chain_points(draw):
+    """A chain and a point on its Legendre-form curve: a small
+    combination of two P_i plus a torsion point, not O."""
+    p = draw(st.sampled_from(sorted(_CHAINS)))
+    fam, chain = _CHAINS[p]
+    i, j = draw(st.integers(0, fam.d - 1)), draw(st.integers(0, fam.d - 1))
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+    tors = list(torsion_points(fam).values())
+    R = a * point_P(fam, i) + b * point_P(fam, j) + draw(st.sampled_from(tors))
+    return fam, chain, R
+
+
+@settings(max_examples=25, deadline=None)
+@given(_chain_points(), _chain_points())
+def test_known_denominators_match_formulas(drawn, other):
+    fam, chain, R = drawn
+    if R.is_infinity:
+        return
+    S = other[2] if other[0] is fam else R + R
+    # the maps: each step of backward() and forward() against the formulas
+    steps = []
+    Q = chain._to_legendre.backward(R)
+    steps.append((Q, _change_by_formulas(chain._to_legendre, R, False)))
+    shift = _SHIFTS[fam.p]
+    moved = shift.forward(R)
+    steps.append((moved, _change_by_formulas(shift, R, True)))
+    steps.append((shift.backward(moved), (R.x, R.y)))
+    if not Q.x.is_zero():
+        M = chain._dual_phi.apply(Q)
+        steps.append((M, _isogeny_by_formulas(chain._dual_phi, Q)))
+        src = chain._from_dual.backward(M)
+        steps.append((src, _change_by_formulas(chain._from_dual, M, False)))
+        mid = chain._to_mid.forward(src)
+        steps.append((mid, _change_by_formulas(chain._to_mid, src, True)))
+        if not mid.x.is_zero():
+            steps.append((chain.phi.apply(mid), _isogeny_by_formulas(chain.phi, mid)))
+    for got, (x, y) in steps:
+        assert (got.x, got.y) == (x, y)
+    for ch in (chain._to_legendre, chain._dual_phi, chain._from_dual, chain._to_mid):
+        assert ch.domain._integral
+    assert all(ch._known for ch in
+               (chain._to_legendre, chain._from_dual, chain._to_mid, shift))
+    # the group law on the Legendre form, the first displayed model and
+    # the source (a1 = 1): chord and tangent
+    pts = [(fam.curve, R, S)]
+    if not Q.x.is_zero():
+        pts.append((chain.source, src, chain.backward(S)))
+        pts.append((chain.mid, mid, chain._to_mid.forward(chain.backward(S))))
+    for E, A, B in pts:
+        for P2 in (A, B):
+            if P2.is_infinity or E.neg(P2) == A:
+                continue
+            T = E.add(A, P2)
+            assert (T.x, T.y) == _chord_with_nu(E, A, P2)
+            assert E.on_curve(T)
+
+
+def test_general_model_takes_the_ratfunc_formulas(monkeypatch):
+    # a model with non-polynomial a_i (w = u + 2) adds and maps by the
+    # RatFunc formulas: the known-denominator code is never entered
+    u = RatFunc.variable(FAM.ctx)
+    E2, ch = change_coords(FAM.curve, 0, 0, 0, u + 2)
+    assert not E2._integral and not ch._known
+    P0, P1 = point_P(FAM, 0), point_P(FAM, 1) + point_P(FAM, 2)
+    A, B = ch.forward(P0), ch.forward(P1)
+
+    def refused(*args):
+        raise AssertionError("known-denominator path on a general model")
+
+    monkeypatch.setattr(WeierstrassCurve, "_chord_known", refused)
+    monkeypatch.setattr(IsogenyMap, "_apply_known", refused)
+    monkeypatch.setattr(curve_mod, "_exact", refused)
+    for P, Q in ((A, B), (A, A)):
+        T = E2.add(P, Q)
+        assert (T.x, T.y) == _chord_with_nu(E2, P, Q)
+    assert ch.backward(A) == P0
+    assert (A.x, A.y) == _change_by_formulas(ch, P0, True)
+    phi = two_isogeny_quotient(E2)
+    assert phi.apply(A + B) == phi.apply(A) + phi.apply(B)
+
+
+def test_inexact_known_denominator_is_refused():
+    # x = 1/u^2 with y = 1/u (den(y) is not den(x) C) on a model with
+    # polynomial a_i: the checked division C = den(y) / den(x) refuses it
+    u = RatFunc.variable(FAM.ctx)
+    chain = IsogenyChain(FAM.t)
+    x, y = 1 / (u * u), 1 / u
+    P = CurvePoint(chain.legendre, x, y)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        chain._to_legendre.backward(P)
 
 
 def test_curve_serialization():

@@ -126,24 +126,51 @@ def test_products_by_one_return_the_operand(monkeypatch):
 def test_ratfunc_ops_run_no_gcd_against_a_constant(monkeypatch):
     # x + poly, x * c, x / c and inv meet a denominator or numerator of
     # degree 0 in every gcd they would need, and x * x is reduced as
-    # the square of a reduced fraction, so Euclid never runs
+    # the square of a reduced fraction, so Euclid never runs.  A sum
+    # with a zero term returns the other term (negated for 0 - x), and
+    # an int or FieldElement operand only scales the numerator or adds
+    # c * den to it, so those make no Poly product and no constant
+    # RatFunc either.
     u = RatFunc.variable(CTX)
     x = (u ** 3 + CTX.generator()) / (u ** 2 + 2)
     f = Poly.variable(CTX) ** 2 + 1
     c = CTX.generator()
+    zero = RatFunc.zero(CTX)
     want = [RatFunc(x.num + f * x.den, x.den), RatFunc(x.num * c, x.den),
             RatFunc(x.num, x.den * c), RatFunc(x.den, x.num),
             RatFunc(x.num * x.num, x.den * x.den)]
-    calls = []
-    real = Poly.gcd
+    cheap = [(lambda: x + 0, x), (lambda: 0 + x, x), (lambda: x - 0, x),
+             (lambda: 0 - x, -x), (lambda: x + zero, x), (lambda: zero + x, x),
+             (lambda: x - zero, x), (lambda: zero - x, -x), (lambda: x * 3, zero),
+             (lambda: 2 * x, RatFunc(x.num * 2, x.den)),
+             (lambda: x / 2, RatFunc(x.num, x.den * 2)),
+             (lambda: c / x, RatFunc(x.den * c, x.num)),
+             (lambda: x + c, RatFunc(x.num + x.den * c, x.den)),
+             (lambda: x - 2, RatFunc(x.num - x.den * 2, x.den)),
+             (lambda: 1 - x, RatFunc(x.den - x.num, x.den)),
+             (lambda: RatFunc.from_poly(Poly.constant(CTX, 2)) + 1, zero)]
+    calls, products = [], []
+    real, mul_logs = Poly.gcd, ratfunc._mul_logs
 
     def counted(a, b):
         calls.append(1)
         return real(a, b)
 
+    def counted_product(*args):
+        products.append(1)
+        return mul_logs(*args)
+
     monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
     assert [x + f, x * c, x / c, x.inv(), x * x] == want
     assert calls == []
+    monkeypatch.setattr(ratfunc, "_mul_logs", counted_product)
+    monkeypatch.setattr(RatFunc, "constant", None)
+    got = [op() for op, _ in cheap]
+    assert calls == [] and products == []
+    monkeypatch.undo()
+    assert [(r.num, r.den) for r in got] == [(r.num, r.den) for _, r in cheap]
+    with pytest.raises(ZeroDivisionError):
+        x / 3
 
 
 def test_mul_overflow_guard():
@@ -187,10 +214,8 @@ _KRONECKER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("p,k,lengths", _KRONECKER_CASES)
-def test_kronecker_product_matches_convolution(monkeypatch, p, k, lengths):
-    ctx = build_field(p, k)
-    rng = random.Random(p * k)
+def _recorded_slots(monkeypatch):
+    """Record the slot width of every Kronecker product from now on."""
     widths = []
     slot = ratfunc._slot
 
@@ -200,12 +225,29 @@ def test_kronecker_product_matches_convolution(monkeypatch, p, k, lengths):
         return bits, code
 
     monkeypatch.setattr(ratfunc, "_slot", recorded)
+    return widths
+
+
+def _kronecker(a, b):
+    """a * b by the Kronecker kernel itself, whatever `*` dispatches to."""
+    return Poly(a.ctx, ratfunc._kronecker_logs(a.ctx, a.c, b.c)).to_obj()
+
+
+@pytest.mark.parametrize("p,k,lengths", _KRONECKER_CASES)
+def test_kronecker_product_matches_convolution(monkeypatch, p, k, lengths):
+    # the kernel is also called directly, so its slot widths are pinned
+    # at every one of these lengths although `*` convolves the smallest
+    ctx = build_field(p, k)
+    rng = random.Random(p * k)
+    widths = _recorded_slots(monkeypatch)
     for la, lb in lengths:
         a, b = (Poly.from_elems(ctx, [ctx.from_code(rng.randrange(ctx.order))
                                       for _ in range(n - 1)]
                                 + [ctx.from_code(rng.randrange(1, ctx.order))])
                 for n in (la, lb))
-        assert (a * b).to_obj() == _convolve_mul(a, b)
+        want = _convolve_mul(a, b)
+        assert (a * b).to_obj() == want
+        assert _kronecker(a, b) == want
     assert sorted(set(widths)) == {7: [8, 16, 32], 3: [16, 32], 101: [32, 64]}[p]
 
 
@@ -219,33 +261,82 @@ def test_products_over_two_moduli_of_one_order(monkeypatch):
     # between 2730 and 2731.  Packing or reduction data shared by (p, k),
     # or keyed by id() and so met again by a field built where a dropped
     # one lived, would use one field's digits for the other's logs.
+    # The Kronecker kernel is called directly at the small lengths, which
+    # `*` sends to the convolution of logs.
     from legendre_mw.gf import FieldCtx
     rng = random.Random(18)
     logs = [None] + list(range(8))
-    widths = []
-    slot = ratfunc._slot
-
-    def recorded(bound):
-        bits, code = slot(bound)
-        widths.append(bits)
-        return bits, code
 
     def rows(ctx, n):
         return Poly(ctx, [rng.choice(logs) for _ in range(n - 1)] + [rng.randrange(8)])
 
-    monkeypatch.setattr(ratfunc, "_slot", recorded)
+    widths = _recorded_slots(monkeypatch)
     fields = [FieldCtx(3, 2, m) for m in _F9_MODULI]
     assert fields[0]._exp != fields[1]._exp
     for la, lb in [(3, 10), (11, 11), (2730, 2731), (2731, 2731)]:
         for ctx in fields:
             a, b = rows(ctx, la), rows(ctx, lb)
-            assert (a * b).to_obj() == _convolve_mul(a, b)
+            want = _convolve_mul(a, b)
+            assert (a * b).to_obj() == want
+            assert _kronecker(a, b) == want
     assert sorted(set(widths)) == [8, 16, 32]
+    # the convolution of logs and the packed division, interleaved
+    for la, lb in [(2, 5), (8, 8), (30, 24), (80, 40), (200, 100)]:
+        for ctx in fields:
+            a, b = rows(ctx, la), rows(ctx, lb)
+            assert Poly(ctx, ratfunc._convolve_logs(ctx._zech, a.c, b.c)).to_obj() \
+                == _convolve_mul(a, b)
+            assert ratfunc._divmod_packed(ctx, a.c, b.c, True) \
+                == ratfunc._divmod_logs(ctx._zech, a.c, b.c, True)
     for i in range(6):
         ctx = FieldCtx(3, 2, _F9_MODULI[i % 2])
         a, b = rows(ctx, 12), rows(ctx, 7)
         assert (a * b).to_obj() == _convolve_mul(a, b)
         del ctx, a, b
+
+
+# (p, k) of F_9, F_25, F_49, F_81, F_729 and F_{101^2}
+_KERNEL_FIELDS = [(3, 2), (5, 2), (7, 2), (3, 4), (3, 6), (101, 2)]
+
+
+@pytest.mark.parametrize("p,k", _KERNEL_FIELDS)
+def test_kernels_match_references_across_crossovers(p, k):
+    # products on both sides of la * lb = 64 k (convolution of logs or
+    # Kronecker) against the int64 convolution; packed division against
+    # `_divmod_logs` on both sides of 24 divisor and quotient rows, and
+    # Poly divmod, which dispatches between them, against the same
+    ctx = build_field(p, k)
+    n = ctx.order - 1
+    rng = random.Random(p + k)
+
+    def rows(m, density):
+        return Poly(ctx, [rng.randrange(n) if rng.random() < density else None
+                          for _ in range(m - 1)] + [rng.randrange(n)])
+
+    edge = int((ratfunc._CONVOLVE_ROWS2_PER_K * k) ** 0.5)
+    for la, lb in [(1, 2), (edge, edge), (edge + 1, edge + 1), (3, 40), (40, 50)]:
+        for density in (1.0, 0.4):
+            a, b = rows(la, density), rows(lb, density)
+            assert (a * b).to_obj() == _convolve_mul(a, b)
+    big = ratfunc._PACKED_DIV_ROWS
+    for la, lb in [(2 * big - 2, big), (2 * big - 1, big), (2 * big, big - 1),
+                   (2 * big - 2, big - 1), (90, 40), (150, 101), (60, 80)]:
+        for density in (1.0, 0.4):
+            a, b = rows(la, density), rows(lb, density)
+            want = ratfunc._divmod_logs(ctx._zech, a.c, b.c, True)
+            assert ratfunc._divmod_packed(ctx, a.c, b.c, True) == want
+            assert ratfunc._divmod_packed(ctx, a.c, b.c, False) == (None, want[1])
+            assert tuple(list(f.c) for f in divmod(a, b)) == want
+
+
+def test_packed_division_overflow_guard():
+    # a division whose slots could exceed 64 bits is refused before
+    # anything is packed: the operands are ranges, which have a length
+    # but allocate nothing
+    ctx = build_field(101, 2)
+    rows = 2 ** 64 // (2 * 100 ** 2) + 1
+    with pytest.raises(OverflowError):
+        ratfunc._divmod_packed(ctx, range(2 * rows), range(rows), True)
 
 
 @pytest.mark.parametrize("ctx,seed", [(CTX, 31), (CTX5, 32)])
@@ -557,6 +648,38 @@ def test_poly_sqrt_rejects_nonsquares():
     for f in (u, u ** 2 + u, u ** 3):
         with pytest.raises(ValueError):
             poly_sqrt(f)
+    g = CTX.generator()          # log 1: not a square
+    for f, why in [(u ** 3 + 1, "odd degree"), (u ** 2 * g + 1, "leading coefficient"),
+                   ((u + 1) ** 2 + u, "not a perfect square")]:
+        with pytest.raises(ValueError, match=why):
+            poly_sqrt(f)
+
+
+def _sqrt_by_elements(f):
+    """The root poly_sqrt returns, solved on FieldElements: g_m =
+    lc(f).sqrt(), then each lower g_i from the u^(m+i) coefficient."""
+    ctx, m = f.ctx, f.deg // 2
+    g = [ctx.zero()] * (m + 1)
+    g[m] = f.lc().sqrt()
+    inv2gm = (ctx.elem(2) * g[m]).inv()
+    for i in range(m - 1, -1, -1):
+        s = f.coeff(m + i)
+        for j in range(i + 1, m):
+            s = s - g[j] * g[m + i - j]
+        g[i] = s * inv2gm
+    return Poly.from_elems(ctx, g)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (7, 2), (3, 4)])
+def test_poly_sqrt_matches_elementwise_root(p, k):
+    ctx = build_field(p, k)
+    rng = random.Random(p * k)
+    for _ in range(25):
+        g = _rand_poly(ctx, rng, max_deg=30, allow_zero=False, sparse=True)
+        f = g * g
+        r = poly_sqrt(f)
+        assert r == _sqrt_by_elements(f)
+        assert r == g or r == -g
 
 
 def test_ratfunc_canonical():
