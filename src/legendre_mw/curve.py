@@ -290,18 +290,9 @@ def _same_j(E: WeierstrassCurve, F: WeierstrassCurve) -> bool:
 
 def legendre_form_curve(t: RatFunc) -> WeierstrassCurve:
     """y^2 = x (x + 1) (x + t), i.e. a2 = 1 + t, a4 = t, a6 = 0."""
-    return WeierstrassCurve(*_legendre_coeffs(t))
-
-
-def _legendre_coeffs(t: RatFunc) -> tuple:
-    zero = RatFunc.zero(t.ctx)
-    return zero, 1 + t, zero, t, zero
-
-
-def _has_coeffs(E: WeierstrassCurve, coeffs) -> bool:
-    """Whether E's (a1, a2, a3, a4, a6) are coeffs: the curves' equality,
-    without building and checking a second curve."""
-    return (E.a1, E.a2, E.a3, E.a4, E.a6) == tuple(coeffs)
+    ctx = t.ctx
+    zero = RatFunc.zero(ctx)
+    return WeierstrassCurve(zero, 1 + t, zero, t, zero)
 
 
 def two_torsion(curve: WeierstrassCurve) -> tuple[CurvePoint, CurvePoint, CurvePoint]:
@@ -505,14 +496,14 @@ class IsogenyChain:
         inv2 = RatFunc.constant(ctx, 2).inv()
         self.mid, self._to_mid = change_coords(
             self.source, -tp, -inv2, 0, RatFunc.constant(ctx, 4).inv())
-        if not _has_coeffs(self.mid, self._mid_coeffs()):
+        if self.mid != self.expected_mid():
             raise ArithmeticError("first displayed model")
         self.phi = two_isogeny_quotient(self.mid)
         self.quotient = self.phi.codomain
-        if not _has_coeffs(self.quotient, self._quotient_coeffs()):
+        if self.quotient != self.expected_quotient():
             raise ArithmeticError("second displayed model")
         self.legendre, self._to_legendre = change_coords(self.quotient, 4, 0, 0, 2)
-        if not _has_coeffs(self.legendre, _legendre_coeffs(t)):
+        if self.legendre != legendre_form_curve(t):
             raise ArithmeticError("must land on y^2 = x(x+1)(x+t)")
         self._dual_phi = two_isogeny_quotient(self.quotient)
         dual_target, self._from_dual = change_coords(
@@ -522,19 +513,15 @@ class IsogenyChain:
 
     def expected_mid(self) -> WeierstrassCurve:
         """y^2 = x^3 + (4 - 2t) x^2 + t^2 x."""
-        return WeierstrassCurve(*self._mid_coeffs())
+        ctx = self.t.ctx
+        zero = RatFunc.zero(ctx)
+        return WeierstrassCurve(zero, 4 - 2 * self.t, zero, self.t * self.t, zero)
 
     def expected_quotient(self) -> WeierstrassCurve:
         """y^2 = x^3 + (4t - 8) x^2 - 16 (t - 1) x = x (x - 4) (x + 4(t-1))."""
-        return WeierstrassCurve(*self._quotient_coeffs())
-
-    def _mid_coeffs(self) -> tuple:
-        zero = RatFunc.zero(self.t.ctx)
-        return zero, 4 - 2 * self.t, zero, self.t * self.t, zero
-
-    def _quotient_coeffs(self) -> tuple:
-        zero = RatFunc.zero(self.t.ctx)
-        return zero, 4 * self.t - 8, zero, -16 * (self.t - 1), zero
+        ctx = self.t.ctx
+        zero = RatFunc.zero(ctx)
+        return WeierstrassCurve(zero, 4 * self.t - 8, zero, -16 * (self.t - 1), zero)
 
     def forward(self, P: CurvePoint) -> CurvePoint:
         """Source -> Legendre form (one isomorphism onto the first

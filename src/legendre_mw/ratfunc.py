@@ -8,23 +8,19 @@ arithmetic in the field's tables: a product of coefficients adds logs,
 a sum reads the Zech table (g^s + g^t = g^(s + zech[t - s])), negation
 adds n/2 for n = q - 1, as -1 = g^(n/2), and the Frobenius a -> a^p
 multiplies each log by p.
+Division and gcd are long division on these lists.
 
-The kernels are chosen by operand size, at crossovers measured once and
-named as constants.  A product of an la-row and an lb-row operand with
-la * lb <= 64 k is a convolution of the logs: each pair of nonzero
+A product of an la-row and an lb-row operand with la * lb <= 64 k, the
+measured crossover, is a convolution of the logs: each pair of nonzero
 terms adds its logs and is summed into its row through the Zech table.
-A larger product is one Kronecker substitution (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution",
+A larger product is one Kronecker substitution (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
 2009): the operands are split into their k digit components over F_p,
-each component is packed into one Python int with a fixed-width slot
-per coefficient, the packed ints are multiplied, the w-degrees >= k of
-the products are reduced on the big ints by the field's reduction rows,
-and the slots are read back mod p.  The slots are 1, 2, 4 or 8 bytes,
-wide enough for the largest coefficient before the final mod.
-Division and gcd are long division on these lists; a division by a
-divisor of at least 24 rows with at least 24 quotient rows over k <= 2
-runs on Kronecker-packed digits, one big-int shift-and-add per quotient
-row, and reads the remainder back mod p once.
+each component is packed into one Python int with a fixed-width slot per
+coefficient, the packed ints are multiplied, the w-degrees >= k of the
+products are reduced on the big ints by the field's reduction rows, and
+the slots are read back mod p.  The slots are 1, 2, 4 or 8 bytes, wide
+enough for the largest coefficient before the final mod.
 
 A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  The
 general constructor RatFunc(num, den) is the one place that runs
@@ -50,7 +46,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain
 
 from .gf import FieldCtx, FieldElement
 
@@ -229,19 +224,19 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        return _divmod(self.ctx, self.c, other.c, want_quotient)
+        return _divmod_logs(self.ctx._zech, self.c, other.c, want_quotient)
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
         """Monic gcd (gcd(0, 0) = 0) by the Euclidean algorithm: each
-        step is one `_divmod` remainder, with no Poly and no monic copy
-        per step; the result is made monic once, by subtracting its
+        step is one `_divmod_logs` remainder, with no Poly and no monic
+        copy per step; the result is made monic once, by subtracting its
         leading log."""
         a._check(b)
-        ctx = a.ctx
+        zech = a.ctx._zech
         x, y = a.c, b.c
         while y:
-            x, y = y, _divmod(ctx, x, y, want_quotient=False)[1]
+            x, y = y, _divmod_logs(zech, x, y, want_quotient=False)[1]
         g = Poly(a.ctx, x)
         return g.monic() if x else g
 
@@ -344,12 +339,6 @@ def _slot(bound: int) -> tuple[int, str]:
 # 11 x 11 at k = 2, 16 x 16 at k = 4 and 18 x 18 at k = 6 (about 10, 14,
 # 35 and 46 us per product there), so it runs while la * lb <= 64 k.
 _CONVOLVE_ROWS2_PER_K = 64
-# Packed long division beats `_divmod_logs` once the divisor and the
-# quotient both have 24 rows over k <= 2 (1.0-1.2x at 48/24 rows, 2.5x at
-# 100/50 and 3-4x at 200/120 over F_9, F_25 and F_49) and is slower
-# below; over F_81 it is slower at every size measured.
-_PACKED_DIV_ROWS = 24
-_PACKED_DIV_MAX_K = 2
 
 
 def _mul_logs(ctx: FieldCtx, a, b) -> list:
@@ -419,74 +408,6 @@ def _kronecker_logs(ctx: FieldCtx, a, b) -> list:
         codes = [c * p + v % p for c, v in zip(codes, slots)]
     log = ctx._log
     return [log[c] for c in codes]
-
-
-def _divmod(ctx: FieldCtx, a, b, want_quotient: bool):
-    """Long division of nonzero-divisor log lists: packed when the
-    divisor and the quotient both have at least _PACKED_DIV_ROWS rows
-    and k <= _PACKED_DIV_MAX_K, else `_divmod_logs`."""
-    if (len(b) >= _PACKED_DIV_ROWS and len(a) - len(b) + 1 >= _PACKED_DIV_ROWS
-            and ctx.k <= _PACKED_DIV_MAX_K):
-        return _divmod_packed(ctx, a, b, want_quotient)
-    return _divmod_logs(ctx._zech, a, b, want_quotient)
-
-
-def _divmod_packed(ctx: FieldCtx, a, b, want_quotient: bool):
-    """`_divmod_logs` on Kronecker-packed digits: the remainder is one int
-    with k slots per row, one per digit.  The k multiples w^j b are
-    packed once; a quotient term with -q = sum e_j w^j then adds
-    sum_j e_j (w^j b), shifted to its row, kept per distinct q.  Slots
-    only grow and are read mod p: the top row's digits when its quotient
-    term is taken, the remainder once at the end.  A slot starts at most
-    p - 1, and at most min(lq, lb) rows add at most k (p - 1)^2 each."""
-    k, p = ctx.k, ctx.p
-    la, lb = len(a), len(b)
-    db, lq = lb - 1, la - lb + 1
-    bits, code = _slot(p - 1 + max(min(lq, lb), 0) * k * (p - 1) ** 2)
-    order = sys.byteorder
-    digits, exp, log = ctx._digits, ctx._exp, ctx._log
-    n = len(exp)
-    zero = digits[0]
-
-    def pack(logs):
-        rows = [zero if e is None else digits[exp[e]] for e in logs]
-        return int.from_bytes(array(code, chain.from_iterable(rows)).tobytes(), order)
-
-    lw = log[p] if k > 1 else 0
-    wb = [pack([None if e is None else (e + j * lw) % n for e in b]) for j in range(k)]
-    R = pack(a)
-    row_bits = k * bits
-    mask, row_mask = (1 << bits) - 1, (1 << row_bits) - 1
-    top, half = b[db], n // 2
-    q = [None] * lq if want_quotient else None
-    terms = {}
-    for i in range(la - 1, db - 1, -1):
-        x = R >> i * row_bits & row_mask
-        if not x:
-            continue
-        c = 0
-        for j in range(k - 1, -1, -1):
-            c = c * p + (x >> j * bits & mask) % p
-        if not c:
-            continue
-        ql = (log[c] - top) % n
-        if want_quotient:
-            q[i - db] = ql
-        t = terms.get(ql)
-        if t is None:
-            t = 0
-            for e, w in zip(digits[exp[(ql + half) % n]], wb):
-                if e:
-                    t += e * w
-            terms[ql] = t
-        R += t << (i - db) * row_bits
-    size = db * row_bits // 8
-    slots = array(code)
-    slots.frombytes((R & ((1 << 8 * size) - 1)).to_bytes(size, order))
-    codes = [0] * db
-    for j in range(k - 1, -1, -1):
-        codes = [c * p + v % p for c, v in zip(codes, slots[j::k])]
-    return q, _trim([log[c] for c in codes])
 
 
 def _divmod_logs(zech: list, a, b, want_quotient: bool):

@@ -280,14 +280,12 @@ def test_products_over_two_moduli_of_one_order(monkeypatch):
             assert (a * b).to_obj() == want
             assert _kronecker(a, b) == want
     assert sorted(set(widths)) == [8, 16, 32]
-    # the convolution of logs and the packed division, interleaved
-    for la, lb in [(2, 5), (8, 8), (30, 24), (80, 40), (200, 100)]:
+    # the convolution of logs, interleaved
+    for la, lb in [(2, 5), (8, 8), (30, 24), (80, 40)]:
         for ctx in fields:
             a, b = rows(ctx, la), rows(ctx, lb)
             assert Poly(ctx, ratfunc._convolve_logs(ctx._zech, a.c, b.c)).to_obj() \
                 == _convolve_mul(a, b)
-            assert ratfunc._divmod_packed(ctx, a.c, b.c, True) \
-                == ratfunc._divmod_logs(ctx._zech, a.c, b.c, True)
     for i in range(6):
         ctx = FieldCtx(3, 2, _F9_MODULI[i % 2])
         a, b = rows(ctx, 12), rows(ctx, 7)
@@ -302,9 +300,7 @@ _KERNEL_FIELDS = [(3, 2), (5, 2), (7, 2), (3, 4), (3, 6), (101, 2)]
 @pytest.mark.parametrize("p,k", _KERNEL_FIELDS)
 def test_kernels_match_references_across_crossovers(p, k):
     # products on both sides of la * lb = 64 k (convolution of logs or
-    # Kronecker) against the int64 convolution; packed division against
-    # `_divmod_logs` on both sides of 24 divisor and quotient rows, and
-    # Poly divmod, which dispatches between them, against the same
+    # Kronecker) against the int64 convolution
     ctx = build_field(p, k)
     n = ctx.order - 1
     rng = random.Random(p + k)
@@ -318,25 +314,6 @@ def test_kernels_match_references_across_crossovers(p, k):
         for density in (1.0, 0.4):
             a, b = rows(la, density), rows(lb, density)
             assert (a * b).to_obj() == _convolve_mul(a, b)
-    big = ratfunc._PACKED_DIV_ROWS
-    for la, lb in [(2 * big - 2, big), (2 * big - 1, big), (2 * big, big - 1),
-                   (2 * big - 2, big - 1), (90, 40), (150, 101), (60, 80)]:
-        for density in (1.0, 0.4):
-            a, b = rows(la, density), rows(lb, density)
-            want = ratfunc._divmod_logs(ctx._zech, a.c, b.c, True)
-            assert ratfunc._divmod_packed(ctx, a.c, b.c, True) == want
-            assert ratfunc._divmod_packed(ctx, a.c, b.c, False) == (None, want[1])
-            assert tuple(list(f.c) for f in divmod(a, b)) == want
-
-
-def test_packed_division_overflow_guard():
-    # a division whose slots could exceed 64 bits is refused before
-    # anything is packed: the operands are ranges, which have a length
-    # but allocate nothing
-    ctx = build_field(101, 2)
-    rows = 2 ** 64 // (2 * 100 ** 2) + 1
-    with pytest.raises(OverflowError):
-        ratfunc._divmod_packed(ctx, range(2 * rows), range(rows), True)
 
 
 @pytest.mark.parametrize("ctx,seed", [(CTX, 31), (CTX5, 32)])
