@@ -229,11 +229,15 @@ def test_output_matches_benchmark_reference_digest(capsys, cmd):
     ("all --p 3 --format table", "6a0bcc04c23701598d11bb0931f2174dcc630ad2d3887a6888a6872a2fd8d6b8"),
     ("gram --p 3 --q 3", "6cbbfd8ff545ba82f52c4cb7ee655c2ba4c1dad29f922a2e974e0cfa39a28cd7"),
     ("gram --p 3 --f 2 --q 3", "952d7759da76867b4285b4b0f641899052a66727984c4569d042c0378c47f230"),
+    ("isogeny --p 3 --f 0", "8d9b41a948329198c0ca76d0b5c966aebdd1121f96184c54ab04254752a17e8f"),
+    ("gram --p 7 --f 2", "267525802afa19020f52731e25a7117490c6934e32dd67b0448711c9a8df74f0"),
 ])
 def test_long_command_output_digest(capsys, cmd, digest):
     # sha256 of the output of the longer commands outside the benchmark,
-    # of the table renderer, and of two Grams whose Frobenius orbits are
-    # not all singletons; it changes only when the output is meant to change
+    # of the table renderer, of two Grams whose Frobenius orbits are not
+    # all singletons, of the only isogeny chain over a k = 1 field (p = 3,
+    # f = 0) and of the largest Poly operands (d = 50 over F_2401, k = 4);
+    # it changes only when the output is meant to change
     code, out = _run(capsys, *cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
