@@ -10,7 +10,7 @@ from .legendre import (FamilyParams, admissible_b_values, make_family,
                        matching_index, point_P, point_R, substitute_zeta_u,
                        torsion_points, trace_point)
 from .heights import (canonical_height, combination, expected_gram,
-                      gram_matrix, is_torsion_point, pairing, point_order)
+                      gram_matrix, is_torsion_point, point_order)
 from .invariants import (bad_fibers, bsd_report, conductor_degree,
                          euler_totient, fiber_audit, frobenius_orbits,
                          index_bound, integrality_check, multiplicative_order,
@@ -28,7 +28,7 @@ __all__ = [
     "FamilyParams", "admissible_b_values", "make_family", "matching_index",
     "point_P", "point_R", "substitute_zeta_u", "torsion_points", "trace_point",
     "canonical_height", "combination", "expected_gram", "gram_matrix",
-    "is_torsion_point", "pairing", "point_order",
+    "is_torsion_point", "point_order",
     "bad_fibers", "bsd_report", "conductor_degree", "euler_totient",
     "fiber_audit", "frobenius_orbits", "index_bound", "integrality_check",
     "multiplicative_order", "rank_formula", "regulator_coefficient",

@@ -146,10 +146,9 @@ class FieldCtx:
 
     It holds four tables of O(q) ints: _digits, the digit tuple of each
     code sum c_i p^i; _exp and _log, from a log to a code and back, for
-    the generator g (the first code whose powers run through all q - 1
-    nonzero elements); and the Zech logarithms _zech[e] = log(1 + g^e),
-    None at e = (q - 1)/2 where g^e = -1, so that g^s + g^t =
-    g^(s + _zech[t - s]).  Poly products also read _red, the digit
+    the generator g (the first code of multiplicative order q - 1); and
+    the Zech logarithms _zech[e] = log(1 + g^e), None at e = (q - 1)/2
+    where g^e = -1, so that g^s + g^t = g^(s + _zech[t - s]).  Poly products also read _red, the digit
     tuples of w^k..w^{2k-2}, which reduce the w-degrees >= k.
     """
 
@@ -168,15 +167,16 @@ class FieldCtx:
         q = p ** k
         digits = [c[::-1] for c in itertools.product(range(p), repeat=k)]
         self._digits = digits
-        # walk the powers of each code in turn until one has order q - 1
+        # the first code of order q - 1, i.e. with g^((q-1)/r) != 1 for
+        # every prime r | q - 1, and then one walk through its powers
         one = digits[1]
-        for g in range(2, q):
-            exp, x = [1], digits[g]
-            while x != one:
-                exp.append(_code(x, p))
-                x = _mulmod(x, digits[g], modulus, p)
-            if len(exp) == q - 1:
-                break
+        cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+        g = next(c for c in range(2, q)
+                 if all(_powmod(digits[c], e, modulus, p) != one for e in cofactors))
+        exp, x = [1], digits[g]
+        while x != one:
+            exp.append(_code(x, p))
+            x = _mulmod(x, digits[g], modulus, p)
         self._exp = exp
         log = [None] * q
         for i, code in enumerate(exp):

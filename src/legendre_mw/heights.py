@@ -115,11 +115,6 @@ def is_torsion_point(P: CurvePoint) -> bool:
     return point_order(P) > 0
 
 
-def pairing(P: CurvePoint, Q: CurvePoint) -> Fraction:
-    """Height pairing <P, Q> = (h(P+Q) - h(P) - h(Q)) / 2."""
-    return gram_matrix([P, Q])[0][1]
-
-
 # ----------------------------------------------------------------------
 # Gram matrices: tuples of rows of Fractions.
 

@@ -23,7 +23,6 @@ from legendre_mw.heights import (
     expected_gram,
     gram_matrix,
     is_torsion_point,
-    pairing,
 )
 from legendre_mw.invariants import (
     bsd_report,

@@ -149,6 +149,38 @@ def test_generator_and_zeta():
         zeta(ctx, 3)   # 3 does not divide 8
 
 
+def _brute_force_generator(ctx):
+    """Code of the first element whose powers, walked one by one with
+    the table-free product gf._mulmod, reach 1 only after q - 1 steps,
+    with those powers' codes in order."""
+    from legendre_mw.gf import _code, _mulmod
+    p, q, f = ctx.p, ctx.order, ctx.modulus
+    digits = [c[::-1] for c in itertools.product(range(p), repeat=ctx.k)]
+    for g in range(2, q):
+        codes, x = [1], digits[g]
+        while x != digits[1]:
+            codes.append(_code(x, p))
+            x = _mulmod(x, digits[g], f, p)
+        if len(codes) == q - 1:
+            return g, codes
+    raise AssertionError("no generator")
+
+
+_SMALL_FIELDS = [(p, k) for p in range(3, 730, 2) if is_prime(p)
+                 for k in range(1, 7) if p ** k <= 729]
+
+
+def test_generator_matches_brute_force_order_search():
+    # the primitivity test picks the same generator, and so the same
+    # tables, as walking every candidate's powers, for every F_q, q <= 729
+    assert len(_SMALL_FIELDS) > 100 and (3, 6) in _SMALL_FIELDS
+    for p, k in _SMALL_FIELDS:
+        ctx = build_field(p, k)
+        g, codes = _brute_force_generator(ctx)
+        assert ctx.generator().code() == g, (p, k)
+        assert ctx._exp == codes, (p, k)
+
+
 def test_frobenius_fixes_prime_field():
     ctx = build_field(5, 2)
     for c in range(5):
