@@ -260,7 +260,7 @@ def _fmul(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
 
 def _exact(a: Poly, b: Poly) -> Poly:
     """a / b for a monic b that divides a; ArithmeticError otherwise."""
-    if len(b.c) == 1:
+    if b.deg == 0:
         return a
     q, r = divmod(a, b)
     if not r.is_zero():
@@ -352,7 +352,7 @@ class IsogenyMap:
             h = _common(b, N2)
             yn, M = yn // h, M // h
         x2 = _monic_den(xn, xd)
-        if not Y.c:
+        if Y.is_zero():
             return x2, y
         k = _common(Y, M)
         if k is not None:

@@ -47,11 +47,6 @@ def _family_t(P: CurvePoint) -> tuple[Poly, int]:
     return tp, d
 
 
-def _ord_u(f: Poly) -> int:
-    """Multiplicity of the root u = 0 of a nonzero polynomial."""
-    return next(i for i, e in enumerate(f.c) if e is not None)
-
-
 def _local_height(N: Poly, D: Poly, d: int) -> Fraction:
     """Shioda's formula for x = N/D on y^2 = x(x+1)(x+u^d), d even."""
     n = 2 * d
@@ -59,18 +54,11 @@ def _local_height(N: Poly, D: Poly, d: int) -> Fraction:
         two_po, i0, ioo = 0, d, d
     else:
         two_po = D.deg + max(0, N.deg - D.deg - d)
-        i0 = min(max(_ord_u(N) - _ord_u(D), 0), d)
+        i0 = min(max(N.valuation() - D.valuation(), 0), d)
         ioo = min(max(d + D.deg - N.deg, 0), d)
     r = Poly.gcd(N + D, Poly.monomial(D.ctx, d) - 1).deg
     return (d + two_po - Fraction(i0 * (n - i0) + ioo * (n - ioo), n)
             - Fraction(r, 2))
-
-
-def _spread(f: Poly) -> Poly:
-    """f(u^2)."""
-    logs = [None] * max(2 * len(f.c) - 1, 0)
-    logs[::2] = f.c
-    return Poly(f.ctx, logs)
 
 
 def canonical_height(P: CurvePoint) -> Fraction:
@@ -84,7 +72,7 @@ def canonical_height(P: CurvePoint) -> Fraction:
         return Fraction(0)
     N, D = P.x.num, P.x.den
     if d % 2:
-        return _local_height(_spread(N), _spread(D), 2 * d) / 2
+        return _local_height(N.inflate(2), D.inflate(2), 2 * d) / 2
     return _local_height(N, D, d)
 
 

@@ -1,81 +1,282 @@
 """Polynomials F_q[u] and reduced rational functions F_q(u).
 
-A Poly stores its coefficients as the tuple of their logs to the field's
-generator (each the `e` of a FieldElement), low u-degree first, None for
-a zero coefficient, with no trailing None; the zero polynomial is the
-empty tuple and carries the degree sentinel -inf.  Every operation is
-arithmetic in the field's tables: a product of coefficients adds logs,
-a sum reads the Zech table (g^s + g^t = g^(s + zech[t - s])), negation
-adds n/2 for n = q - 1, as -1 = g^(n/2), and the Frobenius a -> a^p
-multiplies each log by p.
-Division and gcd are long division on these lists.
+F_q = F_p[w]/(m(w)) with q = p^k.  A Poly is one int: the digits over F_p
+of its coefficients in slots of W bits, W fixed per field.  Coefficient
+j, digits c_0..c_(k-1) in the basis w^0..w^(k-1), fills the row of
+S = 2k - 1 slots from slot S j, c_i in slot S j + i, slots k..S-1 zero.
+Stored slots are reduced, 0 <= c_i < p, so equality is int ==, zero is
+0 and the degree is read off bit_length.  Each kernel is a few big-int
+operations, with no Python step per coefficient:
+- a + b, a + (p - 1) b and (p - 1) a add, subtract and negate;
+- a product is one int product (Kronecker substitution u -> 2^(SW),
+  w -> 2^W; Harvey, "Faster polynomial multiplication via multipoint
+  Kronecker substitution", 2009).  Two rows' w-convolution reaches
+  w^(2k-2) inside its row; each w^m, m >= k, is folded back by masking
+  slot m of every row and adding it times the digits of w^m (the
+  field's `_red` rows).  Scaling by a field element is the product by
+  its row, a k x k map over F_p on every coefficient at once;
+- every slot is then taken mod p at once (SWAR): with m = ceil(2^s/p),
+  floor(v m / 2^s) = floor(v / p) for v up to a bound, so
+  x - p ((x m >> s) & mask) reduces all slots.  v m takes about twice
+  the bits of v: small bounds (sums, scalings) fit in a slot, larger
+  ones are reduced on the even and the odd slots apart, with 2W bits each;
+- long division reads the remainder's top row (its digits mod p, folded
+  by `_red`), takes the quotient coefficient from the log tables, and
+  adds -c times the divisor, shifted, with one product and one add.  Each
+  such step adds at most k (p - 1)^2 to a slot, and the remainder is
+  reduced at the end, or before its slots could outgrow W bits.
+W is the narrowest whole number of bytes that holds, with a bit to spare,
+a product of 1024-row operands: a product's slot is at most
+min(la, lb) k (p - 1)^2 before the fold and 1 + (k - 1)(p - 1) times that
+after it.  A product past `lmax` rows (the rows that fit) stays exact: its
+shorter operand is cut into pieces of lmax rows and the reduced partial
+products are summed.  Coefficients become logs (a FieldElement's format)
+only to be read: `coeff`, `lc`, `repr`, `to_obj`, `eval`, `scale_var`,
+`frobenius`, `poly_sqrt` and the read-only view `c`.
 
-A product of an la-row and an lb-row operand with la * lb <= 64 k, the
-measured crossover, is a convolution of the logs: each pair of nonzero
-terms adds its logs and is summed into its row through the Zech table.
-A larger product is one Kronecker substitution (Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-2009): the operands are split into their k digit components over F_p,
-each component is packed into one Python int with a fixed-width slot per
-coefficient, the packed ints are multiplied, the w-degrees >= k of the
-products are reduced on the big ints by the field's reduction rows, and
-the slots are read back mod p.  The slots are 1, 2, 4 or 8 bytes, wide
-enough for the largest coefficient before the final mod.
-
-A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  The
-general constructor RatFunc(num, den) is the one place that runs
-Euclid on a whole numerator and denominator; it serves arbitrary
-fractions and the substitution u -> 0.  The Frobenius and u -> a*u
-(a != 0) are automorphisms of F_q[u], so they keep num and den
-coprime and at most rescale.  The field operators start from canonical
-operands and return canonical results directly, taking gcds only of
-factors that can be shared (Henrici; Knuth, TAOCP 4.5.1): a sum
-a/b + c/d needs g = gcd(b, d) and then gcd of the new numerator with
-g alone, a product needs gcd(a, d) and gcd(c, b), and an inverse only
-rescales.  A gcd with a constant operand is 1 and is not computed,
-and a square x * x of one operand takes no gcd, as the square of a
-reduced fraction is reduced.  A RatFunc times an int or FieldElement
-only moves the numerator's logs, plus one is (num + c den)/den, and a
-sum with a zero term returns the other term: none of them makes a Poly
-product.  A Poly product with a one-row operand is a scaling, and a
-product by 1 returns the other operand without building a field
-element.
+A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  Only
+the general constructor RatFunc(num, den) runs Euclid on a whole
+numerator and denominator.  The Frobenius and u -> a*u (a != 0) are
+automorphisms of F_q[u], so they keep num and den coprime.  The field
+operators take gcds only of factors that can be shared (Henrici; Knuth,
+TAOCP 4.5.1), none with a constant operand and none for x * x; an int or
+FieldElement operand and a zero term make no Poly product at all, and a
+Poly product by a constant is a scaling, by 1 a return of the other.
 """
 
 from __future__ import annotations
-
-import sys
-from array import array
 
 from .gf import FieldCtx, FieldElement
 
 NEG_INF = float("-inf")
 
-# (slot bits, array typecode) of the Kronecker slots, narrowest first
-_SLOTS = tuple(sorted({(8 * array(t).itemsize, t) for t in "BHIQ"}))
+
+def _magic(p: int, width: int, cap: int) -> tuple[int, int, int]:
+    """(v, s, m) with m = ceil(2^s / p) and the largest v <= cap such that
+    floor(x m / 2^s) = floor(x / p) for 0 <= x <= v and v m < 2^width.
+    With e = m p - 2^s < p and x = t p + r, x m / 2^s = t + r/p +
+    x e / (p 2^s), which stays below t + 1 while x e < 2^s."""
+    best = (0, 0, 0)
+    for s in range(1, 2 * width):
+        m = -(-(1 << s) // p)
+        e = m * p - (1 << s)
+        v = min(cap, ((1 << s) - 1) // e if e else cap, ((1 << width) - 1) // m)
+        best = max(best, (v, s, m))
+    return best
 
 
-class Logs(tuple):
-    """Coefficient logs of a Poly (see the module docstring).  Like a
-    1-D array, it has a shape, (number of coefficients,)."""
+class _Packing(dict):
+    """The packed format of one field (see the module docstring): slot
+    width, SWAR constants, the fold rows, masks that repeat a slot or row
+    pattern over `cap` bits (lengthened when an operand outgrows them),
+    and, as a dict, the packed row of each element code, made when first
+    asked."""
 
-    __slots__ = ()
+    __slots__ = ("ctx", "p", "k", "w", "mask", "digits", "rb", "rowmask", "kpp", "spread",
+                 "limit", "lmax", "vm", "s1", "m1", "s2", "m2", "fold", "cap", "q1", "even",
+                 "q2", "slot0", "lowk")
 
-    @property
-    def shape(self) -> tuple[int]:
-        return (len(self),)
+    def __init__(self, ctx: FieldCtx):
+        p, k = ctx.p, ctx.k
+        self.ctx, self.p, self.k = ctx, p, k
+        # bound on a product's slots per row of its shorter operand, and
+        # the factor by which folding w^k..w^(2k-2) can grow a bound
+        self.kpp = k * (p - 1) ** 2
+        self.spread = 1 + (k - 1) * (p - 1)
+        w = 8 * -(-((1024 * self.kpp * self.spread).bit_length() + 1) // 8)
+        self.w, self.rb = w, (2 * k - 1) * w
+        self.mask, self.digits = (1 << w) - 1, tuple(w * i for i in reversed(range(k)))
+        self.rowmask = (1 << self.rb) - 1
+        self.limit = (1 << (w - 1)) - 1
+        self.lmax = self.limit // (self.kpp * self.spread)
+        # the one-slot SWAR step takes slots up to vm; the even/odd one
+        # takes any slot up to limit, as 2W bits hold limit * m2
+        self.vm, self.s1, self.m1 = _magic(p, w, self.limit)
+        _, self.s2, self.m2 = _magic(p, 2 * w, self.limit)
+        # (shift to slot m, packed digits of w^m) for m = k..2k-2
+        self.fold = tuple((w * m, sum(d << w * i for i, d in enumerate(row)))
+                          for m, row in enumerate(ctx._red, k))
+        self.cap = 0
+        self.fit(64 * self.rb)
+
+    def fit(self, bits: int) -> None:
+        """Lengthen the masks to cover `bits` bits, at least doubling."""
+        if bits <= self.cap:
+            return
+        w, rb = self.w, self.rb
+        cap = -(-max(bits, 2 * self.cap) // (2 * rb)) * 2 * rb
+        full = (1 << cap) - 1
+        slots, pairs, rows = full // ((1 << w) - 1), full // ((1 << 2 * w) - 1), full // self.rowmask
+        self.q1 = ((1 << (w - self.s1)) - 1) * slots
+        self.even = ((1 << w) - 1) * pairs
+        self.q2 = ((1 << (2 * w - self.s2)) - 1) * pairs
+        self.slot0 = ((1 << w) - 1) * rows
+        self.lowk = ((1 << self.k * w) - 1) * rows
+        self.cap = cap
+
+    def read(self, t: int) -> int:
+        """Code (sum of digits times p^i) of the row t, whose slots may be
+        unreduced and may hold w-degrees k..2k-2 (at most limit once
+        folded)."""
+        p, mask = self.p, self.mask
+        for shift, row in self.fold:
+            t += (t >> shift & mask) * row
+        code = 0
+        for shift in self.digits:
+            code = code * p + (t >> shift & mask) % p
+        return code
+
+    def __missing__(self, code: int) -> int:
+        self[code] = row = sum(d << self.w * i for i, d in enumerate(self.ctx._digits[code]))
+        return row
+
+    def pack(self, logs) -> int:
+        """The packed int of coefficient logs, low degree first."""
+        exp = self.ctx._exp
+        return self.join([0 if e is None else self[exp[e]] for e in logs])
+
+    def join(self, rows: list[int]) -> int:
+        """The packed int of packed rows, low degree first."""
+        size = self.rb // 8
+        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in rows), "little")
+
+    def unpack(self, v: int) -> list[int]:
+        """The rows of the packed int v, low degree first."""
+        size = self.rb // 8
+        raw = v.to_bytes(-(-v.bit_length() // self.rb) * size, "little")
+        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+_PACKINGS: dict = {}
+
+
+def _packing(ctx: FieldCtx) -> _Packing:
+    pk = _PACKINGS.get(ctx)
+    if pk is None:
+        pk = _PACKINGS[ctx] = _Packing(ctx)
+    return pk
+
+
+# ----------------------------------------------------------------------
+# Kernels on packed ints.
+
+def _reduce(pk: _Packing, x: int, bound: int) -> int:
+    """x with every slot taken mod p, for slots at most bound <= pk.limit."""
+    if x.bit_length() > pk.cap:
+        pk.fit(x.bit_length())
+    p = pk.p
+    if bound <= pk.vm:
+        return x - (x * pk.m1 >> pk.s1 & pk.q1) * p
+    w, even, m, s, q = pk.w, pk.even, pk.m2, pk.s2, pk.q2
+    a, b = x & even, x >> w & even
+    return (a - (a * m >> s & q) * p) | (b - (b * m >> s & q) * p) << w
+
+
+def _normalize(pk: _Packing, x: int, bound: int) -> int:
+    """The stored form of x, whose rows may hold w-degrees up to 2k - 2
+    and whose slots are at most bound: fold w^k..w^(2k-2) of every row
+    into its low k slots, then reduce mod p."""
+    if pk.fold:
+        if x.bit_length() > pk.cap:
+            pk.fit(x.bit_length())
+        slot0 = pk.slot0
+        for shift, row in pk.fold:
+            x += (x >> shift & slot0) * row
+        x &= pk.lowk
+        bound *= pk.spread
+    return _reduce(pk, x, bound)
+
+
+def _rows(pk: _Packing, v: int) -> int:
+    return (v.bit_length() - 1) // pk.rb + 1
+
+
+def _mul(pk: _Packing, a: int, b: int) -> int:
+    """a * b for nonzero packed a, b: one int product, then the fold and
+    the mod, or one per piece of lmax rows of the shorter operand."""
+    la, lb = _rows(pk, a), _rows(pk, b)
+    if la > lb:
+        a, b, la = b, a, lb
+    if la <= pk.lmax:
+        return _normalize(pk, a * b, la * pk.kpp)
+    step = pk.lmax * pk.rb
+    piece = (1 << step) - 1
+    acc = 0
+    for shift in range(0, la * pk.rb, step):
+        acc += _normalize(pk, (a >> shift & piece) * b, pk.lmax * pk.kpp) << shift
+    return _reduce(pk, acc, -(-la // pk.lmax) * (pk.p - 1))
+
+
+def _divmod(pk: _Packing, a: int, b: int, want_quotient: bool) -> tuple[int, int]:
+    """(quotient or 0, remainder) of packed a by nonzero packed b.  Row i
+    of the remainder, read from the top, gives the quotient coefficient
+    c = r_i / lc(b) from the log tables, and -c b shifted to row i is
+    added at once; each such step adds at most k (p - 1)^2 to a slot."""
+    rb, ctx = pk.rb, pk.ctx
+    db = _rows(pk, b) - 1
+    da = _rows(pk, a) - 1 if a else -1
+    if da < db:
+        return 0, a
+    log, exp, n = ctx._log, ctx._exp, ctx.order - 1
+    top = log[pk.read(b >> rb * db)]
+    neg = n // 2 - top                       # -1/lc(b), as -1 = g^(n/2)
+    rowmask, read, step = pk.rowmask, pk.read, pk.kpp
+    start = bound = pk.p - 1
+    cap = pk.limit // pk.spread
+    r, q = a, []
+    for i in range(da, db - 1, -1):
+        c = log[read(r >> rb * i & rowmask)]
+        if c is None:
+            q.append(0)
+            continue
+        if want_quotient:
+            q.append(pk[exp[(c - top) % n]])
+        r += b * pk[exp[(c + neg) % n]] << rb * (i - db)
+        bound += step
+        if bound > cap:
+            r, bound = _normalize(pk, r, bound), start
+    return pk.join(q[::-1]), _normalize(pk, r & ((1 << rb * db) - 1), bound)
+
+
+# ----------------------------------------------------------------------
+
+class Logs:
+    """Read-only view of a Poly's coefficient logs (each the `e` of a
+    FieldElement, None for zero), low degree first, decoded when read.
+    Like a 1-D array, it has a shape, (number of coefficients,)."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: "Poly"):
+        self._f = f
+
+    shape = property(lambda self: (len(self),))
+
+    def __len__(self) -> int:
+        return self._f.deg + 1 if self._f._v else 0
+
+    def __getitem__(self, i):
+        return self._f._logs()[i]
+
+    def __iter__(self):
+        return iter(self._f._logs())
+
+
+def _poly(pk: _Packing, v: int) -> "Poly":
+    f = object.__new__(Poly)
+    f.ctx, f._pk, f._v = pk.ctx, pk, v
+    return f
 
 
 class Poly:
-    __slots__ = ("ctx", "c")
+    __slots__ = ("ctx", "_pk", "_v")
 
     def __init__(self, ctx: FieldCtx, logs=()):
         """The polynomial with coefficient logs `logs` (low degree first,
-        None for zero); trailing zeros are dropped."""
-        if logs and logs[-1] is None:
-            logs = _trim(list(logs))
+        None for zero)."""
         self.ctx = ctx
-        self.c = Logs(logs)
+        self._pk = _packing(ctx)
+        self._v = self._pk.pack(logs)
 
     # -- constructors -------------------------------------------------
 
@@ -86,11 +287,11 @@ class Poly:
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx)
+        return _poly(_packing(ctx), 0)
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (0,))
+        return _poly(_packing(ctx), 1)
 
     @classmethod
     def constant(cls, ctx: FieldCtx, value) -> "Poly":
@@ -103,33 +304,52 @@ class Poly:
     @classmethod
     def monomial(cls, ctx: FieldCtx, n: int) -> "Poly":
         """u^n."""
-        return cls(ctx, [None] * n + [0])
+        pk = _packing(ctx)
+        return _poly(pk, 1 << pk.rb * n)
 
     # -- inspection ---------------------------------------------------
 
     @property
+    def c(self) -> Logs:
+        """The coefficient logs, read-only."""
+        return Logs(self)
+
+    @property
     def deg(self):
         """Degree, with -inf for the zero polynomial."""
-        return len(self.c) - 1 if self.c else NEG_INF
+        v = self._v
+        return (v.bit_length() - 1) // self._pk.rb if v else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self._v
 
     def coeff(self, i: int) -> FieldElement:
-        return FieldElement(self.ctx, self.c[i] if 0 <= i < len(self.c) else None)
+        pk = self._pk
+        code = pk.read(self._v >> pk.rb * i & pk.rowmask) if i >= 0 else 0
+        return FieldElement(self.ctx, self.ctx._log[code])
 
     def lc(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.ctx, self.c[-1])
+        return self.coeff(self.deg)
 
     def is_monic(self) -> bool:
-        return bool(self.c) and self.c[-1] == 0
+        v = self._v
+        return bool(v) and v >> (v.bit_length() - 1) // self._pk.rb * self._pk.rb == 1
+
+    def valuation(self) -> int:
+        """Multiplicity of the root u = 0 of a nonzero polynomial."""
+        v = self._v
+        return ((v & -v).bit_length() - 1) // self._pk.rb
+
+    def _logs(self) -> list:
+        pk, log = self._pk, self.ctx._log
+        return [log[pk.read(row)] for row in pk.unpack(self._v)]
 
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+        if self._pk is not other._pk:
             raise ValueError("coefficient field mismatch")
 
     def __add__(self, other):
@@ -138,11 +358,12 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        if not other.c:
+        if not other._v:
             return self
-        if not self.c:
+        if not self._v:
             return other
-        return Poly(self.ctx, _add_logs(self.ctx._zech, self.c, other.c))
+        pk = self._pk
+        return _poly(pk, _reduce(pk, self._v + other._v, 2 * pk.p - 2))
 
     __radd__ = __add__
 
@@ -151,7 +372,11 @@ class Poly:
             other = Poly.constant(self.ctx, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        if not other._v:
+            return self
+        p = self._pk.p
+        return _poly(self._pk, _reduce(self._pk, self._v + (p - 1) * other._v, p * (p - 1)))
 
     def __rsub__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -159,7 +384,8 @@ class Poly:
         return NotImplemented
 
     def __neg__(self):
-        return self._times(len(self.ctx._zech) // 2)
+        p = self._pk.p
+        return _poly(self._pk, _reduce(self._pk, (p - 1) * self._v, (p - 1) ** 2))
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -167,14 +393,17 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        # a constant factor (most often 1, a RatFunc's denominator) scales
-        if len(self.c) == 1:
-            return other._times(self.c[0])
-        if len(other.c) == 1:
-            return self._times(other.c[0])
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.ctx)
-        return Poly(self.ctx, _mul_logs(self.ctx, self.c, other.c))
+        pk, a, b = self._pk, self._v, other._v
+        if a == 1:
+            return other
+        if b == 1:
+            return self
+        if not a or not b:
+            return _poly(pk, 0)
+        # a constant factor (most often a RatFunc's denominator) scales
+        if a >> pk.rb == 0 or b >> pk.rb == 0:
+            return _poly(pk, _normalize(pk, a * b, pk.kpp))
+        return _poly(pk, _mul(pk, a, b))
 
     __rmul__ = __mul__
 
@@ -198,83 +427,88 @@ class Poly:
         return self._times(a.e)
 
     def _times(self, s: int) -> "Poly":
-        """self * g^s, by adding s to every log; self itself for s = 0."""
+        """self * g^s for the field's generator g; self itself for s = 0."""
         if not s:
             return self
-        n = len(self.ctx._zech)
-        return Poly(self.ctx, [None if e is None else (e + s) % n for e in self.c])
+        pk = self._pk
+        row = pk[self.ctx._exp[s % (pk.ctx.order - 1)]]
+        return _poly(pk, _normalize(pk, self._v * row, pk.kpp))
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         q, r = self._divide(other, want_quotient=True)
-        return Poly(self.ctx, q), Poly(self.ctx, r)
+        return _poly(self._pk, q), _poly(self._pk, r)
 
     def __floordiv__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(self.ctx, self._divide(other, want_quotient=True)[0])
+        return _poly(self._pk, self._divide(other, want_quotient=True)[0])
 
     def __mod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(self.ctx, self._divide(other, want_quotient=False)[1])
+        return _poly(self._pk, self._divide(other, want_quotient=False)[1])
 
     def _divide(self, other: "Poly", want_quotient: bool):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        return _divmod_logs(self.ctx._zech, self.c, other.c, want_quotient)
+        return _divmod(self._pk, self._v, other._v, want_quotient)
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Monic gcd (gcd(0, 0) = 0) by the Euclidean algorithm: each
-        step is one `_divmod_logs` remainder, with no Poly and no monic
-        copy per step; the result is made monic once, by subtracting its
-        leading log."""
+        """Monic gcd (gcd(0, 0) = 0) by the Euclidean algorithm on the
+        packed ints, made monic once at the end."""
         a._check(b)
-        zech = a.ctx._zech
-        x, y = a.c, b.c
+        pk = a._pk
+        x, y = a._v, b._v
         while y:
-            x, y = y, _divmod_logs(zech, x, y, want_quotient=False)[1]
-        g = Poly(a.ctx, x)
+            x, y = y, _divmod(pk, x, y, False)[1]
+        g = _poly(pk, x)
         return g.monic() if x else g
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        return self._times(-self.c[-1])
+        return self._times(-self.lc().e)
 
     # -- maps ----------------------------------------------------------
 
     def eval(self, a: FieldElement) -> FieldElement:
         """Horner evaluation at a field element."""
         acc = self.ctx.zero()
-        for i in range(len(self.c) - 1, -1, -1):
-            acc = acc * a + self.coeff(i)
+        for e in reversed(self._logs()):
+            acc = acc * a + FieldElement(self.ctx, e)
         return acc
 
     def scale_var(self, a: FieldElement) -> "Poly":
         """The substitution u -> a*u (coefficient i picks up a^i)."""
         la = a.e
         if la is None:
-            return Poly(self.ctx, self.c[:1])
-        n = len(self.ctx._zech)
+            return _poly(self._pk, self._v & self._pk.rowmask)
+        n = self.ctx.order - 1
         return Poly(self.ctx, [None if e is None else (e + i * la) % n
-                               for i, e in enumerate(self.c)])
+                               for i, e in enumerate(self._logs())])
+
+    def inflate(self, e: int) -> "Poly":
+        """The substitution u -> u^e, e >= 1."""
+        pk = self._pk
+        gap = b"\0" * (pk.rb // 8 * (e - 1))
+        return _poly(pk, int.from_bytes(gap.join(x.to_bytes(pk.rb // 8, "little")
+                                                 for x in pk.unpack(self._v)), "little"))
 
     def frobenius(self) -> "Poly":
         """Apply a -> a^p to every coefficient (fixes u)."""
         if self.ctx.k == 1:
             return self
-        p, n = self.ctx.p, len(self.ctx._zech)
-        return Poly(self.ctx, [None if e is None else e * p % n for e in self.c])
+        p, n = self.ctx.p, self.ctx.order - 1
+        return Poly(self.ctx, [None if e is None else e * p % n for e in self._logs()])
 
     # -- misc -----------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.ctx == other.ctx
-                and self.c == other.c)
+        return isinstance(other, Poly) and self._pk is other._pk and self._v == other._v
 
     __hash__ = None
 
@@ -282,8 +516,7 @@ class Poly:
         if self.is_zero():
             return "0"
         terms = []
-        for i in range(len(self.c) - 1, -1, -1):
-            e = self.c[i]
+        for i, e in reversed(list(enumerate(self._logs()))):
             if e is None:
                 continue
             astr = repr(FieldElement(self.ctx, e))
@@ -296,149 +529,9 @@ class Poly:
 
     def to_obj(self):
         """Coefficient digit rows over F_p, low degree first."""
-        return [self.coeff(i).to_obj() for i in range(len(self.c))]
-
-
-# ----------------------------------------------------------------------
-# Kernels on coefficient-log lists (low degree first, None for zero).
-
-def _trim(logs: list) -> list:
-    while logs and logs[-1] is None:
-        logs.pop()
-    return logs
-
-
-def _add_logs(zech: list, a, b) -> list:
-    """a + b for nonzero a, b, coefficient by coefficient:
-    g^s + g^t = g^(s + zech[t - s]), where t - s lies in (-n, n) and
-    Python's negative indexing reads zech at t - s mod n; a None from
-    zech is a coefficient cancelled to zero."""
-    n = len(zech)
-    if len(a) < len(b):
-        a, b = b, a
-    out = [t if s is None else s if t is None
-           else None if (z := zech[t - s]) is None else (s + z) % n
-           for s, t in zip(a, b)]
-    if len(a) > len(b):
-        out += a[len(b):]
-        return out
-    return _trim(out)
-
-
-def _slot(bound: int) -> tuple[int, str]:
-    """(bits, array typecode) of the narrowest slot that holds bound."""
-    for bits, code in _SLOTS:
-        if bound >> bits == 0:
-            return bits, code
-    raise OverflowError("polynomial product too large for %d-bit slots" % _SLOTS[-1][0])
-
-
-# Kernel crossovers, measured on dense operands on a 2-core Xeon KVM
-# guest (CPython 3.11).  A convolution of logs costs about la * lb Zech
-# steps and beats one Kronecker product up to about 8 x 8 rows at k = 1,
-# 11 x 11 at k = 2, 16 x 16 at k = 4 and 18 x 18 at k = 6 (about 10, 14,
-# 35 and 46 us per product there), so it runs while la * lb <= 64 k.
-_CONVOLVE_ROWS2_PER_K = 64
-
-
-def _mul_logs(ctx: FieldCtx, a, b) -> list:
-    """Exact product of nonzero coefficient-log lists: a convolution of
-    the logs while la * lb <= _CONVOLVE_ROWS2_PER_K * k, else one
-    Kronecker product."""
-    if len(a) * len(b) <= _CONVOLVE_ROWS2_PER_K * ctx.k:
-        return _convolve_logs(ctx._zech, a, b)
-    return _kronecker_logs(ctx, a, b)
-
-
-def _convolve_logs(zech: list, a, b) -> list:
-    """Schoolbook product: each pair of nonzero terms adds its logs, and
-    the term is summed into its row through the Zech table."""
-    n = len(zech)
-    out = [None] * (len(a) + len(b) - 1)
-    terms = [(j, e) for j, e in enumerate(b) if e is not None]
-    for i, s in enumerate(a):
-        if s is None:
-            continue
-        for j, e in terms:
-            t = (s + e) % n
-            c = out[i + j]
-            if c is None:
-                out[i + j] = t
-            else:
-                z = zech[t - c]
-                out[i + j] = None if z is None else (c + z) % n
-    return out
-
-
-def _kronecker_logs(ctx: FieldCtx, a, b) -> list:
-    """Exact product of nonzero coefficient-log lists by Kronecker
-    substitution (see the module docstring).  Column i of a holds digit i
-    of every coefficient; the product of columns i and j lands in w-degree
-    i + j, so before the reduction a slot is at most
-    k min(la, lb) (p - 1)^2, and each of the k - 1 reduced w-degrees adds
-    at most (p - 1) times that."""
-    k, p = ctx.k, ctx.p
-    la, lb = len(a), len(b)
-    bits, code = _slot(min(la, lb) * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
-    order = sys.byteorder
-    digits, exp, zero = ctx._digits, ctx._exp, ctx._digits[0]
-
-    def pack(logs):
-        rows = [zero if e is None else digits[exp[e]] for e in logs]
-        return [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
-
-    A = pack(a)
-    B = A if b is a else pack(b)
-    acc = [0] * (2 * k - 1)
-    for i, x in enumerate(A):
-        if x:
-            for j, y in enumerate(B):
-                if y:
-                    acc[i + j] += x * y
-    for m, row in enumerate(ctx._red, k):
-        if acc[m]:
-            for r, c in enumerate(row):
-                if c:
-                    acc[r] += c * acc[m]
-    size = (la + lb - 1) * bits // 8
-    codes = [0] * (la + lb - 1)
-    for x in reversed(acc[:k]):
-        slots = array(code)
-        slots.frombytes(x.to_bytes(size, order))
-        codes = [c * p + v % p for c, v in zip(codes, slots)]
-    log = ctx._log
-    return [log[c] for c in codes]
-
-
-def _divmod_logs(zech: list, a, b, want_quotient: bool):
-    """Long division of a by b, both trimmed lists of coefficient logs
-    (low degree first, None for zero); zech is the field's Zech table,
-    of length n = q - 1.  Returns (quotient or None, remainder), trimmed.
-
-    The quotient term of dividend row i is r_i / lc(b), of log
-    r_i - log lc(b), so b is never made monic.  Subtracting that term
-    times b_j adds g^t with t = r_i - log lc(b) + n/2 + log b_j (the
-    n/2 is the sign, as -1 = g^(n/2)) to g^s, giving g^(s + zech[t - s])
-    as in `_add_logs`."""
-    n = len(zech)
-    db = len(b) - 1
-    top = b[db]
-    shift = n // 2 - top
-    low = b[:db]
-    r = list(a)
-    q = [None] * max(len(r) - db, 0) if want_quotient else None
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c is None:
-            continue
-        if want_quotient:
-            q[i - db] = (c - top) % n
-        c += shift
-        r[i - db:i] = [s if e is None else (c + e) % n if s is None
-                       else None if (z := zech[(c + e - s) % n]) is None else (s + z) % n
-                       for s, e in zip(r[i - db:i], low)]
-    del r[db:]
-    return q, _trim(r)
+        pk = self._pk
+        mask = (1 << pk.w) - 1
+        return [[row >> pk.w * i & mask for i in range(pk.k)] for row in pk.unpack(self._v)]
 
 
 def poly_sqrt(f: Poly) -> Poly:
@@ -455,7 +548,7 @@ def poly_sqrt(f: Poly) -> Poly:
     top = f.lc().sqrt()
     if top is None:
         raise ValueError("leading coefficient is not a square")
-    zech, c = ctx._zech, f.c
+    zech, c = ctx._zech, f._logs()
     n = len(zech)
     neg = n // 2
     g = [None] * (m + 1)
@@ -487,10 +580,10 @@ def poly_sqrt(f: Poly) -> Poly:
 def _common(a: Poly, b: Poly) -> Poly | None:
     """gcd(a, b) of nonzero a and b, or None when it is 1; a constant
     operand makes it 1 without running Euclid."""
-    if len(a.c) == 1 or len(b.c) == 1:
+    if a.deg == 0 or b.deg == 0:
         return None
     g = Poly.gcd(a, b)
-    return g if len(g.c) > 1 else None
+    return g if g.deg > 0 else None
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +595,7 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Poly | None = None, _canonical: bool = False):
         if den is None:
-            den = Poly.one(num.ctx)
+            den = _poly(num._pk, 1)
         num._check(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -523,7 +616,7 @@ class RatFunc:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.one(p.ctx), _canonical=True)
+        return cls(p, _poly(p._pk, 1), _canonical=True)
 
     @classmethod
     def constant(cls, ctx: FieldCtx, value) -> "RatFunc":
@@ -594,9 +687,9 @@ class RatFunc:
         d = d' g, and only gcd(a d' + c b', g) can cancel.  A zero term
         leaves the other one."""
         a, b = self.num, self.den
-        if not c.c:
+        if c.is_zero():
             return self
-        if not a.c:
+        if a.is_zero():
             return RatFunc(c, d, _canonical=True)
         g = _common(b, d)
         b1, d1 = (b, d) if g is None else (b // g, d // g)
@@ -635,7 +728,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def _scaled(self, c: FieldElement) -> "RatFunc":
-        """self * c for a field element c: only the numerator's logs move."""
+        """self * c for a field element c: only the numerator scales."""
         if c.e is None:
             return RatFunc.zero(self.ctx)
         return RatFunc(self.num._times(c.e), self.den, _canonical=True)
@@ -685,7 +778,7 @@ class RatFunc:
         num, den = self.num.scale_var(a), self.den.scale_var(a)
         if a.is_zero():
             return RatFunc(num, den)
-        s = -den.c[-1]
+        s = -den.lc().e
         return RatFunc(num._times(s), den._times(s), _canonical=True)
 
     def frobenius(self) -> "RatFunc":

@@ -21,7 +21,7 @@ from math import floor
 
 import numpy as np
 
-from legendre_mw.heights import _family_t, _ord_u
+from legendre_mw.heights import _family_t
 from legendre_mw.ratfunc import Poly
 
 MAX_LEVEL = 6
@@ -59,7 +59,7 @@ def _strip(F, G, d):
     u^e0 is sliced off, then gcd(F, G, u^d - 1) = c is cancelled, as
     (F h) / (u^d - 1) with h = (u^d - 1) / c, until it is 1."""
     ctx = F.ctx
-    e0 = min(_ord_u(F), _ord_u(G))
+    e0 = min(F.valuation(), G.valuation())
     F, G = Poly(ctx, F.c[e0:]), Poly(ctx, G.c[e0:])
     unit = Poly.monomial(ctx, d) - 1
     while True:

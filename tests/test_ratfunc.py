@@ -1,13 +1,14 @@
 import random
 
 import numpy as np
+import poly_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legendre_mw import ratfunc
-from legendre_mw.gf import build_field
-from legendre_mw.ratfunc import NEG_INF, Poly, RatFunc, _mul_logs, poly_sqrt
+from legendre_mw.gf import FieldElement, build_field
+from legendre_mw.ratfunc import NEG_INF, Poly, RatFunc, poly_sqrt
 
 CTX = build_field(3, 2)
 CTX5 = build_field(5, 1)
@@ -86,13 +87,13 @@ def test_pow_products_by_bits(monkeypatch, e, products):
     for _ in range(e):
         want = want * f
     calls = []
-    real = ratfunc._mul_logs
+    real = ratfunc._mul
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(ratfunc, "_mul_logs", counted)
+    monkeypatch.setattr(ratfunc, "_mul", counted)
     assert f ** e == want
     assert len(calls) == products
 
@@ -100,7 +101,7 @@ def test_pow_products_by_bits(monkeypatch, e, products):
 def test_products_by_one_return_the_operand(monkeypatch):
     p = Poly.variable(CTX) ** 3 + 2
     calls = []
-    real = ratfunc._mul_logs
+    real = ratfunc._mul
 
     def counted(*args):
         calls.append(1)
@@ -113,7 +114,7 @@ def test_products_by_one_return_the_operand(monkeypatch):
         scalings.append(1)
         return scale(self, a)
 
-    monkeypatch.setattr(ratfunc, "_mul_logs", counted)
+    monkeypatch.setattr(ratfunc, "_mul", counted)
     monkeypatch.setattr(Poly, "scale", counted_scale)
     assert p * Poly.one(CTX) is p
     assert Poly.one(CTX) * p is p
@@ -150,7 +151,7 @@ def test_ratfunc_ops_run_no_gcd_against_a_constant(monkeypatch):
              (lambda: 1 - x, RatFunc(x.den - x.num, x.den)),
              (lambda: RatFunc.from_poly(Poly.constant(CTX, 2)) + 1, zero)]
     calls, products = [], []
-    real, mul_logs = Poly.gcd, ratfunc._mul_logs
+    real, mul = Poly.gcd, ratfunc._mul
 
     def counted(a, b):
         calls.append(1)
@@ -158,12 +159,12 @@ def test_ratfunc_ops_run_no_gcd_against_a_constant(monkeypatch):
 
     def counted_product(*args):
         products.append(1)
-        return mul_logs(*args)
+        return mul(*args)
 
     monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
     assert [x + f, x * c, x / c, x.inv(), x * x] == want
     assert calls == []
-    monkeypatch.setattr(ratfunc, "_mul_logs", counted_product)
+    monkeypatch.setattr(ratfunc, "_mul", counted_product)
     monkeypatch.setattr(RatFunc, "constant", None)
     got = [op() for op, _ in cheap]
     assert calls == [] and products == []
@@ -173,13 +174,35 @@ def test_ratfunc_ops_run_no_gcd_against_a_constant(monkeypatch):
         x / 3
 
 
+def _all_top_digits(ctx, rows):
+    """The Poly whose every digit is p - 1: each slot at its largest."""
+    return Poly.from_elems(ctx, [ctx.from_code(ctx.order - 1)] * rows)
+
+
+def _all_top_product(ctx, la, lb):
+    """The product of two all-(p - 1) Polys in closed form: coefficient J
+    is c^2 times the number of pairs i + j = J."""
+    c2 = ctx.from_code(ctx.order - 1) ** 2
+    return Poly.from_elems(ctx, [c2 * (min(J + 1, la, lb, la + lb - 1 - J) % ctx.p)
+                                 for J in range(la + lb - 1)])
+
+
 def test_mul_overflow_guard():
-    # a product whose coefficients could exceed the widest (64-bit) slot
-    # before the final mod is refused; the operands are ranges, which
-    # have a length but allocate nothing
-    rows = 2 ** 64 // (CTX.k * (3 - 1) ** 2 * (1 + (3 - 1))) + 1
-    with pytest.raises(OverflowError):
-        _mul_logs(CTX, range(rows), range(rows))
+    # a product's slots reach min(la, lb) k (p-1)^2 (1 + (k-1)(p-1)) with
+    # every digit p - 1; up to lmax rows in the shorter operand they fit
+    # the slot (with the bit the even/odd mod needs), and a longer one is
+    # cut into pieces, so no product overflows or is refused.  These are
+    # the fields whose lmax is a few thousand rows at most.
+    for p, k in [(3, 1), (5, 1), (3, 2), (101, 2), (7, 4)]:
+        ctx = build_field(p, k)
+        pk = ratfunc._packing(ctx)
+        per_row = pk.kpp * pk.spread
+        assert pk.lmax * per_row <= pk.limit < (pk.lmax + 1) * per_row
+        for la, lb in [(pk.lmax, pk.lmax), (pk.lmax + 1, pk.lmax + 3)]:
+            a, b = _all_top_digits(ctx, la), _all_top_digits(ctx, lb)
+            assert a * b == b * a == _all_top_product(ctx, la, lb)
+        a = _all_top_digits(ctx, 2 * pk.lmax + 5)
+        assert a * a == _all_top_product(ctx, 2 * pk.lmax + 5, 2 * pk.lmax + 5)
 
 
 def _digit_rows(f):
@@ -215,28 +238,29 @@ _KRONECKER_CASES = [
 
 
 def _recorded_slots(monkeypatch):
-    """Record the slot width of every Kronecker product from now on."""
+    """Record the slot width of every reference Kronecker product."""
     widths = []
-    slot = ratfunc._slot
+    slot = ref._slot
 
     def recorded(bound):
         bits, code = slot(bound)
         widths.append(bits)
         return bits, code
 
-    monkeypatch.setattr(ratfunc, "_slot", recorded)
+    monkeypatch.setattr(ref, "_slot", recorded)
     return widths
 
 
 def _kronecker(a, b):
-    """a * b by the Kronecker kernel itself, whatever `*` dispatches to."""
-    return Poly(a.ctx, ratfunc._kronecker_logs(a.ctx, a.c, b.c)).to_obj()
+    """a * b by the reference's log Kronecker kernel."""
+    return Poly(a.ctx, ref._kronecker_logs(a.ctx, list(a.c), list(b.c))).to_obj()
 
 
 @pytest.mark.parametrize("p,k,lengths", _KRONECKER_CASES)
 def test_kronecker_product_matches_convolution(monkeypatch, p, k, lengths):
-    # the kernel is also called directly, so its slot widths are pinned
-    # at every one of these lengths although `*` convolves the smallest
+    # the packed product against the int64 convolution, and the
+    # reference's Kronecker kernel too, its slot widths pinned at every
+    # one of these lengths; 2127 rows over F_{101^2} is past lmax
     ctx = build_field(p, k)
     rng = random.Random(p * k)
     widths = _recorded_slots(monkeypatch)
@@ -256,13 +280,12 @@ _F9_MODULI = [(1, 0, 1), (2, 1, 1)]
 
 
 def test_products_over_two_moduli_of_one_order(monkeypatch):
-    # products over two F_9 with different moduli, interleaved.  The slot
-    # bound 24 min(la, lb) crosses 2^8 between 10 and 11 rows and 2^16
-    # between 2730 and 2731.  Packing or reduction data shared by (p, k),
-    # or keyed by id() and so met again by a field built where a dropped
-    # one lived, would use one field's digits for the other's logs.
-    # The Kronecker kernel is called directly at the small lengths, which
-    # `*` sends to the convolution of logs.
+    # products over two F_9 with different moduli, interleaved.  Packing
+    # or reduction data shared by (p, k), or keyed by id() and so met
+    # again by a field built where a dropped one lived, would use one
+    # field's digits for the other's logs.  The reference's Kronecker
+    # kernel, whose slot bound 24 min(la, lb) crosses 2^8 between 10 and
+    # 11 rows and 2^16 between 2730 and 2731, runs alongside.
     from legendre_mw.gf import FieldCtx
     rng = random.Random(18)
     logs = [None] + list(range(8))
@@ -284,7 +307,7 @@ def test_products_over_two_moduli_of_one_order(monkeypatch):
     for la, lb in [(2, 5), (8, 8), (30, 24), (80, 40)]:
         for ctx in fields:
             a, b = rows(ctx, la), rows(ctx, lb)
-            assert Poly(ctx, ratfunc._convolve_logs(ctx._zech, a.c, b.c)).to_obj() \
+            assert Poly(ctx, ref._convolve_logs(ctx._zech, list(a.c), list(b.c))).to_obj() \
                 == _convolve_mul(a, b)
     for i in range(6):
         ctx = FieldCtx(3, 2, _F9_MODULI[i % 2])
@@ -299,8 +322,8 @@ _KERNEL_FIELDS = [(3, 2), (5, 2), (7, 2), (3, 4), (3, 6), (101, 2)]
 
 @pytest.mark.parametrize("p,k", _KERNEL_FIELDS)
 def test_kernels_match_references_across_crossovers(p, k):
-    # products on both sides of la * lb = 64 k (convolution of logs or
-    # Kronecker) against the int64 convolution
+    # products on both sides of the reference's la * lb = 64 k crossover
+    # against the int64 convolution
     ctx = build_field(p, k)
     n = ctx.order - 1
     rng = random.Random(p + k)
@@ -309,11 +332,76 @@ def test_kernels_match_references_across_crossovers(p, k):
         return Poly(ctx, [rng.randrange(n) if rng.random() < density else None
                           for _ in range(m - 1)] + [rng.randrange(n)])
 
-    edge = int((ratfunc._CONVOLVE_ROWS2_PER_K * k) ** 0.5)
+    edge = int((ref._CONVOLVE_ROWS2_PER_K * k) ** 0.5)
     for la, lb in [(1, 2), (edge, edge), (edge + 1, edge + 1), (3, 40), (40, 50)]:
         for density in (1.0, 0.4):
             a, b = rows(la, density), rows(lb, density)
             assert (a * b).to_obj() == _convolve_mul(a, b)
+
+
+# -- packed kernels against the log reference (tests/poly_reference.py) ----
+
+# k = 1, 2 and 4 over p = 3, 5, 7 and 101 (F_{101^4} is too large to
+# tabulate)
+_REF_FIELDS = [build_field(p, k) for p, k in [(3, 1), (5, 1), (7, 1), (101, 1), (3, 2),
+                                               (5, 2), (7, 2), (101, 2), (3, 4), (5, 4),
+                                               (7, 4)]]
+
+
+@st.composite
+def _log_lists(draw, ctx, max_size):
+    """A trimmed coefficient-log list, its codes drawn from the whole field
+    or only from 0 and q - 1, the element whose every digit is p - 1."""
+    top = ctx.order - 1
+    codes = st.sampled_from([0, top]) if draw(st.booleans()) else st.integers(0, top)
+    return ref._trim([ctx._log[c] for c in draw(st.lists(codes, max_size=max_size))])
+
+
+@st.composite
+def _kernel_cases(draw):
+    ctx = draw(st.sampled_from(_REF_FIELDS))
+    a, b = draw(_log_lists(ctx, 40)), draw(_log_lists(ctx, 20))
+    x = draw(st.one_of(st.none(), st.integers(0, ctx.order - 2)))
+    return ctx, a, b, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+def test_packed_kernels_match_log_reference(case):
+    ctx, a, b, x = case
+    A, B, X = Poly(ctx, a), Poly(ctx, b), FieldElement(ctx, x)
+    assert list(A.c) == a and len(A.c) == A.c.shape[0] == len(a)
+    assert list((A + B).c) == ref.add_logs(ctx, a, b)
+    assert list((A - B).c) == ref.add_logs(ctx, a, ref.neg_logs(ctx, b))
+    assert list((-A).c) == ref.neg_logs(ctx, a)
+    assert list(A.scale(X).c) == ref.times_logs(ctx, a, x)
+    assert list((A * B).c) == ref.mul_logs(ctx, a, b)
+    assert list(A.frobenius().c) == ref.frobenius_logs(ctx, a)
+    assert list(A.scale_var(X).c) == ref.scale_var_logs(ctx, a, x)
+    assert A.eval(X).e == ref.eval_logs(ctx, a, x)
+    assert list(Poly.gcd(A, B).c) == ref.gcd_logs(ctx, a, b)
+    if b:
+        q, r = ref.divmod_logs(ctx, a, b)
+        Q, R = divmod(A, B)
+        assert (list(Q.c), list(R.c)) == (q, r)
+        assert list((A // B).c) == q and list((A % B).c) == r
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_long_division_reduces_before_slots_overflow(p):
+    # a remainder slot gains up to k (p-1)^2 per quotient row that reaches
+    # it, at most once per divisor row.  Over F_p the bound is met: with
+    # every digit of b equal to p - 1 and every quotient coefficient 1,
+    # each step adds exactly (p-1)^2.  Quotient and divisor here are long
+    # enough to overflow a whole slot, so the remainder must be reduced on
+    # the way (p = 3 and 5 have 16-bit slots)
+    ctx = build_field(p, 1)
+    pk = ratfunc._packing(ctx)
+    rows = (1 << pk.w) // pk.kpp + 1
+    b = _all_top_digits(ctx, rows)
+    q = Poly.from_elems(ctx, [1] * rows)
+    r = Poly.from_elems(ctx, [2, 0, 1])
+    assert divmod(q * b + r, b) == (q, r)
 
 
 @pytest.mark.parametrize("ctx,seed", [(CTX, 31), (CTX5, 32)])

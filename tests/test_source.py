@@ -3,8 +3,8 @@
 resolves, the package imports no numpy, whose import alone took
 longer than most commands' own work, nor dataclasses, which loads
 inspect, ast, dis and tokenize for a few records, the element format
-of F_q stays behind gf.py, and the names the benchmark's tracer
-rebinds exist."""
+of F_q stays behind gf.py and that of F_q[u] behind ratfunc.py, and
+the names the benchmark's tracer rebinds exist."""
 
 import ast
 import importlib.util
@@ -114,6 +114,28 @@ def test_field_element_format_stays_in_gf():
         hits += ["%s:%d %s" % (path.relative_to(SRC), node.lineno, node.attr)
                  for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr in names]
+    assert hits == []
+
+
+def test_poly_storage_stays_in_ratfunc():
+    # how a Poly stores its coefficients is ratfunc.py's business: no
+    # other module reads Poly.c or a private member of Poly or its Logs
+    # view.  A module is checked for every `.c` read unless it defines a
+    # `c` itself, as gf.py does for FieldElement's digits (and a private
+    # name the module's own classes define is theirs)
+    ratfunc = SRC / "legendre_mw" / "ratfunc.py"
+    hidden = _private_members(ast.parse(ratfunc.read_text()), {"Poly", "Logs"}) | {"c"}
+    assert {"_v", "_pk", "_logs", "_times", "_check"} <= hidden
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == ratfunc:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        own = _private_members(tree) | {node.name for node in ast.walk(tree)
+                                        if isinstance(node, ast.FunctionDef)}
+        hits += ["%s:%d %s" % (path.relative_to(SRC), node.lineno, node.attr)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in hidden - own]
     assert hits == []
 
 
