@@ -220,12 +220,17 @@ def _divmod(pk: _Packing, a: int, b: int, want_quotient: bool) -> tuple[int, int
     log, exp, n = ctx._log, ctx._exp, ctx.order - 1
     top = log[pk.read(b >> rb * db)]
     neg = n // 2 - top                       # -1/lc(b), as -1 = g^(n/2)
-    rowmask, read, step = pk.rowmask, pk.read, pk.kpp
-    start = bound = pk.p - 1
+    rowmask, p, mask, fold, digits, step = pk.rowmask, pk.p, pk.mask, pk.fold, pk.digits, pk.kpp
+    start = bound = p - 1
     cap = pk.limit // pk.spread
     r, q = a, []
     for i in range(da, db - 1, -1):
-        c = log[read(r >> rb * i & rowmask)]
+        t, code = r >> rb * i & rowmask, 0     # pk.read, inline
+        for shift, row in fold:
+            t += (t >> shift & mask) * row
+        for shift in digits:
+            code = code * p + (t >> shift & mask) % p
+        c = log[code]
         if c is None:
             q.append(0)
             continue
@@ -235,7 +240,8 @@ def _divmod(pk: _Packing, a: int, b: int, want_quotient: bool) -> tuple[int, int
         bound += step
         if bound > cap:
             r, bound = _normalize(pk, r, bound), start
-    return pk.join(q[::-1]), _normalize(pk, r & ((1 << rb * db) - 1), bound)
+    r = _normalize(pk, r & ((1 << rb * db) - 1), bound)
+    return (pk.join(q[::-1]) if want_quotient else 0), r
 
 
 # ----------------------------------------------------------------------
