@@ -213,8 +213,7 @@ def _divmod(pk: _Packing, a: int, b: int, want_quotient: bool) -> tuple[int, int
     c = r_i / lc(b) from the log tables, and -c b shifted to row i is
     added at once; each such step adds at most k (p - 1)^2 to a slot."""
     rb, ctx = pk.rb, pk.ctx
-    db = _rows(pk, b) - 1
-    da = _rows(pk, a) - 1 if a else -1
+    db, da = (b.bit_length() - 1) // rb, (a.bit_length() - 1) // rb
     if da < db:
         return 0, a
     log, exp, n = ctx._log, ctx._exp, ctx.order - 1
@@ -223,7 +222,7 @@ def _divmod(pk: _Packing, a: int, b: int, want_quotient: bool) -> tuple[int, int
     rowmask, p, mask, fold, digits, step = pk.rowmask, pk.p, pk.mask, pk.fold, pk.digits, pk.kpp
     start = bound = p - 1
     cap = pk.limit // pk.spread
-    r, q = a, []
+    r, q = a, 0
     for i in range(da, db - 1, -1):
         t, code = r >> rb * i & rowmask, 0     # pk.read, inline
         for shift, row in fold:
@@ -231,17 +230,16 @@ def _divmod(pk: _Packing, a: int, b: int, want_quotient: bool) -> tuple[int, int
         for shift in digits:
             code = code * p + (t >> shift & mask) % p
         c = log[code]
+        q <<= rb
         if c is None:
-            q.append(0)
             continue
         if want_quotient:
-            q.append(pk[exp[(c - top) % n]])
+            q |= pk[exp[(c - top) % n]]
         r += b * pk[exp[(c + neg) % n]] << rb * (i - db)
         bound += step
         if bound > cap:
             r, bound = _normalize(pk, r, bound), start
-    r = _normalize(pk, r & ((1 << rb * db) - 1), bound)
-    return (pk.join(q[::-1]) if want_quotient else 0), r
+    return q, _normalize(pk, r & ((1 << rb * db) - 1), bound)
 
 
 # ----------------------------------------------------------------------
