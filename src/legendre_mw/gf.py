@@ -148,8 +148,9 @@ class FieldCtx:
     code sum c_i p^i; _exp and _log, from a log to a code and back, for
     the generator g (the first code of multiplicative order q - 1); and
     the Zech logarithms _zech[e] = log(1 + g^e), None at e = (q - 1)/2
-    where g^e = -1, so that g^s + g^t = g^(s + _zech[t - s]).  Poly products also read _red, the digit
-    tuples of w^k..w^{2k-2}, which reduce the w-degrees >= k.
+    where g^e = -1, so that g^s + g^t = g^(s + _zech[t - s]).  Poly
+    products also read _red, the digit tuples of w^k..w^{2k-2}, which
+    reduce the w-degrees >= k.
     """
 
     __slots__ = ("p", "k", "modulus", "_digits", "_exp", "_log", "_zech", "_red")

@@ -11,24 +11,24 @@ operations, with no Python step per coefficient:
 - a product is one int product (Kronecker substitution u -> 2^(SW),
   w -> 2^W; Harvey, "Faster polynomial multiplication via multipoint
   Kronecker substitution", 2009).  Two rows' w-convolution reaches
-  w^(2k-2) inside its row; each w^m, m >= k, is folded back by masking
-  slot m of every row and adding it times the digits of w^m (the
-  field's `_red` rows).  Scaling by a field element is the product by
-  its row, a k x k map over F_p on every coefficient at once;
+  w^(2k-2) inside its row.  A fold pass masks out the w-degrees >= k of
+  every row at once and adds them back times the digits of w^k (the
+  field's `_red[0]`); for the low, sparse moduli `build_field` picks,
+  one or two passes leave none.  Scaling by a field element is the
+  product by its row, a k x k map over F_p on every coefficient at once;
 - every slot is then taken mod p at once (SWAR): with m = ceil(2^s/p),
   floor(v m / 2^s) = floor(v / p) for v up to a bound, so
   x - p ((x m >> s) & mask) reduces all slots.  v m takes about twice
   the bits of v: small bounds (sums, scalings) fit in a slot, larger
   ones are reduced on the even and the odd slots apart, with 2W bits each;
-- long division reads the remainder's top row (its digits mod p, folded
-  by `_red`), takes the quotient coefficient from the log tables, and
+- long division reads the remainder's top row (folded, its digits mod
+  p), takes the quotient coefficient from the log tables, and
   adds -c times the divisor, shifted, with one product and one add.  Each
   such step adds at most k (p - 1)^2 to a slot, and the remainder is
   reduced at the end, or before its slots could outgrow W bits.
 W is the narrowest whole number of bytes that holds, with a bit to spare,
 a product of 1024-row operands: a product's slot is at most
-min(la, lb) k (p - 1)^2 before the fold and 1 + (k - 1)(p - 1) times that
-after it.  A product past `lmax` rows (the rows that fit) stays exact: its
+min(la, lb) k (p - 1)^2 before the fold and `spread` times that after it.  A product past `lmax` rows (the rows that fit) stays exact: its
 shorter operand is cut into pieces of lmax rows and the reduced partial
 products are summed.  Coefficients become logs (a FieldElement's format)
 only to be read: `coeff`, `lc`, `repr`, `to_obj`, `eval`, `scale_var`,
@@ -67,25 +67,37 @@ def _magic(p: int, width: int, cap: int) -> tuple[int, int, int]:
 
 class _Packing(dict):
     """The packed format of one field (see the module docstring): slot
-    width, SWAR constants, the fold rows, masks that repeat a slot or row
+    width, SWAR constants, the fold, masks that repeat a slot or row
     pattern over `cap` bits (lengthened when an operand outgrows them),
     and, as a dict, the packed row of each element code, made when first
     asked."""
 
-    __slots__ = ("ctx", "p", "k", "w", "mask", "digits", "rb", "rowmask", "kpp", "spread",
-                 "limit", "lmax", "vm", "s1", "m1", "s2", "m2", "fold", "cap", "q1", "even",
-                 "q2", "slot0", "lowk")
+    __slots__ = ("ctx", "p", "k", "w", "mask", "digits", "rb", "rowmask", "kw", "low", "kpp",
+                 "spread", "limit", "lmax", "vm", "s1", "m1", "s2", "m2", "passes", "red", "cap",
+                 "q1", "even", "q2", "high", "lowk")
 
     def __init__(self, ctx: FieldCtx):
         p, k = ctx.p, ctx.k
         self.ctx, self.p, self.k = ctx, p, k
-        # bound on a product's slots per row of its shorter operand, and
-        # the factor by which folding w^k..w^(2k-2) can grow a bound
+        # bound on a product's slots per row of its shorter operand
         self.kpp = k * (p - 1) ** 2
-        self.spread = 1 + (k - 1) * (p - 1)
+        # A fold pass replaces the w-degrees >= k of every row, at once,
+        # by their product with the digits of w^k, until none is left
+        # (a dense modulus takes k - 1 passes).  Folding a row of ones
+        # gives the factor by which the passes can grow a bound.
+        red, v, passes = ctx._red[0] if k > 1 else (), [1] * (2 * k - 1), 0
+        while any(v[k:]):
+            high, v = v[k:], v[:k] + [0] * (k - 1)
+            for m, h in enumerate(high):
+                for i, r in enumerate(red):
+                    v[m + i] += h * r
+            passes += 1
+        self.passes, self.spread = range(passes), max(v)
         w = 8 * -(-((1024 * self.kpp * self.spread).bit_length() + 1) // 8)
         self.w, self.rb = w, (2 * k - 1) * w
         self.mask, self.digits = (1 << w) - 1, tuple(w * i for i in reversed(range(k)))
+        self.kw = k * w
+        self.low = (1 << self.kw) - 1        # the low k slots of a row
         self.rowmask = (1 << self.rb) - 1
         self.limit = (1 << (w - 1)) - 1
         self.lmax = self.limit // (self.kpp * self.spread)
@@ -93,9 +105,7 @@ class _Packing(dict):
         # takes any slot up to limit, as 2W bits hold limit * m2
         self.vm, self.s1, self.m1 = _magic(p, w, self.limit)
         _, self.s2, self.m2 = _magic(p, 2 * w, self.limit)
-        # (shift to slot m, packed digits of w^m) for m = k..2k-2
-        self.fold = tuple((w * m, sum(d << w * i for i, d in enumerate(row)))
-                          for m, row in enumerate(ctx._red, k))
+        self.red = sum(d << w * i for i, d in enumerate(red))
         self.cap = 0
         self.fit(64 * self.rb)
 
@@ -110,7 +120,7 @@ class _Packing(dict):
         self.q1 = ((1 << (w - self.s1)) - 1) * slots
         self.even = ((1 << w) - 1) * pairs
         self.q2 = ((1 << (2 * w - self.s2)) - 1) * pairs
-        self.slot0 = ((1 << w) - 1) * rows
+        self.high = ((1 << (self.k - 1) * w) - 1) * rows
         self.lowk = ((1 << self.k * w) - 1) * rows
         self.cap = cap
 
@@ -118,9 +128,9 @@ class _Packing(dict):
         """Code (sum of digits times p^i) of the row t, whose slots may be
         unreduced and may hold w-degrees k..2k-2 (at most limit once
         folded)."""
-        p, mask = self.p, self.mask
-        for shift, row in self.fold:
-            t += (t >> shift & mask) * row
+        p, mask, kw = self.p, self.mask, self.kw
+        for _ in self.passes:
+            t = (t & self.low) + (t >> kw) * self.red
         code = 0
         for shift in self.digits:
             code = code * p + (t >> shift & mask) % p
@@ -174,15 +184,14 @@ def _reduce(pk: _Packing, x: int, bound: int) -> int:
 
 def _normalize(pk: _Packing, x: int, bound: int) -> int:
     """The stored form of x, whose rows may hold w-degrees up to 2k - 2
-    and whose slots are at most bound: fold w^k..w^(2k-2) of every row
-    into its low k slots, then reduce mod p."""
-    if pk.fold:
+    and whose slots are at most bound: fold the w-degrees >= k of every
+    row into its low k slots, then reduce mod p."""
+    if pk.passes:
         if x.bit_length() > pk.cap:
             pk.fit(x.bit_length())
-        slot0 = pk.slot0
-        for shift, row in pk.fold:
-            x += (x >> shift & slot0) * row
-        x &= pk.lowk
+        kw, high, lowk, red = pk.kw, pk.high, pk.lowk, pk.red
+        for _ in pk.passes:
+            x = (x & lowk) + (x >> kw & high) * red
         bound *= pk.spread
     return _reduce(pk, x, bound)
 
@@ -219,14 +228,15 @@ def _divmod(pk: _Packing, a: int, b: int, want_quotient: bool) -> tuple[int, int
     log, exp, n = ctx._log, ctx._exp, ctx.order - 1
     top = log[pk.read(b >> rb * db)]
     neg = n // 2 - top                       # -1/lc(b), as -1 = g^(n/2)
-    rowmask, p, mask, fold, digits, step = pk.rowmask, pk.p, pk.mask, pk.fold, pk.digits, pk.kpp
+    p, mask, digits, kw, low, red = pk.p, pk.mask, pk.digits, pk.kw, pk.low, pk.red
+    passes, rowmask, step = pk.passes, pk.rowmask, pk.kpp
     start = bound = p - 1
     cap = pk.limit // pk.spread
     r, q = a, 0
     for i in range(da, db - 1, -1):
         t, code = r >> rb * i & rowmask, 0     # pk.read, inline
-        for shift, row in fold:
-            t += (t >> shift & mask) * row
+        for _ in passes:
+            t = (t & low) + (t >> kw) * red
         for shift in digits:
             code = code * p + (t >> shift & mask) % p
         c = log[code]

@@ -387,6 +387,32 @@ def test_packed_kernels_match_log_reference(case):
         assert list((A // B).c) == q and list((A % B).c) == r
 
 
+# the fold takes one pass per lowering of the top w-degree: two for the
+# low, sparse modulus build_field picks for F_{3^8}, three and five for
+# these dense moduli of F_81 and F_729
+_MULTI_PASS_FIELDS = [((3, 8, None), 2), ((3, 4, (1, 1, 1, 1, 1)), 3),
+                      ((3, 6, (1, 1, 1, 1, 1, 1, 1)), 5)]
+
+
+@pytest.mark.parametrize("spec,passes", _MULTI_PASS_FIELDS)
+def test_kernels_match_log_reference_over_multi_pass_folds(spec, passes):
+    from legendre_mw.gf import FieldCtx
+    p, k, modulus = spec
+    ctx = build_field(p, k) if modulus is None else FieldCtx(p, k, modulus)
+    assert len(ratfunc._packing(ctx).passes) == passes
+    rng = random.Random(p * k)
+    top = ctx.order - 1
+    for size_a, size_b in [(1, 1), (5, 3), (40, 17), (90, 60)]:
+        codes = [0, top] if rng.random() < 0.3 else range(ctx.order)
+        a, b = ([ctx._log[rng.choice(codes)] for _ in range(n - 1)] + [rng.randrange(top)]
+                for n in (size_a, size_b))
+        A, B = Poly(ctx, a), Poly(ctx, b)
+        assert list((A * B).c) == ref.mul_logs(ctx, a, b)
+        assert list(A.scale(ctx.generator()).c) == ref.times_logs(ctx, a, 1)
+        assert [list(f.c) for f in divmod(A, B)] == list(ref.divmod_logs(ctx, a, b))
+        assert list(Poly.gcd(A, B).c) == ref.gcd_logs(ctx, a, b)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_long_division_reduces_before_slots_overflow(p):
     # a remainder slot gains up to k (p-1)^2 per quotient row that reaches
