@@ -196,14 +196,10 @@ def _normalize(pk: _Packing, x: int, bound: int) -> int:
     return _reduce(pk, x, bound)
 
 
-def _rows(pk: _Packing, v: int) -> int:
-    return (v.bit_length() - 1) // pk.rb + 1
-
-
 def _mul(pk: _Packing, a: int, b: int) -> int:
     """a * b for nonzero packed a, b: one int product, then the fold and
     the mod, or one per piece of lmax rows of the shorter operand."""
-    la, lb = _rows(pk, a), _rows(pk, b)
+    la, lb = (a.bit_length() - 1) // pk.rb + 1, (b.bit_length() - 1) // pk.rb + 1
     if la > lb:
         a, b, la = b, a, lb
     if la <= pk.lmax:
