@@ -4,23 +4,24 @@ invertible coordinate changes.
 
 All coordinates are RatFunc values, so every computation is exact, and
 the group law, the isogenies and the coordinate changes return reduced
-coordinates.  On a model whose a_i are all polynomials in u, a reduced
-point x = N/D, y = Y/E has D = C^2 and E = C^3 for one monic C: at a
-prime of F_q[u] where x has a pole of order 2m, y has one of order 3m.
-There the point maps read the reduced denominators off this rule
-instead of taking gcds whose answer it fixes: C = E / D (an exact
-division, checked), a coordinate change with polynomial r, t_ and
-constant s, w keeps D and E, the 2-isogeny takes at most gcd(b, N) and
-gcd(Y, N^2 / gcd(b, N^2)), and the group law writes lam^2 + a1 lam over
-den(lam)^2 and reads y3's denominator as den(x3)^(3/2).  On any other
-model the RatFunc operators reduce.
+coordinates.  Every curve has polynomial a_i in F_q[u]:
+`WeierstrassCurve` raises ValueError for any other coefficient, and
+`change_coords` for a non-polynomial r or t_ or a non-constant s or w,
+which keep the a_i polynomial.  On such a model a reduced point
+x = N/D, y = Y/E has D = C^2 and E = C^3 for one monic C: at a prime of
+F_q[u] where x has a pole of order 2m, y has one of order 3m.  The point
+maps read the reduced denominators off this rule instead of taking gcds
+whose answer it fixes: C = E / D (an exact division, checked), a
+coordinate change keeps D and E, the 2-isogeny takes at most gcd(b, N)
+and gcd(Y, N^2 / gcd(b, N^2)), and the group law writes lam^2 + a1 lam
+over den(lam)^2 and reads y3's denominator as den(x3)^(3/2).
 
 The checks do not reduce and take no gcd.  Membership builds the two
 sides of the curve equation as unreduced fractions and compares the
 numerators when the denominators agree, otherwise it cross-multiplies.
 A new curve checks c4^3 - c6^2 = 1728 disc, and a coordinate change
-compares j = c4^3 / disc of both curves, as unreduced fractions by
-cross-multiplying their numerators and denominators.
+compares j = c4^3 / disc of both curves by cross-multiplying, on the
+polynomial invariants.
 """
 
 from __future__ import annotations
@@ -73,19 +74,20 @@ class CurvePoint:
 
 
 class WeierstrassCurve:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with RatFunc a_i."""
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with a_i in F_q[u],
+    held as RatFunc values."""
 
-    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_c4", "_c6", "_disc", "_integral")
+    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_c4", "_c6", "_disc")
 
     def __init__(self, a1: RatFunc, a2: RatFunc, a3: RatFunc, a4: RatFunc, a6: RatFunc):
         ctx = a1.ctx
         for a in (a2, a3, a4, a6):
             if a.ctx != ctx:
                 raise ValueError("coefficient field mismatch")
+        if not all(a.is_poly() for a in (a1, a2, a3, a4, a6)):
+            raise ValueError("the coefficients a_i must be polynomials in u")
         self.ctx = ctx
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
-        # every a_i a polynomial: the known-denominator rule holds
-        self._integral = all(a.is_poly() for a in (a1, a2, a3, a4, a6))
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
@@ -95,13 +97,11 @@ class WeierstrassCurve:
         self._disc = -(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
         # the checks read the stored invariants back through c4(), c6()
         # and discriminant(), the values every caller sees
-        c4, c6, disc = self.c4(), self.c6(), self.discriminant()
+        c4, c6, disc = self.c4().num, self.c6().num, self.discriminant().num
         if disc.is_zero():
             raise ValueError("singular curve: discriminant is zero")
-        # c4^3 - c6^2 = 1728 * disc must hold identically; compared on
-        # unreduced fractions by cross-multiplying, like contains()
-        n, d = _fadd((c4.num ** 3, c4.den ** 3), (-(c6.num ** 2), c6.den ** 2))
-        if not n * disc.den == 1728 * disc.num * d:
+        # c4^3 - c6^2 = 1728 * disc must hold identically
+        if not c4 ** 3 - c6 ** 2 == 1728 * disc:
             raise ArithmeticError("c-invariant identity failed")
 
     @classmethod
@@ -131,9 +131,9 @@ class WeierstrassCurve:
         """Whether y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6.  Both
         sides are unreduced (num, den) pairs built by products and sums
         alone, so no gcd is taken.  Equal denominators, the usual case
-        (on a model with polynomial a_i and a1 = a3 = 0 both sides of a
-        reduced point carry den(x)^3 = den(y)^2), leave the numerators to
-        compare; otherwise the two sides are cross-multiplied."""
+        (on a model with a1 = 0 both sides of a reduced point carry
+        den(x)^3 = den(y)^2), leave the numerators to compare; otherwise
+        the two sides are cross-multiplied."""
         X, Y, a1, a2, a3, a4, a6 = ((v.num, v.den) for v in (
             x, y, self.a1, self.a2, self.a3, self.a4, self.a6))
         ln, ld = _fmul(_fadd(_fadd(Y, _fmul(a1, X)), a3), Y)
@@ -162,6 +162,13 @@ class WeierstrassCurve:
         return CurvePoint(self, P.x, -P.y - self.a1 * P.x - self.a3)
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+        """P + Q.  For lam = N/D, lam^2 + a1 lam = N (N + a1 D)/D^2 is
+        reduced, its numerator being N^2 mod D.  y3 = lam (x1 - x3) - y1
+        - a1 x3 - a3 has the reduced denominator E3 C3 for E3 = den(x3) =
+        C3^2.  With x1 = A1/E1, y1 = B1/F1 (F1 = E1 C1) and x3 = A3/E3,
+        y3 = T/(D F1 E3) for T = N (A1 E3 - A3 E1) C1 - B1 D E3 - (a1 A3 +
+        a3 E3) D F1, so its numerator is T C3 / (D F1), an exact
+        division."""
         if P.curve != self or Q.curve != self:
             raise ValueError("point from a different curve")
         if P.is_infinity:
@@ -177,22 +184,6 @@ class WeierstrassCurve:
                 / (2 * y1 + self.a1 * x1 + self.a3)
         else:
             lam = (y2 - y1) / (x2 - x1)
-        if self._integral:
-            return CurvePoint(self, *self._chord_known(lam, x1, y1, x2))
-        # the square lam * lam takes no gcd and meets one sum
-        x3 = lam * lam + self.a1 * lam - (self.a2 + x1 + x2)
-        y3 = lam * (x1 - x3) - y1 - self.a1 * x3 - self.a3
-        return CurvePoint(self, x3, y3)
-
-    def _chord_known(self, lam: RatFunc, x1: RatFunc, y1: RatFunc,
-                     x2: RatFunc) -> tuple[RatFunc, RatFunc]:
-        """(x3, y3) on a model with polynomial a_i.  For lam = N/D,
-        lam^2 + a1 lam = N (N + a1 D)/D^2 is reduced, its numerator being
-        N^2 mod D.  y3 = lam (x1 - x3) - y1 - a1 x3 - a3 has the reduced
-        denominator E3 C3 for E3 = den(x3) = C3^2.  With x1 = A1/E1,
-        y1 = B1/F1 (F1 = E1 C1) and x3 = A3/E3, y3 = T/(D F1 E3) for
-        T = N (A1 E3 - A3 E1) C1 - B1 D E3 - (a1 A3 + a3 E3) D F1, so its
-        numerator is T C3 / (D F1), an exact division."""
         N, D = lam.num, lam.den
         x3 = RatFunc(N * (N + self.a1.num * D), D * D, _canonical=True) \
             - (self.a2 + x1 + x2)
@@ -203,7 +194,7 @@ class WeierstrassCurve:
         T = N * _exact(F1, E1) * (A1 * E3 - A3 * E1) - B1 * D * E3
         if not (self.a1.is_zero() and self.a3.is_zero()):
             T = T - (self.a1.num * A3 + self.a3.num * E3) * DF1
-        return x3, RatFunc(_exact(T * C3, DF1), E3 * C3, _canonical=True)
+        return CurvePoint(self, x3, RatFunc(_exact(T * C3, DF1), E3 * C3, _canonical=True))
 
     def smul(self, n: int, P: CurvePoint) -> CurvePoint:
         """n*P by left-to-right double-and-add: one doubling per bit
@@ -276,13 +267,10 @@ def _monic_den(num: Poly, den: Poly) -> RatFunc:
 
 
 def _same_j(E: WeierstrassCurve, F: WeierstrassCurve) -> bool:
-    """j(E) = j(F), i.e. c4^3 disc' = c4'^3 disc, compared on the
-    unreduced fractions c4^3/disc by cross-multiplying."""
-    def j(curve):
-        c4, disc = curve.c4(), curve.discriminant()
-        return c4.num ** 3 * disc.den, c4.den ** 3 * disc.num
-    (n, d), (n2, d2) = j(E), j(F)
-    return n * d2 == n2 * d
+    """j(E) = j(F), i.e. c4^3 disc' = c4'^3 disc for the polynomial
+    invariants, compared by cross-multiplying."""
+    return (E.c4().num ** 3 * F.discriminant().num
+            == F.c4().num ** 3 * E.discriminant().num)
 
 
 # ----------------------------------------------------------------------
@@ -323,26 +311,18 @@ class IsogenyMap:
         self.codomain = codomain
 
     def apply(self, P: CurvePoint) -> CurvePoint:
-        if P.curve != self.domain:
-            raise ValueError("point not on the isogeny domain")
-        if P.is_infinity or P.x.is_zero():
-            return self.codomain.infinity()
-        if self.domain._integral:
-            return self.codomain.point(*self._apply_known(P.x, P.y))
-        b_x = self.domain.a4 / P.x
-        x2 = P.x + self.domain.a2 + b_x
-        y2 = P.y * (1 - b_x / P.x)
-        return self.codomain.point(x2, y2)
-
-    def _apply_known(self, x: RatFunc, y: RatFunc) -> tuple[RatFunc, RatFunc]:
         """(x', y') for x = N/D, y = Y/E reduced, with polynomial a, b.
         x' = (N^2 + a N D + b D^2)/(N D), where the numerator is prime to
         D and meets N in gcd(b, N).  y' = Y (N^2 - b D^2)/(E N^2), where
         gcd(N^2 - b D^2, N^2) = gcd(b, N^2), N^2 - b D^2 is prime to E
         (it is N^2 mod C), and only Y and N^2 / gcd(b, N^2) can share
         more; gcd(b, N) = 1 makes both gcds with b 1."""
+        if P.curve != self.domain:
+            raise ValueError("point not on the isogeny domain")
+        if P.is_infinity or P.x.is_zero():
+            return self.codomain.infinity()
         a, b = self.domain.a2.num, self.domain.a4.num
-        N, D, Y, E = x.num, x.den, y.num, y.den
+        N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
         N2, ND = N * N, N * D
         bD2 = b * (D * D)
         xn, xd, yn, M = N2 + a * ND + bD2, ND, N2 - bD2, N2
@@ -353,11 +333,11 @@ class IsogenyMap:
             yn, M = yn // h, M // h
         x2 = _monic_den(xn, xd)
         if Y.is_zero():
-            return x2, y
+            return self.codomain.point(x2, P.y)
         k = _common(Y, M)
         if k is not None:
             Y, M = Y // k, M // k
-        return x2, _monic_den(Y * yn, E * M)
+        return self.codomain.point(x2, _monic_den(Y * yn, E * M))
 
     def to_obj(self):
         """The maps as coefficient lists in x, low degree first:
@@ -393,65 +373,56 @@ class CoordChange:
     """Invertible substitution x = w^2 x' + r, y = w^3 y' + s w^2 x' + t_.
 
     forward() maps points of the original curve to the transformed one,
-    backward() inverts.  With polynomial a_i on the domain, polynomial
-    r, t_ and constant s, w, a point x = N/D, y = Y/E with E = D C maps
-    to fractions over the same D and E: x' = (N - r D)/(w^2 D) and
+    backward() inverts.  With polynomial r, t_ and constant s, w (as
+    change_coords() makes them), a point x = N/D, y = Y/E with E = D C
+    maps to fractions over the same D and E: x' = (N - r D)/(w^2 D) and
     y' = (Y - s (N - r D) C - t_ E)/(w^3 E), already reduced as their
     numerators are N and Y mod C (and backward() likewise).
     """
 
-    __slots__ = ("domain", "codomain", "r", "s", "t_", "w", "_w2", "_w3", "_known")
+    __slots__ = ("domain", "codomain", "r", "s", "t_", "w", "_w2", "_w3")
 
     def __init__(self, domain, codomain, r, s, t_, w):
         self.domain = domain
         self.codomain = codomain
         self.r, self.s, self.t_, self.w = r, s, t_, w
-        self._w2 = w * w
-        self._w3 = self._w2 * w
-        self._known = (domain._integral and r.is_poly() and t_.is_poly()
-                       and _is_constant(s) and _is_constant(w))
+        c = w.num.lc()
+        self._w2 = c * c
+        self._w3 = self._w2 * c
 
     def forward(self, P: CurvePoint) -> CurvePoint:
         if P.curve != self.domain:
             raise ValueError("point not on the source curve")
         if P.is_infinity:
             return self.codomain.infinity()
-        if self._known:
-            N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
-            X = N - self.r.num * D
-            Y = Y - self.s.num * X * _exact(E, D) - self.t_.num * E
-            x2 = RatFunc(X, D, _canonical=True) / self._w2.num.lc()
-            y2 = RatFunc(Y, E, _canonical=True) / self._w3.num.lc()
-        else:
-            x2 = (P.x - self.r) / self._w2
-            y2 = (P.y - self.s * (P.x - self.r) - self.t_) / self._w3
-        return self.codomain.point(x2, y2)
+        N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
+        X = N - self.r.num * D
+        Y = Y - self.s.num * X * _exact(E, D) - self.t_.num * E
+        return self.codomain.point(RatFunc(X, D, _canonical=True) / self._w2,
+                                   RatFunc(Y, E, _canonical=True) / self._w3)
 
     def backward(self, P: CurvePoint) -> CurvePoint:
         if P.curve != self.codomain:
             raise ValueError("point not on the target curve")
         if P.is_infinity:
             return self.domain.infinity()
-        if self._known:
-            N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
-            N = self._w2.num * N
-            X = N + self.r.num * D
-            Y = self._w3.num * Y + self.s.num * N * _exact(E, D) + self.t_.num * E
-            x1, y1 = RatFunc(X, D, _canonical=True), RatFunc(Y, E, _canonical=True)
-        else:
-            x1 = self._w2 * P.x + self.r
-            y1 = self._w3 * P.y + self.s * self._w2 * P.x + self.t_
-        return self.domain.point(x1, y1)
-
-
-def _is_constant(v: RatFunc) -> bool:
-    return v.is_poly() and v.num.deg <= 0
+        N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
+        N = N * self._w2
+        X = N + self.r.num * D
+        Y = Y * self._w3 + self.s.num * N * _exact(E, D) + self.t_.num * E
+        return self.domain.point(RatFunc(X, D, _canonical=True), RatFunc(Y, E, _canonical=True))
 
 
 def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurve, CoordChange]:
     """Transformed curve and the point map for x = w^2 x' + r,
-    y = w^3 y' + s w^2 x' + t_.  Preserves j."""
+    y = w^3 y' + s w^2 x' + t_.  Preserves j.  Raises ValueError unless
+    r and t_ are polynomials and s and w constants, so that the new a_i
+    are polynomials too."""
     r, s, t_, w = (_as_ratfunc(curve.ctx, v) for v in (r, s, t_, w))
+    if not (r.is_poly() and t_.is_poly()):
+        raise ValueError("r and t_ must be polynomials in u")
+    if any(not v.is_poly() or v.num.deg > 0 for v in (s, w)):
+        raise ValueError("s and w must be constants")
     if w.is_zero():
         raise ValueError("w must be invertible")
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6

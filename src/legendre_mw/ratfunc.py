@@ -40,8 +40,9 @@ numerator and denominator.  The Frobenius and u -> a*u (a != 0) are
 automorphisms of F_q[u], so they keep num and den coprime.  The field
 operators take gcds only of factors that can be shared (Henrici; Knuth,
 TAOCP 4.5.1), none with a constant operand and none for x * x; an int or
-FieldElement operand and a zero term make no Poly product at all, and a
-Poly product by a constant is a scaling, by 1 a return of the other.
+FieldElement operand and a zero term make no Poly product at all, a
+Poly product by a constant is one product by its row, as a scaling is,
+and a product by 1 returns the other operand.
 """
 
 from __future__ import annotations
@@ -410,9 +411,6 @@ class Poly:
             return self
         if not a or not b:
             return _poly(pk, 0)
-        # a constant factor (most often a RatFunc's denominator) scales
-        if a >> pk.rb == 0 or b >> pk.rb == 0:
-            return _poly(pk, _normalize(pk, a * b, pk.kpp))
         return _poly(pk, _mul(pk, a, b))
 
     __rmul__ = __mul__

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legendre_mw import curve as curve_mod
 from legendre_mw.curve import (
     CurvePoint,
     IsogenyChain,
-    IsogenyMap,
     WeierstrassCurve,
     _same_j,
     change_coords,
@@ -48,15 +46,12 @@ def test_curve_invariants():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_c_invariant_identity_is_checked(monkeypatch, p):
-    # the cross-multiplied check in __init__ accepts the true c4, c6
-    # (reduced identity as the oracle; 1728 = 0 in characteristic 3) and
-    # refuses a wrong c6, on curves whose c4, c6 and disc have constant
-    # and non-constant denominators
+    # the check in __init__ accepts the true c4, c6 (RatFunc identity as
+    # the oracle; 1728 = 0 in characteristic 3) and refuses a wrong c6,
+    # on the Legendre form, the chain's source and both moved by _moved
     fam = make_family(p)
-    u = RatFunc.variable(fam.ctx)
-    curves = [fam.curve, _moved(fam.curve)[0], change_coords(fam.curve, 0, 0, 0, u + 2)[0],
-              IsogenyChain(fam.t).source]
-    assert any(not E.discriminant().is_poly() for E in curves)
+    source = IsogenyChain(fam.t).source
+    curves = [fam.curve, _moved(fam.curve)[0], source, _moved(source)[0]]
     for E in curves:
         assert E.c4() ** 3 - E.c6() ** 2 == E.discriminant() * 1728
     c6 = WeierstrassCurve.c6
@@ -90,12 +85,12 @@ def _contains_oracle(E, x, y):
 
 
 def _moved(E):
-    """E under x = u^2 x' + 1/u, y = u^3 y' + s u^2 x' + t_ with
-    s = 1/(u + 1), t_ = u/(u + 1), so that every a_i' of the new curve
-    has a non-constant denominator, and the map (x, y) -> (x', y') by
-    its formulas, without the point check."""
+    """E under x = 4 x' + u, y = 8 y' + 4 x' + u^2 + 1 (r = u, s = 1,
+    t_ = u^2 + 1, w = 2), so that the new curve has a1' = (a1 + 2)/2,
+    nonzero on the Legendre form, and the map (x, y) -> (x', y') by its
+    formulas, without the point check."""
     u = RatFunc.variable(E.ctx)
-    r, s, t_, w = 1 / u, 1 / (u + 1), u / (u + 1), u
+    r, s, t_, w = u, 1, u * u + 1, 2
     E2, _ = change_coords(E, r, s, t_, w)
 
     def image(x, y):
@@ -131,9 +126,8 @@ def test_contains_matches_reduced_oracle(fam):
     # on-curve points, and the same x with y + 1 or y u/(u + 1)
     u = RatFunc.variable(fam.ctx)
     cases = _membership_cases(fam)
-    moved = [curve for curve, _, _ in cases if not curve.a1.is_poly()]
-    assert moved and all(not a.is_poly() for curve in moved
-                         for a in (curve.a2, curve.a3, curve.a4, curve.a6))
+    # a1 != 0 (the source, the moved Legendre form) cross-multiplies
+    assert any(not curve.a1.is_zero() for curve, _, _ in cases)
     for curve, x, y in cases:
         assert curve.contains(x, y) and _contains_oracle(curve, x, y)
         off = [(x, y + 1)] + ([] if y.is_zero() else [(x, y * u / (u + 1))])
@@ -501,10 +495,6 @@ def test_known_denominators_match_formulas(drawn, other):
             steps.append((chain.phi.apply(mid), _isogeny_by_formulas(chain.phi, mid)))
     for got, (x, y) in steps:
         assert (got.x, got.y) == (x, y)
-    for ch in (chain._to_legendre, chain._dual_phi, chain._from_dual, chain._to_mid):
-        assert ch.domain._integral
-    assert all(ch._known for ch in
-               (chain._to_legendre, chain._from_dual, chain._to_mid, shift))
     # the group law on the Legendre form, the first displayed model and
     # the source (a1 = 1): chord and tangent
     pts = [(fam.curve, R, S)]
@@ -520,28 +510,20 @@ def test_known_denominators_match_formulas(drawn, other):
             assert E.on_curve(T)
 
 
-def test_general_model_takes_the_ratfunc_formulas(monkeypatch):
-    # a model with non-polynomial a_i (w = u + 2) adds and maps by the
-    # RatFunc formulas: the known-denominator code is never entered
+def test_non_polynomial_models_are_refused():
+    # a curve with a coefficient outside F_q[u], and a coordinate change
+    # whose new a_i would be (a non-polynomial r or t_, a non-constant s
+    # or w), raise ValueError before any point is mapped
     u = RatFunc.variable(FAM.ctx)
-    E2, ch = change_coords(FAM.curve, 0, 0, 0, u + 2)
-    assert not E2._integral and not ch._known
-    P0, P1 = point_P(FAM, 0), point_P(FAM, 1) + point_P(FAM, 2)
-    A, B = ch.forward(P0), ch.forward(P1)
-
-    def refused(*args):
-        raise AssertionError("known-denominator path on a general model")
-
-    monkeypatch.setattr(WeierstrassCurve, "_chord_known", refused)
-    monkeypatch.setattr(IsogenyMap, "_apply_known", refused)
-    monkeypatch.setattr(curve_mod, "_exact", refused)
-    for P, Q in ((A, B), (A, A)):
-        T = E2.add(P, Q)
-        assert (T.x, T.y) == _chord_with_nu(E2, P, Q)
-    assert ch.backward(A) == P0
-    assert (A.x, A.y) == _change_by_formulas(ch, P0, True)
-    phi = two_isogeny_quotient(E2)
-    assert phi.apply(A + B) == phi.apply(A) + phi.apply(B)
+    E = FAM.curve
+    with pytest.raises(ValueError, match="polynomials"):
+        WeierstrassCurve(E.a1, E.a2, E.a3, E.a4 + 1 / u, E.a6)
+    with pytest.raises(ValueError, match="polynomials"):
+        WeierstrassCurve.from_coeffs(FAM.ctx, 1 / u, 0, 0, FAM.t, 0)
+    for r, s, t_, w in ((0, 0, 0, u + 2), (0, 0, 0, 1 / u), (0, u, 0, 1),
+                        (1 / u, 0, 0, 1), (0, 0, u / (u + 1), 1)):
+        with pytest.raises(ValueError, match="must be"):
+            change_coords(E, r, s, t_, w)
 
 
 def test_inexact_known_denominator_is_refused():

@@ -9,24 +9,72 @@ Checks no input can make false without raising first:
   not match its t gives sample points that the chain's maps refuse
   (ValueError: a point off the curve or off the map's domain).  So a
   wrong t or a wrong curve raises before the check is read.
+
+Checks no input can make false until the BSD inputs (fibre types,
+torsion order, L-value) are derived from the curve, not closed forms:
+- invariants.bsd_ratio_is_one: the m^2 of the Sha order cancels the
+  1/m^2 of the regulator, so the ratio is 1 for every --m.
+- invariants.fiber_data_consistent compares the literal bad-fibre table
+  with formulas in d.
+
+COVERED names the test that turns each covered check false, OPEN the
+checks no test turns false yet; together they are the 20 checks of
+`all`.
 """
 
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from legendre_mw import cli
 from legendre_mw.curve import IsogenyChain, WeierstrassCurve, legendre_form_curve
+from legendre_mw.legendre import substitute_zeta_u
+
+COVERED = {
+    "points.explicit_points_nontorsion": "test_cli.py::test_d2_points_are_checked_torsion",
+    "isogeny.round_trip_is_multiplication_by_2":
+        "test_falsifiable_checks.py::test_negated_pullbacks_break_only_the_round_trip",
+    "isogeny.forward_is_homomorphism":
+        "test_falsifiable_checks.py::test_sums_off_by_a_torsion_point_break_only_the_homomorphism",
+    "rb.closed_form_matches_group_law":
+        "test_falsifiable_checks.py::test_shifted_matching_index_breaks_only_the_closed_form",
+    "rb.descended_rank_matches":
+        "test_falsifiable_checks.py::test_p1_for_p0_breaks_only_the_descended_rank",
+    "rb.coordinates_frobenius_fixed":
+        "test_falsifiable_checks.py::test_conjugated_points_break_only_the_frobenius_check",
+}
+
+OPEN = (
+    "gram.entries_match_closed_form",
+    "gram.kernel_relations_are_torsion",
+    "gram.lattice_det_matches",
+    "gram.orbit_rank_matches_formula",
+    "gram.rank_is_d_minus_2",
+    "invariants.bsd_ratio_is_one",
+    "invariants.discriminant_degree",
+    "invariants.discriminant_is_16_t2_tm1_2",
+    "invariants.fiber_data_consistent",
+    "invariants.index_is_admissible",
+    "isogeny.chain_reaches_legendre_form",
+    "points.galois_shift_permutes_points",
+    "points.points_on_curve",
+    "points.torsion_order_profile",
+)
 
 
-def _false_checks(argv):
+def _checks(argv):
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(argv)
-    doc = json.loads(out.getvalue())
-    return code, sorted(name for name, ok in doc["checks"].items() if not ok)
+    return code, json.loads(out.getvalue())["checks"]
+
+
+def _false_checks(argv):
+    code, checks = _checks(argv)
+    return code, sorted(name for name, ok in checks.items() if not ok)
 
 
 @pytest.mark.parametrize("p", ["3", "7"])
@@ -71,3 +119,53 @@ def test_chain_reaches_legendre_form_raises_before_it_can_be_false(monkeypatch, 
     monkeypatch.setattr(cli, "make_family", mismatched)
     with pytest.raises(ValueError, match="not on the"):
         cli.main(["isogeny", "--p", "3"])
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_shifted_matching_index_breaks_only_the_closed_form(monkeypatch, p):
+    # R_b is compared with P_(i+1) + P_(d-i-1), another sum of a
+    # Frobenius pair; the R_b themselves and their Gram are unchanged
+    matching_index = cli.matching_index
+    monkeypatch.setattr(cli, "matching_index",
+                        lambda params, b: matching_index(params, b) + 1)
+    assert _false_checks(["rb", "--p", p]) == (1, ["rb.closed_form_matches_group_law"])
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_p1_for_p0_breaks_only_the_descended_rank(monkeypatch, p):
+    # P_1 is not defined over F_p(u), so the Gram of the R_b, P_1 and
+    # P_(d/2) has rank (p - 1)/2 + 1; the sums P_i + P_(d-i) never read
+    # P_0.  (Dropping one admissible b leaves every check true at p = 7:
+    # the remaining points still span rank 3.)
+    point_P = cli.point_P
+    monkeypatch.setattr(cli, "point_P", lambda params, i: point_P(params, i or 1))
+    assert _false_checks(["rb", "--p", p]) == (1, ["rb.descended_rank_matches"])
+
+
+@pytest.mark.parametrize("p", ["5", "7"])
+def test_conjugated_points_break_only_the_frobenius_check(monkeypatch, p):
+    # every P_i and R_b under u -> zeta u, an automorphism of the curve
+    # that keeps sums and heights: each R_b is still the sum of its pair
+    # and the Gram is the same, but the points are not defined over
+    # F_p(u).  At p = 3 (d = 4, zeta^2 = -1) each R_b is even in u
+    # (x = u^2, y = u^4 + u^2 for the one admissible b), so its conjugate
+    # is a point of F_3(u) again.
+    point_P, point_R = cli.point_P, cli.point_R
+    monkeypatch.setattr(cli, "point_P",
+                        lambda params, i: substitute_zeta_u(params, point_P(params, i)))
+    monkeypatch.setattr(cli, "point_R",
+                        lambda params, b: substitute_zeta_u(params, point_R(params, b)))
+    assert _false_checks(["rb", "--p", p]) == (1, ["rb.coordinates_frobenius_fixed"])
+
+
+def test_inventory_covers_every_check_once():
+    # the covered and the open checks split the 20 checks `all` reports,
+    # and each covered check names a test that exists
+    code, checks = _checks(["all", "--p", "3"])
+    assert code == 0 and len(checks) == 20
+    assert not set(COVERED) & set(OPEN)
+    assert set(COVERED) | set(OPEN) == set(checks)
+    here = Path(__file__).parent
+    for test in COVERED.values():
+        module, name = test.split("::")
+        assert "\ndef %s(" % name in (here / module).read_text()
