@@ -129,14 +129,14 @@ def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
     t = params.t
     disc = params.curve.discriminant()
     disc_ok = disc == 16 * t * t * (t - 1) * (t - 1)
-    deg_ok = disc.is_poly() and disc.num.deg == 4 * d
+    deg_ok = disc.deg == 4 * d
 
     payload = {
         "bsd": bsd,
         "fibers": audit,
         "discriminant": {
             "value": str(disc),
-            "degree": int(disc.num.deg) if disc.is_poly() else None,
+            "degree": int(disc.deg),
             "expected_degree": 4 * d,
         },
     }

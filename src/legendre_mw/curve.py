@@ -4,30 +4,30 @@ invertible coordinate changes.
 
 All coordinates are RatFunc values, so every computation is exact, and
 the group law, the isogenies and the coordinate changes return reduced
-coordinates.  Every curve has polynomial a_i in F_q[u]:
-`WeierstrassCurve` raises ValueError for any other coefficient, and
-`change_coords` for a non-polynomial r or t_ or a non-constant s or w,
-which keep the a_i polynomial.  On such a model a reduced point
-x = N/D, y = Y/E has D = C^2 and E = C^3 for one monic C: at a prime of
-F_q[u] where x has a pole of order 2m, y has one of order 3m.  The point
-maps read the reduced denominators off this rule instead of taking gcds
-whose answer it fixes: C = E / D (an exact division, checked), a
-coordinate change keeps D and E, the 2-isogeny takes at most gcd(b, N)
-and gcd(Y, N^2 / gcd(b, N^2)), and the group law writes lam^2 + a1 lam
-over den(lam)^2 and reads y3's denominator as den(x3)^(3/2).
+coordinates.  Every curve has its a_i, c4, c6 and discriminant as Polys
+in F_q[u]: `WeierstrassCurve` raises ValueError for any other
+coefficient, and `change_coords` for a non-polynomial r or t_ or a
+non-constant s or w, which keep the a_i polynomial.  On such a model a
+reduced point x = A/D, y = B/E has D = C^2 and E = C^3 for one monic C:
+at a prime of F_q[u] where x has a pole of order 2m, y has one of order
+3m (an integral section; Silverman, "Advanced Topics in the Arithmetic
+of Elliptic Curves", ch. III).  The point maps read the reduced
+denominators off this rule instead of taking gcds whose answer it fixes:
+C = E / D (an exact division, checked), a coordinate change keeps D and
+E, the 2-isogeny takes at most gcd(b, A) and gcd(B, A^2 / gcd(b, A^2)),
+and the group law writes lam^2 + a1 lam over den(lam)^2 and reads y3's
+denominator as den(x3)^(3/2).
 
-The checks do not reduce and take no gcd.  Membership builds the two
-sides of the curve equation as unreduced fractions and compares the
-numerators when the denominators agree, otherwise it cross-multiplies.
-A new curve checks c4^3 - c6^2 = 1728 disc, and a coordinate change
-compares j = c4^3 / disc of both curves by cross-multiplying, on the
-polynomial invariants.
+The checks do not reduce and take no gcd.  Membership is the curve
+equation times C^6, an identity of polynomials.  A new curve checks
+c4^3 - c6^2 = 1728 disc, and a coordinate change compares
+j = c4^3 / disc of both curves by cross-multiplying.
 """
 
 from __future__ import annotations
 
-from .gf import FieldCtx
-from .ratfunc import Poly, RatFunc, _as_ratfunc, _common, poly_sqrt
+from .gf import FieldCtx, FieldElement
+from .ratfunc import Poly, RatFunc, _common, poly_sqrt
 
 
 class CurvePoint:
@@ -75,19 +75,22 @@ class CurvePoint:
 
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with a_i in F_q[u],
-    held as RatFunc values."""
+    held as Polys.  Each a_i may be given as a Poly, an int, a
+    FieldElement or a RatFunc with denominator 1; the field is that of
+    the first one that is not an int."""
 
     __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_c4", "_c6", "_disc")
 
-    def __init__(self, a1: RatFunc, a2: RatFunc, a3: RatFunc, a4: RatFunc, a6: RatFunc):
-        ctx = a1.ctx
-        for a in (a2, a3, a4, a6):
-            if a.ctx != ctx:
-                raise ValueError("coefficient field mismatch")
-        if not all(a.is_poly() for a in (a1, a2, a3, a4, a6)):
+    def __init__(self, a1, a2, a3, a4, a6):
+        coeffs = (a1, a2, a3, a4, a6)
+        ctx = next((a.ctx for a in coeffs if not isinstance(a, int)), None)
+        if ctx is None:
+            raise ValueError("int coefficients need a field: use from_coeffs")
+        coeffs = [_as_poly(ctx, a) for a in coeffs]
+        if any(a is None for a in coeffs):
             raise ValueError("the coefficients a_i must be polynomials in u")
         self.ctx = ctx
-        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
+        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6 = coeffs
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
@@ -97,7 +100,7 @@ class WeierstrassCurve:
         self._disc = -(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
         # the checks read the stored invariants back through c4(), c6()
         # and discriminant(), the values every caller sees
-        c4, c6, disc = self.c4().num, self.c6().num, self.discriminant().num
+        c4, c6, disc = self.c4(), self.c6(), self.discriminant()
         if disc.is_zero():
             raise ValueError("singular curve: discriminant is zero")
         # c4^3 - c6^2 = 1728 * disc must hold identically
@@ -106,21 +109,23 @@ class WeierstrassCurve:
 
     @classmethod
     def from_coeffs(cls, ctx: FieldCtx, a1, a2, a3, a4, a6) -> "WeierstrassCurve":
-        return cls(*(_as_ratfunc(ctx, a) for a in (a1, a2, a3, a4, a6)))
+        """The curve over ctx; an int a_i is a constant of ctx."""
+        return cls(*(Poly.constant(ctx, a) if isinstance(a, int) else a
+                     for a in (a1, a2, a3, a4, a6)))
 
     # -- invariants, computed once in __init__ ---------------------------
 
-    def c4(self) -> RatFunc:
+    def c4(self) -> Poly:
         return self._c4
 
-    def c6(self) -> RatFunc:
+    def c6(self) -> Poly:
         return self._c6
 
-    def discriminant(self) -> RatFunc:
+    def discriminant(self) -> Poly:
         return self._disc
 
     def j_invariant(self) -> RatFunc:
-        return (self.c4() ** 3) / self.discriminant()
+        return RatFunc(self.c4() ** 3, self.discriminant())
 
     # -- points ----------------------------------------------------------
 
@@ -128,19 +133,18 @@ class WeierstrassCurve:
         return CurvePoint(self, None, None)
 
     def contains(self, x: RatFunc, y: RatFunc) -> bool:
-        """Whether y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6.  Both
-        sides are unreduced (num, den) pairs built by products and sums
-        alone, so no gcd is taken.  Equal denominators, the usual case
-        (on a model with a1 = 0 both sides of a reduced point carry
-        den(x)^3 = den(y)^2), leave the numerators to compare; otherwise
-        the two sides are cross-multiplied."""
-        X, Y, a1, a2, a3, a4, a6 = ((v.num, v.den) for v in (
-            x, y, self.a1, self.a2, self.a3, self.a4, self.a6))
-        ln, ld = _fmul(_fadd(_fadd(Y, _fmul(a1, X)), a3), Y)
-        rn, rd = _fadd(_fmul(_fadd(_fmul(_fadd(X, a2), X), a4), X), a6)
-        if ld == rd:
-            return ln == rn
-        return ln * rd == rn * ld
+        """Whether y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6.  A
+        point of this model has x = A/C^2 and y = B/C^3, so C = den(y) /
+        den(x) must be exact with C^2 = den(x); the equation times C^6 is
+        then B (B + a1 A C + a3 C^3) = A ((A + a2 C^2) A + a4 C^4) + a6 C^6.
+        No gcd is taken, and a zero a_i skips its products."""
+        A, C2, B = x.num, x.den, y.num
+        C, rem = divmod(y.den, C2)
+        if not (rem.is_zero() and C * C == C2):
+            return False
+        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+        return (B * (B + a1 * A * C + a3 * C2 * C)
+                == A * ((A + a2 * C2) * A + a4 * C2 * C2) + a6 * C2 * C2 * C2)
 
     def point(self, x: RatFunc, y: RatFunc) -> CurvePoint:
         if not self.contains(x, y):
@@ -185,7 +189,7 @@ class WeierstrassCurve:
         else:
             lam = (y2 - y1) / (x2 - x1)
         N, D = lam.num, lam.den
-        x3 = RatFunc(N * (N + self.a1.num * D), D * D, _canonical=True) \
+        x3 = RatFunc(N * (N + self.a1 * D), D * D, _canonical=True) \
             - (self.a2 + x1 + x2)
         A1, E1, B1, F1 = x1.num, x1.den, y1.num, y1.den
         A3, E3 = x3.num, x3.den
@@ -193,7 +197,7 @@ class WeierstrassCurve:
         DF1 = D * F1
         T = N * _exact(F1, E1) * (A1 * E3 - A3 * E1) - B1 * D * E3
         if not (self.a1.is_zero() and self.a3.is_zero()):
-            T = T - (self.a1.num * A3 + self.a3.num * E3) * DF1
+            T = T - (self.a1 * A3 + self.a3 * E3) * DF1
         return CurvePoint(self, x3, RatFunc(_exact(T * C3, DF1), E3 * C3, _canonical=True))
 
     def smul(self, n: int, P: CurvePoint) -> CurvePoint:
@@ -229,24 +233,27 @@ class WeierstrassCurve:
                 % (self.a1, self.a2, self.a3, self.a4, self.a6))
 
     def to_obj(self):
-        return {"a1": self.a1.to_obj(), "a2": self.a2.to_obj(), "a3": self.a3.to_obj(),
-                "a4": self.a4.to_obj(), "a6": self.a6.to_obj()}
+        return {k: _coeff_obj(getattr(self, k)) for k in ("a1", "a2", "a3", "a4", "a6")}
 
 
-# ----------------------------------------------------------------------
-# Unreduced fractions: (num, den) pairs of Polys with nonzero den.
+def _as_poly(ctx: FieldCtx, value) -> Poly | None:
+    """value as a Poly over ctx when it is a Poly, an int, a FieldElement
+    or a RatFunc with denominator 1, else None.  ValueError for a value
+    over another field."""
+    if isinstance(value, (int, FieldElement)):
+        return Poly.constant(ctx, value)
+    if isinstance(value, RatFunc) and value.den.deg == 0:
+        value = value.num
+    if not isinstance(value, Poly):
+        return None
+    if value.ctx != ctx:
+        raise ValueError("coefficient field mismatch")
+    return value
 
-def _fadd(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    """a + b; a zero term leaves the other one as it is."""
-    if b[0].is_zero():
-        return a
-    if a[0].is_zero():
-        return b
-    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
 
-
-def _fmul(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    return a[0] * b[0], a[1] * b[1]
+def _coeff_obj(a: Poly) -> dict:
+    """A polynomial coefficient in the {"num", "den"} shape of a RatFunc."""
+    return RatFunc.from_poly(a).to_obj()
 
 
 def _exact(a: Poly, b: Poly) -> Poly:
@@ -267,10 +274,9 @@ def _monic_den(num: Poly, den: Poly) -> RatFunc:
 
 
 def _same_j(E: WeierstrassCurve, F: WeierstrassCurve) -> bool:
-    """j(E) = j(F), i.e. c4^3 disc' = c4'^3 disc for the polynomial
-    invariants, compared by cross-multiplying."""
-    return (E.c4().num ** 3 * F.discriminant().num
-            == F.c4().num ** 3 * E.discriminant().num)
+    """j(E) = j(F), i.e. c4^3 disc' = c4'^3 disc, compared by
+    cross-multiplying."""
+    return E.c4() ** 3 * F.discriminant() == F.c4() ** 3 * E.discriminant()
 
 
 # ----------------------------------------------------------------------
@@ -278,9 +284,7 @@ def _same_j(E: WeierstrassCurve, F: WeierstrassCurve) -> bool:
 
 def legendre_form_curve(t: RatFunc) -> WeierstrassCurve:
     """y^2 = x (x + 1) (x + t), i.e. a2 = 1 + t, a4 = t, a6 = 0."""
-    ctx = t.ctx
-    zero = RatFunc.zero(ctx)
-    return WeierstrassCurve(zero, 1 + t, zero, t, zero)
+    return WeierstrassCurve.from_coeffs(t.ctx, 0, 1 + t, 0, t, 0)
 
 
 def two_torsion(curve: WeierstrassCurve) -> tuple[CurvePoint, CurvePoint, CurvePoint]:
@@ -294,7 +298,7 @@ def two_torsion(curve: WeierstrassCurve) -> tuple[CurvePoint, CurvePoint, CurveP
         raise ValueError("curve is not in y^2 = x(x+1)(x+t) form")
     return (CurvePoint(curve, zero, zero),
             CurvePoint(curve, RatFunc.constant(ctx, -1), zero),
-            CurvePoint(curve, -t, zero))
+            CurvePoint(curve, RatFunc.from_poly(-t), zero))
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +315,7 @@ class IsogenyMap:
         self.codomain = codomain
 
     def apply(self, P: CurvePoint) -> CurvePoint:
-        """(x', y') for x = N/D, y = Y/E reduced, with polynomial a, b.
+        """(x', y') for x = N/D, y = Y/E reduced.
         x' = (N^2 + a N D + b D^2)/(N D), where the numerator is prime to
         D and meets N in gcd(b, N).  y' = Y (N^2 - b D^2)/(E N^2), where
         gcd(N^2 - b D^2, N^2) = gcd(b, N^2), N^2 - b D^2 is prime to E
@@ -321,7 +325,7 @@ class IsogenyMap:
             raise ValueError("point not on the isogeny domain")
         if P.is_infinity or P.x.is_zero():
             return self.codomain.infinity()
-        a, b = self.domain.a2.num, self.domain.a4.num
+        a, b = self.domain.a2, self.domain.a4
         N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
         N2, ND = N * N, N * D
         bD2 = b * (D * D)
@@ -348,8 +352,8 @@ class IsogenyMap:
             "degree": 2,
             "domain": self.domain.to_obj(),
             "codomain": self.codomain.to_obj(),
-            "x_map": {"num": [b.to_obj(), a.to_obj(), one], "den": [zero, one]},
-            "y_map": {"num": [(-b).to_obj(), zero, one], "den": [zero, zero, one]},
+            "x_map": {"num": [_coeff_obj(b), _coeff_obj(a), one], "den": [zero, one]},
+            "y_map": {"num": [_coeff_obj(-b), zero, one], "den": [zero, zero, one]},
         }
 
 
@@ -365,30 +369,26 @@ def two_isogeny_quotient(curve: WeierstrassCurve) -> IsogenyMap:
     a, b = curve.a2, curve.a4
     if b.is_zero():
         raise ValueError("(0,0) must be a nonsingular 2-torsion point")
-    zero = RatFunc.zero(ctx)
-    return IsogenyMap(curve, WeierstrassCurve(zero, -2 * a, zero, a * a - 4 * b, zero))
+    return IsogenyMap(curve, WeierstrassCurve.from_coeffs(ctx, 0, -2 * a, 0, a * a - 4 * b, 0))
 
 
 class CoordChange:
     """Invertible substitution x = w^2 x' + r, y = w^3 y' + s w^2 x' + t_.
 
     forward() maps points of the original curve to the transformed one,
-    backward() inverts.  With polynomial r, t_ and constant s, w (as
-    change_coords() makes them), a point x = N/D, y = Y/E with E = D C
+    backward() inverts.  r and t_ are Polys and s and w FieldElements (as
+    change_coords() makes them), so a point x = N/D, y = Y/E with E = D C
     maps to fractions over the same D and E: x' = (N - r D)/(w^2 D) and
     y' = (Y - s (N - r D) C - t_ E)/(w^3 E), already reduced as their
     numerators are N and Y mod C (and backward() likewise).
     """
 
-    __slots__ = ("domain", "codomain", "r", "s", "t_", "w", "_w2", "_w3")
+    __slots__ = ("domain", "codomain", "r", "s", "t_", "w")
 
-    def __init__(self, domain, codomain, r, s, t_, w):
+    def __init__(self, domain, codomain, r: Poly, s: FieldElement, t_: Poly, w: FieldElement):
         self.domain = domain
         self.codomain = codomain
         self.r, self.s, self.t_, self.w = r, s, t_, w
-        c = w.num.lc()
-        self._w2 = c * c
-        self._w3 = self._w2 * c
 
     def forward(self, P: CurvePoint) -> CurvePoint:
         if P.curve != self.domain:
@@ -396,10 +396,10 @@ class CoordChange:
         if P.is_infinity:
             return self.codomain.infinity()
         N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
-        X = N - self.r.num * D
-        Y = Y - self.s.num * X * _exact(E, D) - self.t_.num * E
-        return self.codomain.point(RatFunc(X, D, _canonical=True) / self._w2,
-                                   RatFunc(Y, E, _canonical=True) / self._w3)
+        X = N - self.r * D
+        Y = Y - X * self.s * _exact(E, D) - self.t_ * E
+        return self.codomain.point(RatFunc(X, D, _canonical=True) / self.w ** 2,
+                                   RatFunc(Y, E, _canonical=True) / self.w ** 3)
 
     def backward(self, P: CurvePoint) -> CurvePoint:
         if P.curve != self.codomain:
@@ -407,9 +407,9 @@ class CoordChange:
         if P.is_infinity:
             return self.domain.infinity()
         N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
-        N = N * self._w2
-        X = N + self.r.num * D
-        Y = Y * self._w3 + self.s.num * N * _exact(E, D) + self.t_.num * E
+        N = N * self.w ** 2
+        X = N + self.r * D
+        Y = Y * self.w ** 3 + N * self.s * _exact(E, D) + self.t_ * E
         return self.domain.point(RatFunc(X, D, _canonical=True), RatFunc(Y, E, _canonical=True))
 
 
@@ -417,20 +417,23 @@ def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurv
     """Transformed curve and the point map for x = w^2 x' + r,
     y = w^3 y' + s w^2 x' + t_.  Preserves j.  Raises ValueError unless
     r and t_ are polynomials and s and w constants, so that the new a_i
-    are polynomials too."""
-    r, s, t_, w = (_as_ratfunc(curve.ctx, v) for v in (r, s, t_, w))
-    if not (r.is_poly() and t_.is_poly()):
+    are polynomials too.  Each may be given as a Poly, an int, a
+    FieldElement or a RatFunc with denominator 1."""
+    r, s, t_, w = (_as_poly(curve.ctx, v) for v in (r, s, t_, w))
+    if r is None or t_ is None:
         raise ValueError("r and t_ must be polynomials in u")
-    if any(not v.is_poly() or v.num.deg > 0 for v in (s, w)):
+    if s is None or w is None or s.deg > 0 or w.deg > 0:
         raise ValueError("s and w must be constants")
     if w.is_zero():
         raise ValueError("w must be invertible")
+    s, w = s.coeff(0), w.coeff(0)
+    v = w.inv()
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    na1 = (a1 + 2 * s) / w
-    na2 = (a2 - s * a1 + 3 * r - s * s) / (w ** 2)
-    na3 = (a3 + r * a1 + 2 * t_) / (w ** 3)
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t_ + r * s) * a1 + 3 * r * r - 2 * s * t_) / (w ** 4)
-    na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t_ * a3 - t_ * t_ - r * t_ * a1) / (w ** 6)
+    na1 = (a1 + 2 * s) * v
+    na2 = (a2 - s * a1 + 3 * r - s * s) * v ** 2
+    na3 = (a3 + r * a1 + 2 * t_) * v ** 3
+    na4 = (a4 - s * a3 + 2 * r * a2 - (t_ + r * s) * a1 + 3 * r * r - 2 * s * t_) * v ** 4
+    na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t_ * a3 - t_ * t_ - r * t_ * a1) * v ** 6
     new_curve = WeierstrassCurve(na1, na2, na3, na4, na6)
     if not _same_j(new_curve, curve):
         raise ArithmeticError("j must be preserved")
@@ -458,15 +461,12 @@ class IsogenyChain:
 
     def __init__(self, t: RatFunc):
         ctx = t.ctx
-        zero = RatFunc.zero(ctx)
-        one = RatFunc.one(ctx)
         tp = t / 16
         self.t = t
         # y^2 + x y + t' y = x^3 + t' x^2 with t' = t/16
-        self.source = WeierstrassCurve(one, tp, tp, zero, zero)
-        inv2 = RatFunc.constant(ctx, 2).inv()
-        self.mid, self._to_mid = change_coords(
-            self.source, -tp, -inv2, 0, RatFunc.constant(ctx, 4).inv())
+        self.source = WeierstrassCurve.from_coeffs(ctx, 1, tp, tp, 0, 0)
+        inv2 = ctx.elem(2).inv()
+        self.mid, self._to_mid = change_coords(self.source, -tp, -inv2, 0, ctx.elem(4).inv())
         if self.mid != self.expected_mid():
             raise ArithmeticError("first displayed model")
         self.phi = two_isogeny_quotient(self.mid)
@@ -477,22 +477,19 @@ class IsogenyChain:
         if self.legendre != legendre_form_curve(t):
             raise ArithmeticError("must land on y^2 = x(x+1)(x+t)")
         self._dual_phi = two_isogeny_quotient(self.quotient)
-        dual_target, self._from_dual = change_coords(
-            self.source, -tp, -inv2, 0, RatFunc.constant(ctx, 8).inv())
+        dual_target, self._from_dual = change_coords(self.source, -tp, -inv2, 0, ctx.elem(8).inv())
         if dual_target != self._dual_phi.codomain:
             raise ArithmeticError("dual isogeny must land back on the domain")
 
     def expected_mid(self) -> WeierstrassCurve:
         """y^2 = x^3 + (4 - 2t) x^2 + t^2 x."""
-        ctx = self.t.ctx
-        zero = RatFunc.zero(ctx)
-        return WeierstrassCurve(zero, 4 - 2 * self.t, zero, self.t * self.t, zero)
+        t = self.t
+        return WeierstrassCurve.from_coeffs(t.ctx, 0, 4 - 2 * t, 0, t * t, 0)
 
     def expected_quotient(self) -> WeierstrassCurve:
         """y^2 = x^3 + (4t - 8) x^2 - 16 (t - 1) x = x (x - 4) (x + 4(t-1))."""
-        ctx = self.t.ctx
-        zero = RatFunc.zero(ctx)
-        return WeierstrassCurve(zero, 4 * self.t - 8, zero, -16 * (self.t - 1), zero)
+        t = self.t
+        return WeierstrassCurve.from_coeffs(t.ctx, 0, 4 * t - 8, 0, -16 * (t - 1), 0)
 
     def forward(self, P: CurvePoint) -> CurvePoint:
         """Source -> Legendre form (one isomorphism onto the first

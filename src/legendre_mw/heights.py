@@ -37,7 +37,7 @@ def _family_t(P: CurvePoint) -> tuple[Poly, int]:
     """Check the curve has the shape y^2 = x(x+1)(x+u^d) and return
     (t as a polynomial, d)."""
     two_torsion(P.curve)   # raises ValueError for any other shape
-    tp = P.curve.a4.num
+    tp = P.curve.a4
     d = int(tp.deg)
     if d < 1 or not tp == Poly.monomial(tp.ctx, d):
         raise ValueError("t must be the monomial u^d")

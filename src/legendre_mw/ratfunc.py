@@ -516,7 +516,9 @@ class Poly:
     # -- misc -----------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self._pk is other._pk and self._v == other._v
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._pk is other._pk and self._v == other._v
 
     __hash__ = None
 
@@ -650,9 +652,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.deg == 0
 
     # -- field operations ----------------------------------------------
 

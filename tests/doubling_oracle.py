@@ -109,7 +109,7 @@ def doubling_limit(P, grid=None):
     (grid = 2d by default), once levels n - 1 and n >= 3 agree; (0, 0) for
     torsion, None when no two levels agree within MAX_LEVEL doublings."""
     if grid is None:
-        grid = 2 * P.curve.a4.num.deg
+        grid = 2 * P.curve.a4.deg
     for n in range(3, MAX_LEVEL + 1):
         degs = height_sequence(P, n)
         if len(degs) <= n:

@@ -244,7 +244,7 @@ def test_long_command_output_digest(capsys, cmd, digest):
 
 
 def test_isogeny_gcd_count(capsys, monkeypatch):
-    # point checks cross-multiply and squares skip the gcd: at most 250
+    # point checks and squares take no gcd: at most 250
     # Poly.gcd calls (448 when both were reduced)
     calls = []
     real = Poly.gcd

@@ -14,7 +14,7 @@ from legendre_mw.curve import (
     two_isogeny_quotient,
     two_torsion,
 )
-from legendre_mw.gf import build_field
+from legendre_mw.gf import FieldElement, build_field
 from legendre_mw.legendre import make_family, point_P, torsion_points
 from legendre_mw.ratfunc import Poly, RatFunc
 
@@ -41,7 +41,7 @@ def test_curve_invariants():
     assert not E.discriminant().is_zero()
     # c4^3 - c6^2 = 1728 disc holds by construction; spot check j
     j = E.j_invariant()
-    assert j == E.c4() ** 3 / E.discriminant()
+    assert j == RatFunc.from_poly(E.c4()) ** 3 / E.discriminant()
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -59,6 +59,43 @@ def test_c_invariant_identity_is_checked(monkeypatch, p):
     for E in curves:
         with pytest.raises(ArithmeticError, match="c-invariant"):
             WeierstrassCurve(E.a1, E.a2, E.a3, E.a4, E.a6)
+
+
+def test_model_holds_polys():
+    # Polys, RatFuncs with denominator 1, FieldElements and ints (through
+    # from_coeffs) give one model, whose a_i and invariants are Polys
+    ctx, t = FAM.ctx, Poly.monomial(FAM.ctx, FAM.d)
+    zero = Poly.zero(ctx)
+    rt, rzero = FAM.t, RatFunc.zero(ctx)
+    curves = [WeierstrassCurve(zero, 1 + t, zero, t, zero),
+              WeierstrassCurve(rzero, 1 + rt, rzero, rt, rzero),
+              WeierstrassCurve(ctx.zero(), 1 + t, 0, rt, 0),
+              WeierstrassCurve.from_coeffs(ctx, 0, 1 + t, 0, t, 0)]
+    for E in curves:
+        assert E == FAM.curve
+        values = (E.a1, E.a2, E.a3, E.a4, E.a6, E.c4(), E.c6(), E.discriminant())
+        assert all(isinstance(v, Poly) for v in values)
+    source = IsogenyChain(FAM.t).source
+    tp = t * ctx.elem(16).inv()
+    assert source == WeierstrassCurve.from_coeffs(ctx, 1, tp, tp, 0, 0)
+    assert isinstance(source.a1, Poly) and source.a1 == Poly.one(ctx)
+
+
+def test_change_coords_takes_constants_in_any_form():
+    # s and w as ints, FieldElements, constant RatFuncs or constant Polys,
+    # and r, t_ as Polys or RatFuncs, give one curve; the change holds
+    # r, t_ as Polys and s, w as FieldElements
+    ctx, E = FAM.ctx, FAM.curve
+    u = Poly.variable(ctx)
+    want, _ = change_coords(E, u, 1, u * u + 1, 2)
+    for s, w in ((1, 2), (ctx.elem(1), ctx.elem(2)),
+                 (RatFunc.constant(ctx, 1), RatFunc.constant(ctx, 2)),
+                 (Poly.constant(ctx, 1), Poly.constant(ctx, 2))):
+        for r, t_ in ((u, u * u + 1), (RatFunc.from_poly(u), RatFunc.from_poly(u * u + 1))):
+            E2, ch = change_coords(E, r, s, t_, w)
+            assert E2 == want
+            assert isinstance(ch.r, Poly) and isinstance(ch.t_, Poly)
+            assert isinstance(ch.s, FieldElement) and isinstance(ch.w, FieldElement)
 
 
 def test_singular_curve_rejected():
@@ -126,7 +163,8 @@ def test_contains_matches_reduced_oracle(fam):
     # on-curve points, and the same x with y + 1 or y u/(u + 1)
     u = RatFunc.variable(fam.ctx)
     cases = _membership_cases(fam)
-    # a1 != 0 (the source, the moved Legendre form) cross-multiplies
+    # a1 != 0 (the source, the moved Legendre form) reaches the identity's
+    # a1 and a3 terms
     assert any(not curve.a1.is_zero() for curve, _, _ in cases)
     for curve, x, y in cases:
         assert curve.contains(x, y) and _contains_oracle(curve, x, y)
@@ -165,13 +203,13 @@ def test_contains_runs_no_gcd(monkeypatch):
 
 
 def test_contains_work_count(monkeypatch):
-    # on y^2 = x(x+1)(x+t) both sides of a reduced point carry den(x)^3,
-    # so the numerators are compared: at most 16 products of two
-    # non-constant Polys per on/off pair and no operand above 221 rows
-    # (24 products and 433 rows when the sides were cross-multiplied).
-    # The chain's source (a1 = 1) still cross-multiplies, in 26 such
-    # products, and answers the same.  The count includes the y + 1 of
-    # the off-curve point; products by a constant only scale.
+    # membership is one polynomial identity on every model: on
+    # y^2 = x(x+1)(x+t) at most 16 products of two non-constant Polys per
+    # on/off pair and no operand above 221 rows (24 products and 433 rows
+    # when the sides were cross-multiplied), and at most 16 on the
+    # chain's source (a1 = 1; 26 when it cross-multiplied).  The count
+    # includes the y + 1 of the off-curve point; products by a constant
+    # only scale.
     fam = make_family(7)
     E, chain = fam.curve, IsogenyChain(fam.t)
     P0, P1 = point_P(fam, 0), point_P(fam, 1)
@@ -187,7 +225,7 @@ def test_contains_work_count(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
     monkeypatch.setattr(Poly, "__rmul__", counting_mul)
-    for curve, cases, most in ((E, points, 16), (chain.source, sources, 26)):
+    for curve, cases, most in ((E, points, 16), (chain.source, sources, 16)):
         for R in cases:
             rows.clear()
             assert curve.contains(R.x, R.y) and not curve.contains(R.x, R.y + 1)
@@ -302,29 +340,35 @@ def test_smul_doubles_only_to_the_top_bit(monkeypatch):
 
 def test_curve_construction_work_count(monkeypatch):
     # b2..b8, c4, c6 and disc are each computed once per construction:
-    # at most 28 RatFunc products and 13 sums (38 and 18 when c4, c6 and
-    # disc each recomputed the b_i they need)
+    # 28 Poly products and 13 sums, plus the 8 products inside b2^3,
+    # b4^3 and the c4^3 - c6^2 = 1728 disc check and its one subtraction
+    # (10 products and 5 sums more when c4, c6 and disc each recomputed
+    # the b_i they need)
     curves = [FAM.curve, IsogenyChain(FAM.t).source]
-    mul, add = RatFunc.__mul__, RatFunc._sum
+    mul, add, sub = Poly.__mul__, Poly.__add__, Poly.__sub__
     products, sums = [], []
 
     def counting_mul(self, other):
         products.append(other)
         return mul(self, other)
 
-    def counting_sum(self, c, d):
-        sums.append((c, d))
-        return add(self, c, d)
+    def counting(op):
+        def counted(self, other):
+            sums.append(other)
+            return op(self, other)
+        return counted
 
-    monkeypatch.setattr(RatFunc, "__mul__", counting_mul)
-    monkeypatch.setattr(RatFunc, "__rmul__", counting_mul)
-    monkeypatch.setattr(RatFunc, "_sum", counting_sum)
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(Poly, "__rmul__", counting_mul)
+    monkeypatch.setattr(Poly, "__add__", counting(add))
+    monkeypatch.setattr(Poly, "__radd__", counting(add))
+    monkeypatch.setattr(Poly, "__sub__", counting(sub))
     for E in curves:
         products.clear()
         sums.clear()
         WeierstrassCurve(E.a1, E.a2, E.a3, E.a4, E.a6)
-        assert len(products) <= 28
-        assert len(sums) <= 13
+        assert len(products) <= 36
+        assert len(sums) <= 14
 
 
 def test_two_torsion_shape():
@@ -539,4 +583,4 @@ def test_inexact_known_denominator_is_refused():
 
 def test_curve_serialization():
     obj = FAM.curve.to_obj()
-    assert obj["a2"] == FAM.curve.a2.to_obj()
+    assert obj["a2"] == RatFunc.from_poly(FAM.curve.a2).to_obj()

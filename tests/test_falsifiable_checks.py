@@ -30,8 +30,9 @@ from pathlib import Path
 import pytest
 
 from legendre_mw import cli
-from legendre_mw.curve import IsogenyChain, WeierstrassCurve, legendre_form_curve
+from legendre_mw.curve import CurvePoint, IsogenyChain, WeierstrassCurve, legendre_form_curve
 from legendre_mw.legendre import substitute_zeta_u
+from legendre_mw.ratfunc import RatFunc
 
 COVERED = {
     "points.explicit_points_nontorsion": "test_cli.py::test_d2_points_are_checked_torsion",
@@ -45,6 +46,12 @@ COVERED = {
         "test_falsifiable_checks.py::test_p1_for_p0_breaks_only_the_descended_rank",
     "rb.coordinates_frobenius_fixed":
         "test_falsifiable_checks.py::test_conjugated_points_break_only_the_frobenius_check",
+    "points.points_on_curve":
+        "test_falsifiable_checks.py::test_doubled_torsion_y_breaks_only_points_on_curve",
+    "invariants.discriminant_is_16_t2_tm1_2":
+        "test_falsifiable_checks.py::test_doubled_t_breaks_only_the_discriminant_formula",
+    "invariants.discriminant_degree":
+        "test_falsifiable_checks.py::test_d_plus_one_breaks_only_the_discriminant_degree",
 }
 
 OPEN = (
@@ -54,13 +61,10 @@ OPEN = (
     "gram.orbit_rank_matches_formula",
     "gram.rank_is_d_minus_2",
     "invariants.bsd_ratio_is_one",
-    "invariants.discriminant_degree",
-    "invariants.discriminant_is_16_t2_tm1_2",
     "invariants.fiber_data_consistent",
     "invariants.index_is_admissible",
     "isogeny.chain_reaches_legendre_form",
     "points.galois_shift_permutes_points",
-    "points.points_on_curve",
     "points.torsion_order_profile",
 )
 
@@ -98,7 +102,7 @@ def test_sums_off_by_a_torsion_point_break_only_the_homomorphism(monkeypatch, p)
         S = add(self, P, Q)
         if self.a1.is_zero():
             return S
-        zero = self.a2 * 0
+        zero = RatFunc.zero(self.ctx)
         return add(self, S, self.point(zero, zero))
 
     monkeypatch.setattr(WeierstrassCurve, "add", off_by_origin)
@@ -156,6 +160,45 @@ def test_conjugated_points_break_only_the_frobenius_check(monkeypatch, p):
     monkeypatch.setattr(cli, "point_R",
                         lambda params, b: substitute_zeta_u(params, point_R(params, b)))
     assert _false_checks(["rb", "--p", p]) == (1, ["rb.coordinates_frobenius_fixed"])
+
+
+@pytest.mark.parametrize("p", ["5", "7"])
+def test_doubled_torsion_y_breaks_only_points_on_curve(monkeypatch, p):
+    # T as (x_T, 2 y_T), built without the point check: point_order reads
+    # only x and whether y = 0, so T keeps order 4, but it is off the
+    # curve.  At p = 3, 2 = -1 and (x_T, 2 y_T) is -T, on the curve.
+    torsion_points = cli.torsion_points
+
+    def doubled_y(params):
+        tors = torsion_points(params)
+        T = tors["T"]
+        tors["T"] = CurvePoint(T.curve, T.x, T.y * 2)
+        return tors
+
+    monkeypatch.setattr(cli, "torsion_points", doubled_y)
+    assert _false_checks(["points", "--p", p]) == (1, ["points.points_on_curve"])
+
+
+def _family_with(monkeypatch, change):
+    make_family = cli.make_family
+    monkeypatch.setattr(cli, "make_family", lambda p, f=1: change(make_family(p, f)))
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_doubled_t_breaks_only_the_discriminant_formula(monkeypatch, p):
+    # the curve's discriminant, of degree 4d, is compared with
+    # 16 t^2 (t - 1)^2 at t = 2 u^d
+    _family_with(monkeypatch, lambda params: params._replace(t=params.t * 2))
+    assert _false_checks(["invariants", "--p", p]) == (
+        1, ["invariants.discriminant_is_16_t2_tm1_2"])
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_d_plus_one_breaks_only_the_discriminant_degree(monkeypatch, p):
+    # the curve's discriminant, 16 t^2 (t - 1)^2, has degree 4d, not
+    # 4 (d + 1); the fibre table is consistent for every d
+    _family_with(monkeypatch, lambda params: params._replace(d=params.d + 1))
+    assert _false_checks(["invariants", "--p", p]) == (1, ["invariants.discriminant_degree"])
 
 
 def test_inventory_covers_every_check_once():

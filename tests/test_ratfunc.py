@@ -785,6 +785,16 @@ def test_ratfunc_canonical():
         RatFunc(u, Poly.zero(CTX))
 
 
+def test_poly_ratfunc_equality_is_symmetric():
+    # Poly.__eq__ defers to RatFunc for a RatFunc operand, so both orders
+    # agree, for an equal and for an unequal pair
+    one, u = Poly.one(CTX), Poly.variable(CTX)
+    assert one == RatFunc.one(CTX) and RatFunc.one(CTX) == one
+    assert u == RatFunc.variable(CTX) and RatFunc.variable(CTX) == u
+    assert not u == RatFunc.one(CTX) and not RatFunc.one(CTX) == u
+    assert u != RatFunc.one(CTX) and RatFunc.one(CTX) != u
+
+
 def test_sum_cancelling_the_shared_factor():
     u = RatFunc.variable(CTX)
     one = RatFunc.one(CTX)
