@@ -8,6 +8,7 @@ parameters (including an --out file that cannot be written).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -349,5 +350,16 @@ def main(argv=None) -> int:
     return 0 if doc["ok"] else 1
 
 
+def entry():
+    """Process entry of `python -m legendre_mw.cli` and the `legendre-mw`
+    script: exit with main's code after `gc.freeze()`.  The document is
+    written by then, and the full collections of interpreter shutdown
+    skip frozen objects; stdout is still flushed and atexit still runs.
+    `main` leaves GC state alone for callers that run it in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

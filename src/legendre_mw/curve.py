@@ -430,9 +430,11 @@ def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurv
     v = w.inv()
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
     na1 = (a1 + 2 * s) * v
-    na2 = (a2 - s * a1 + 3 * r - s * s) * v ** 2
+    # each Poly stands left of the constant it is scaled by, so that
+    # Poly.__mul__ takes the product with no FieldElement dispatch first
+    na2 = (a2 - a1 * s + 3 * r - s * s) * v ** 2
     na3 = (a3 + r * a1 + 2 * t_) * v ** 3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t_ + r * s) * a1 + 3 * r * r - 2 * s * t_) * v ** 4
+    na4 = (a4 - a3 * s + 2 * r * a2 - (t_ + r * s) * a1 + 3 * r * r - t_ * (2 * s)) * v ** 4
     na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t_ * a3 - t_ * t_ - r * t_ * a1) * v ** 6
     new_curve = WeierstrassCurve(na1, na2, na3, na4, na6)
     if not _same_j(new_curve, curve):

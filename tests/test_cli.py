@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -12,8 +13,9 @@ from legendre_mw import cli, legendre
 from legendre_mw.cli import build_parser, main
 from legendre_mw.curve import WeierstrassCurve
 from legendre_mw.exact_linalg import rank
+from legendre_mw.gf import FieldElement
 from legendre_mw.heights import gram_matrix
-from legendre_mw.legendre import make_family, point_P
+from legendre_mw.legendre import make_family, point_P, torsion_points
 from legendre_mw.ratfunc import Poly
 
 
@@ -21,6 +23,17 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _run_module(*argv, flags=()):
+    """Run `python [flags] -m legendre_mw.cli argv` on this checkout's
+    sources in a fresh interpreter; stdout and stderr are bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "legendre_mw.cli", *argv],
+        capture_output=True, env=env, timeout=300)
 
 
 def test_parser_defaults():
@@ -127,14 +140,62 @@ def test_json_output_is_deterministic(capsys):
 def test_all_command_same_under_python_O(capsys):
     # python -O strips assert statements, so no result may rest on one
     _, plain = _run(capsys, "all", "--p", "3")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "legendre_mw.cli", "all", "--p", "3"],
-        capture_output=True, text=True, env=env, timeout=300)
+    proc = _run_module("all", "--p", "3", flags=["-O"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == plain
+    assert proc.stdout == plain.encode()
+
+
+def test_main_leaves_gc_state_alone(capsys):
+    # in-process callers keep collecting their garbage: only the process
+    # entry point freezes the heap
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    code, _ = _run(capsys, "isogeny", "--p", "3")
+    assert code == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+def test_entry_freezes_after_the_document_is_written(capsys, monkeypatch):
+    # python -m and the installed script share the entry; the stand-in
+    # for gc.freeze records what stdout holds when it runs
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'legendre-mw = "legendre_mw.cli:entry"' in pyproject.read_text()
+    _, want = _run(capsys, "points", "--p", "3")
+    seen = []
+    monkeypatch.setattr(gc, "freeze", lambda: seen.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["legendre-mw", "points", "--p", "3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert seen == [want]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["points", "--p", "3"], 0),
+    (["invariants", "--p", "3", "--m", "2"], 1),  # m = 2 is no index at d = 4
+    (["points", "--p", "4"], 2),
+    (["--p", "3"], 2),                            # no command
+])
+def test_module_run_matches_main(capsys, argv, code):
+    # a fresh interpreter exits with main's code and writes main's bytes
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    proc = _run_module(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+
+
+def test_module_run_out_file(tmp_path, capsys):
+    in_process, fresh = tmp_path / "main.json", tmp_path / "module.json"
+    assert main(["points", "--p", "3", "--out", str(in_process)]) == 0
+    proc = _run_module("points", "--p", "3", "--out", str(fresh))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b""
+    assert fresh.read_bytes() == in_process.read_bytes()
 
 
 def test_table_format(capsys):
@@ -257,6 +318,26 @@ def test_isogeny_gcd_count(capsys, monkeypatch):
     code, _ = _run(capsys, "isogeny", "--p", "7")
     assert code == 0
     assert len(calls) <= 250
+
+
+def test_isogeny_field_products_need_no_dispatch(monkeypatch):
+    # FieldElement * Poly returns NotImplemented before Poly.__rmul__
+    # scales, so every Poly stands left of its constant factor;
+    # run_isogeny builds the IsogenyChain and runs its maps
+    calls, refused = [], []
+    real = FieldElement.__mul__
+
+    def counted(self, other):
+        res = real(self, other)
+        (refused if res is NotImplemented else calls).append(1)
+        return res
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    fam = make_family(7)
+    pts = [point_P(fam, i) for i in range(4)]
+    _, checks = cli.run_isogeny(fam, pts, torsion_points(fam))
+    assert all(checks.values())
+    assert calls and not refused
 
 
 def test_gram_work_count(capsys, monkeypatch):
