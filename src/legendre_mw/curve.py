@@ -27,7 +27,7 @@ j = c4^3 / disc of both curves by cross-multiplying.
 from __future__ import annotations
 
 from .gf import FieldCtx, FieldElement
-from .ratfunc import Poly, RatFunc, _common, poly_sqrt
+from .ratfunc import Poly, RatFunc, _common, _monic_den, poly_sqrt
 
 
 class CurvePoint:
@@ -123,9 +123,6 @@ class WeierstrassCurve:
 
     def discriminant(self) -> Poly:
         return self._disc
-
-    def j_invariant(self) -> RatFunc:
-        return RatFunc(self.c4() ** 3, self.discriminant())
 
     # -- points ----------------------------------------------------------
 
@@ -265,12 +262,6 @@ def _exact(a: Poly, b: Poly) -> Poly:
         raise ArithmeticError("inexact division: the point is not reduced "
                               "on a model with polynomial coefficients")
     return q
-
-
-def _monic_den(num: Poly, den: Poly) -> RatFunc:
-    """num/den for coprime num, den, scaled so that den is monic."""
-    s = den.lc().inv()
-    return RatFunc(num.scale(s), den.scale(s), _canonical=True)
 
 
 def _same_j(E: WeierstrassCurve, F: WeierstrassCurve) -> bool:

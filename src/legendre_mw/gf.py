@@ -4,14 +4,14 @@ F_{p^k} is F_p[w] modulo a fixed monic irreducible modulus.  The fields
 this package meets are small (q up to about 10^4; a FieldCtx refuses
 q > MAX_FIELD_ORDER), so each FieldCtx tabulates its whole
 multiplicative group once, and an element is stored as its log to a
-fixed generator g, None for zero: the same number a Poly keeps per
-coefficient.  Products, inverses, powers and square roots add or scale
-logs mod q - 1, and a table of Zech logarithms log(1 + g^e) makes sums
-one lookup.  The digits of an element over F_p in the basis
-w^0..w^{k-1} are read from a table only to be shown.  Everything is
-immutable and exact.  The only polynomial arithmetic over F_p here is
-`_mulmod`, which builds the tables and tests moduli for
-irreducibility.
+fixed generator g, None for zero.  Products, inverses, powers and
+square roots add or scale logs mod q - 1, and a table of Zech
+logarithms log(1 + g^e) makes sums one lookup.  The digits of an
+element over F_p in the basis w^0..w^{k-1}, which a Poly stores, are
+read from a table.  Everything is immutable and exact.  The only
+polynomial arithmetic over F_p here, `_mulmod` and `_powmod`, builds
+the tables and tests moduli for irreducibility; gf imports no other
+module of the package.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .exact_linalg import determinant
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest field order a FieldCtx accepts.  A FieldCtx holds four
-# Python lists of q entries: on a 2-core KVM guest 3^10 takes 6.3 s and
-# 42 MB to build and 3^12 (< 2^20) 25 s and 154 MB, so 3^16 would take
-# about 12 GB; 101^2 (points --p 101) is far below the limit.
+# Python lists of q entries: on a 2-core KVM guest build_field takes
+# 0.8-1.2 s and a process peak RSS of 28 MB for 3^10, and 7-9 s and
+# 138 MB for 3^12 (< 2^20), so 3^16 would take about 11 GB; 101^2
+# (points --p 101) is far below the limit.
 MAX_FIELD_ORDER = 2 ** 20
 
 
@@ -108,19 +107,20 @@ def _powmod(a, e, f, p):
 
 def _is_irreducible(f, p, k):
     """Rabin's test for a monic degree-k f over F_p: w^(p^k) == w mod f,
-    and w^(p^(k/ell)) - w is a unit mod f (its multiplication matrix
-    has nonzero determinant mod p) for each prime ell | k."""
+    and w^(p^(k/ell)) - w is a unit mod f for each prime ell | k.  The
+    first makes f squarefree with every factor's degree dividing k, so
+    F_p[w]/f is a product of subfields of F_{p^k} and h is a unit
+    exactly when h^(p^k - 1) == 1."""
     if k == 1:
         return True
     w = (0, 1) + (0,) * (k - 2)
     if _powmod(w, p ** k, f, p) != w:
         return False
+    one = (1,) + (0,) * (k - 1)
     for ell in prime_factors(k):
         h = _powmod(w, p ** (k // ell), f, p)
-        rows = [tuple((a - b) % p for a, b in zip(h, w))]
-        while len(rows) < k:
-            rows.append(_mulmod(rows[-1], w, f, p))
-        if determinant(rows) % p == 0:
+        h = tuple((a - b) % p for a, b in zip(h, w))
+        if _powmod(h, p ** k - 1, f, p) != one:
             return False
     return True
 
@@ -249,8 +249,8 @@ class FieldCtx:
 
 class FieldElement:
     """Immutable element of F_{p^k}, stored as its log e to
-    ctx.generator() mod q - 1, None for zero (a Poly coefficient's
-    format).  Its digits `c` are read from ctx._digits to be shown."""
+    ctx.generator() mod q - 1, None for zero.  Its digits `c` are read
+    from ctx._digits to be shown."""
 
     __slots__ = ("ctx", "e")
 

@@ -18,7 +18,7 @@ fibre met in component i contributes i (n - i) / n, with n = 2d:
   so the r = deg gcd(N + D, u^d - 1) such fibres contribute r/2, whether
   or not u^d - 1 splits over the coefficient field (N + D = 0 gives d).
 
-Odd d is pulled back along u -> u^2, which doubles every height.  The
+The family's d = p^f + 1 is even for odd p, so odd d is refused.  The
 value is exact by construction: (d-1)(d-2)/2d for each P_i and 0 for
 every torsion point.
 
@@ -60,17 +60,17 @@ def _local_height(N: Poly, D: Poly, d: int) -> Fraction:
 
 def canonical_height(P: CurvePoint) -> Fraction:
     """Exact canonical height as a Fraction (0 for torsion), from the
-    local formula in the module docstring.  Raises ValueError when p
-    divides d, where the fibres at the roots of u^d = 1 are not I_2."""
+    local formula in the module docstring.  Raises ValueError for odd d,
+    where the formula does not apply, and when p divides d, where the
+    fibres at the roots of u^d = 1 are not I_2."""
     tp, d = _family_t(P)
+    if d % 2:
+        raise ValueError("d = %d is odd" % d)
     if d % tp.ctx.p == 0:
         raise ValueError("p = %d divides d = %d" % (tp.ctx.p, d))
     if P.is_infinity:
         return Fraction(0)
-    N, D = P.x.num, P.x.den
-    if d % 2:
-        return _local_height(N.inflate(2), D.inflate(2), 2 * d) / 2
-    return _local_height(N, D, d)
+    return _local_height(P.x.num, P.x.den, d)
 
 
 def point_order(P: CurvePoint) -> int:

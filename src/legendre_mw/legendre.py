@@ -100,8 +100,9 @@ def point_R(params: FamilyParams, b: FieldElement) -> CurvePoint:
     coordinates in F_p(u).
 
     x(R_b) = [2u^{p+1} + b u^p + b u + 2 - 2 (u^2 + b u + 1)^{d/2}] / (b^2 - 4),
-    which is a polynomial in u; y is the square root of x(x+1)(x+t) with
-    the sign fixed by the smaller encoding of the leading coefficient.
+    which is a polynomial in u; y is the square root of x(x+1)(x+t)
+    that `poly_sqrt` returns, whose leading coefficient is the root with
+    the smaller encoding.
     """
     if params.f != 1:
         raise ValueError("R_b points are defined for f = 1 only")
@@ -117,12 +118,7 @@ def point_R(params: FamilyParams, b: FieldElement) -> CurvePoint:
     core = u ** (p + 1) * 2 + (u ** p) * b + u * b + 2 - (u * u + u * b + 1) ** (d // 2) * 2
     x = RatFunc.from_poly(core * disc.inv())
     rhs = x * (x + 1) * (x + params.t)
-    y_poly = poly_sqrt(rhs.num)
-    if not y_poly.is_zero():
-        neg = -y_poly
-        if neg.lc().code() < y_poly.lc().code():
-            y_poly = neg
-    return params.curve.point(x, RatFunc.from_poly(y_poly))
+    return params.curve.point(x, RatFunc.from_poly(poly_sqrt(rhs.num)))
 
 
 def matching_index(params: FamilyParams, b: FieldElement) -> int:

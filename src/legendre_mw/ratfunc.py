@@ -31,8 +31,8 @@ a product of 1024-row operands: a product's slot is at most
 min(la, lb) k (p - 1)^2 before the fold and `spread` times that after it.  A product past `lmax` rows (the rows that fit) stays exact: its
 shorter operand is cut into pieces of lmax rows and the reduced partial
 products are summed.  Coefficients become logs (a FieldElement's format)
-only to be read: `coeff`, `lc`, `repr`, `to_obj`, `eval`, `scale_var`,
-`frobenius`, `poly_sqrt` and the read-only view `c`.
+only to be read: `coeff`, `lc`, `repr`, `eval`, `scale_var`, `frobenius`,
+`poly_sqrt` and the read-only view `c`; `to_obj` reads the digit slots.
 
 A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  Only
 the general constructor RatFunc(num, den) runs Euclid on a whole
@@ -344,10 +344,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeff(self.deg)
 
-    def is_monic(self) -> bool:
-        v = self._v
-        return bool(v) and v >> (v.bit_length() - 1) // self._pk.rb * self._pk.rb == 1
-
     def valuation(self) -> int:
         """Multiplicity of the root u = 0 of a nonzero polynomial."""
         v = self._v
@@ -499,13 +495,6 @@ class Poly:
         return Poly(self.ctx, [None if e is None else (e + i * la) % n
                                for i, e in enumerate(self._logs())])
 
-    def inflate(self, e: int) -> "Poly":
-        """The substitution u -> u^e, e >= 1."""
-        pk = self._pk
-        gap = b"\0" * (pk.rb // 8 * (e - 1))
-        return _poly(pk, int.from_bytes(gap.join(x.to_bytes(pk.rb // 8, "little")
-                                                 for x in pk.unpack(self._v)), "little"))
-
     def frobenius(self) -> "Poly":
         """Apply a -> a^p to every coefficient (fixes u)."""
         if self.ctx.k == 1:
@@ -594,6 +583,12 @@ def _common(a: Poly, b: Poly) -> Poly | None:
         return None
     g = Poly.gcd(a, b)
     return g if g.deg > 0 else None
+
+
+def _monic_den(num: Poly, den: Poly) -> "RatFunc":
+    """num/den for coprime num, den, scaled so that den is monic."""
+    s = -den.lc().e
+    return RatFunc(num._times(s), den._times(s), _canonical=True)
 
 
 # ----------------------------------------------------------------------
@@ -761,8 +756,7 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        s = self.num.lc().inv()
-        return RatFunc(self.den.scale(s), self.num.scale(s), _canonical=True)
+        return _monic_den(self.den, self.num)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -785,8 +779,7 @@ class RatFunc:
         num, den = self.num.scale_var(a), self.den.scale_var(a)
         if a.is_zero():
             return RatFunc(num, den)
-        s = -den.lc().e
-        return RatFunc(num._times(s), den._times(s), _canonical=True)
+        return _monic_den(num, den)
 
     def frobenius(self) -> "RatFunc":
         """Coefficient-wise p-power Frobenius; fixes u.  A rational

@@ -52,6 +52,12 @@ COVERED = {
         "test_falsifiable_checks.py::test_doubled_t_breaks_only_the_discriminant_formula",
     "invariants.discriminant_degree":
         "test_falsifiable_checks.py::test_d_plus_one_breaks_only_the_discriminant_degree",
+    "invariants.index_is_admissible":
+        "test_falsifiable_checks.py::test_index_two_breaks_only_the_index_check",
+    "points.torsion_order_profile":
+        "test_falsifiable_checks.py::test_q0_for_t_breaks_only_the_torsion_profile",
+    "points.galois_shift_permutes_points":
+        "test_falsifiable_checks.py::test_negated_p1_breaks_only_the_galois_shift",
 }
 
 OPEN = (
@@ -62,10 +68,7 @@ OPEN = (
     "gram.rank_is_d_minus_2",
     "invariants.bsd_ratio_is_one",
     "invariants.fiber_data_consistent",
-    "invariants.index_is_admissible",
     "isogeny.chain_reaches_legendre_form",
-    "points.galois_shift_permutes_points",
-    "points.torsion_order_profile",
 )
 
 
@@ -179,6 +182,31 @@ def test_doubled_torsion_y_breaks_only_points_on_curve(monkeypatch, p):
     assert _false_checks(["points", "--p", p]) == (1, ["points.points_on_curve"])
 
 
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_q0_for_t_breaks_only_the_torsion_profile(monkeypatch, p):
+    # a torsion table whose T is the 2-torsion point (0, 0): every point
+    # is still on the curve, but the orders are 1, 2, 2, 2, 2, 4, 4, 4
+    torsion_points = cli.torsion_points
+
+    def q0_for_t(params):
+        tors = torsion_points(params)
+        tors["T"] = tors["Q0"]
+        return tors
+
+    monkeypatch.setattr(cli, "torsion_points", q0_for_t)
+    assert _false_checks(["points", "--p", p]) == (1, ["points.torsion_order_profile"])
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_negated_p1_breaks_only_the_galois_shift(monkeypatch, p):
+    # -P_1 is on the curve and not torsion, but u -> zeta u sends P_0 to
+    # P_1, not to -P_1
+    point_P = cli.point_P
+    monkeypatch.setattr(cli, "point_P",
+                        lambda params, i: -point_P(params, i) if i == 1 else point_P(params, i))
+    assert _false_checks(["points", "--p", p]) == (1, ["points.galois_shift_permutes_points"])
+
+
 def _family_with(monkeypatch, change):
     make_family = cli.make_family
     monkeypatch.setattr(cli, "make_family", lambda p, f=1: change(make_family(p, f)))
@@ -199,6 +227,14 @@ def test_d_plus_one_breaks_only_the_discriminant_degree(monkeypatch, p):
     # 4 (d + 1); the fibre table is consistent for every d
     _family_with(monkeypatch, lambda params: params._replace(d=params.d + 1))
     assert _false_checks(["invariants", "--p", p]) == (1, ["invariants.discriminant_degree"])
+
+
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_index_two_breaks_only_the_index_check(p):
+    # m = 2 cannot be an index: m^2 = 4 does not divide the odd
+    # (d - 1)^(d - 2); the BSD ratio stays 1 (see the module docstring)
+    assert _false_checks(["invariants", "--p", p, "--m", "2"]) == (
+        1, ["invariants.index_is_admissible"])
 
 
 def test_inventory_covers_every_check_once():

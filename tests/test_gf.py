@@ -280,7 +280,7 @@ def test_field_ops_match_sympy_galoistools(p, k):
             assert a.inv() == _from_gt(ctx, s)
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 6)])
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 6), (5, 4), (7, 3)])
 def test_irreducibility_matches_sympy_galoistools(p, k):
     gt = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ

@@ -18,7 +18,7 @@ from legendre_mw.heights import (
 from legendre_mw.invariants import regulator_coefficient
 from legendre_mw.legendre import (admissible_b_values, make_family, point_P,
                                   point_R, torsion_points)
-from legendre_mw.ratfunc import Poly, RatFunc, poly_sqrt
+from legendre_mw.ratfunc import Poly, RatFunc
 
 FAM4 = make_family(3)
 FAM6 = make_family(5)
@@ -176,28 +176,14 @@ def test_local_height_matches_doubling_limit(p, f):
         assert limit is not None and canonical_height(P) == limit[0]
 
 
-def test_local_height_odd_d_by_base_change():
-    # d = 3 over F_25: u^3 - 1 splits, and the height is read on the
-    # pullback along u -> u^2 (exponent 6) and halved
-    ctx = build_field(5, 2)
-    u = RatFunc.variable(ctx)
-    curve = legendre_form_curve(u ** 3)
-    x = 4 * u ** 4 + 3 * u ** 3 + 4 * u ** 2
-    P = curve.point(x, RatFunc.from_poly(poly_sqrt((x * (x + 1) * (x + u ** 3)).num)))
-    assert canonical_height(P) == Fraction(5, 3)
-    assert canonical_height(P + P) == Fraction(20, 3)
-    q0, q1, qt = two_torsion(curve)
-    for Q in (P, P + P, P + q0, P + q1, P + qt):
-        assert canonical_height(Q) == doubling_limit(Q)[0]
-
-
 def test_height_rejects_p_dividing_d():
-    # u^6 - 1 = (u^2 - 1)^3 over F_3: the fibres at its roots are not I_2
-    ctx = build_field(3, 1)
-    curve = legendre_form_curve(RatFunc.variable(ctx) ** 6)
-    for P in two_torsion(curve) + (curve.infinity(),):
-        with pytest.raises(ValueError):
-            canonical_height(P)
+    # u^6 - 1 = (u^2 - 1)^3 over F_3, so the fibres at its roots are not
+    # I_2; and the local formula needs an even d, as d = p^f + 1 is
+    for p, k, d in ((3, 1, 6), (5, 2, 3)):
+        curve = legendre_form_curve(RatFunc.variable(build_field(p, k)) ** d)
+        for P in two_torsion(curve) + (curve.infinity(),):
+            with pytest.raises(ValueError):
+                canonical_height(P)
 
 
 def test_gram_matrix_matches_theory():

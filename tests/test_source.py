@@ -2,8 +2,9 @@
 `python -O` strips them, every name in `legendre_mw.__all__`
 resolves, the package imports no numpy, whose import alone took
 longer than most commands' own work, nor dataclasses, which loads
-inspect, ast, dis and tokenize for a few records, the element format
-of F_q stays behind gf.py and that of F_q[u] behind ratfunc.py, and
+inspect, ast, dis and tokenize for a few records, gf.py imports no
+other module of the package, the element format of F_q stays behind
+gf.py and that of F_q[u] behind ratfunc.py, and
 the names the benchmark's tracer rebinds exist."""
 
 import ast
@@ -34,15 +35,16 @@ def test_public_names_resolve():
     assert [n for n in names if not hasattr(legendre_mw, n)] == []
 
 
-def _src_imports(top):
-    """file:line of every import of the top-level module `top` under src/."""
+def _src_imports(top, files=None):
+    """file:line of every import of the top-level module `top` under src/
+    (or in `files`); a relative import is one of legendre_mw."""
     hits = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(files or SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = ["legendre_mw" if node.level else node.module or ""]
             else:
                 continue
             hits += ["%s:%d" % (path.relative_to(SRC), node.lineno)
@@ -64,6 +66,12 @@ def test_src_imports_no_numpy():
 
 def test_src_imports_no_dataclasses():
     assert _src_imports("dataclasses") == []
+
+
+def test_gf_imports_no_package_module():
+    # the field layer stands alone: its irreducibility test needs no
+    # linear algebra, and ratfunc builds on gf, not the other way round
+    assert _src_imports("legendre_mw", [SRC / "legendre_mw" / "gf.py"]) == []
 
 
 def test_cli_import_loads_no_numpy():
