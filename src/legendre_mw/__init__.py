@@ -1,36 +1,46 @@
 """Exact arithmetic for explicit points, canonical heights and BSD
-bookkeeping on y^2 = x(x+1)(x+u^d), d = p^f + 1, over F_q(u)."""
+bookkeeping on y^2 = x(x+1)(x+u^d), d = p^f + 1, over F_q(u).
 
-from .gf import FieldCtx, FieldElement, build_field, is_prime, zeta
-from .ratfunc import Poly, RatFunc, poly_sqrt
-from .curve import (CoordChange, CurvePoint, IsogenyChain, IsogenyMap,
-                    WeierstrassCurve, change_coords, legendre_form_curve,
-                    two_isogeny_quotient, two_torsion)
-from .legendre import (FamilyParams, admissible_b_values, make_family,
-                       matching_index, point_P, point_R, substitute_zeta_u,
-                       torsion_points, trace_point)
-from .heights import (canonical_height, combination, expected_gram,
-                      gram_matrix, is_torsion_point, point_order)
-from .invariants import (bad_fibers, bsd_report, conductor_degree,
-                         euler_totient, fiber_audit, frobenius_orbits,
-                         index_bound, integrality_check, multiplicative_order,
-                         rank_formula, regulator_coefficient, sha_order,
-                         tamagawa_factor, torsion_order, validate_q)
+Importing the package loads none of its modules: each public name is
+imported from its module on first access (PEP 562), so a command
+compiles only the modules it runs."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FieldCtx", "FieldElement", "build_field", "is_prime", "zeta",
-    "Poly", "RatFunc", "poly_sqrt",
-    "CoordChange", "CurvePoint", "IsogenyChain", "IsogenyMap",
-    "WeierstrassCurve", "change_coords", "legendre_form_curve",
-    "two_isogeny_quotient", "two_torsion",
-    "FamilyParams", "admissible_b_values", "make_family", "matching_index",
-    "point_P", "point_R", "substitute_zeta_u", "torsion_points", "trace_point",
-    "canonical_height", "combination", "expected_gram", "gram_matrix",
-    "is_torsion_point", "point_order",
-    "bad_fibers", "bsd_report", "conductor_degree", "euler_totient",
-    "fiber_audit", "frobenius_orbits", "index_bound", "integrality_check",
-    "multiplicative_order", "rank_formula", "regulator_coefficient",
-    "sha_order", "tamagawa_factor", "torsion_order", "validate_q",
-]
+# the public names, by the module that defines them
+_HOMES = {
+    "gf": ("FieldCtx", "FieldElement", "build_field", "is_prime", "validate_q",
+           "zeta"),
+    "ratfunc": ("Poly", "RatFunc", "poly_sqrt"),
+    "curve": ("CoordChange", "CurvePoint", "IsogenyChain", "IsogenyMap",
+              "WeierstrassCurve", "change_coords", "legendre_form_curve",
+              "two_isogeny_quotient", "two_torsion"),
+    "legendre": ("FamilyParams", "admissible_b_values", "make_family",
+                 "matching_index", "point_P", "point_R", "substitute_zeta_u",
+                 "torsion_points", "trace_point"),
+    "heights": ("canonical_height", "combination", "expected_gram",
+                "gram_matrix", "is_torsion_point", "point_order"),
+    "invariants": ("bad_fibers", "bsd_report", "conductor_degree",
+                   "euler_totient", "fiber_audit", "frobenius_orbits",
+                   "index_bound", "integrality_check", "multiplicative_order",
+                   "rank_formula", "regulator_coefficient", "sha_order",
+                   "tamagawa_factor", "torsion_order"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

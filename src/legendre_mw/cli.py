@@ -12,13 +12,8 @@ import gc
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import invariants as inv
-from .curve import IsogenyChain
-from .exact_linalg import determinant, kernel_basis, rank
-from .heights import (combination, expected_gram, gram_matrix,
-                      is_torsion_point, point_order)
+from .gf import validate_q
 from .legendre import (FamilyParams, admissible_b_values, make_family,
                        matching_index, point_P, point_R, substitute_zeta_u,
                        torsion_points, trace_point)
@@ -43,9 +38,13 @@ def _point_obj(P, extra=None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Subcommand payloads.  Each returns (payload_dict, checks_dict).
+# Subcommand payloads.  Each returns (payload_dict, checks_dict) and
+# imports the modules beyond legendre that it runs, so a command loads
+# only what its sections use.
 
 def run_points(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
+    from .heights import is_torsion_point, point_order
+
     d = params.d
     curve = params.curve
     pts_torsion = [is_torsion_point(P) for P in pts]
@@ -80,6 +79,8 @@ def run_points(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
 
 
 def run_gram(params: FamilyParams, pts, q: int, depth: str) -> tuple[dict, dict]:
+    from .heights import combination, expected_gram, gram_matrix, is_torsion_point
+
     d = params.d
     indices = list(range(min(4, d) if depth == "quick" else d))
     labels = ["P%d" % i for i in indices]
@@ -95,6 +96,9 @@ def run_gram(params: FamilyParams, pts, q: int, depth: str) -> tuple[dict, dict]
     checks = {"entries_match_closed_form": G == expected}
 
     if depth == "full":
+        from . import invariants as inv
+        from .exact_linalg import determinant, kernel_basis, rank
+
         # P_0 .. P_{d-3} span the lattice; pts holds every P_j
         n = d - 2
         det = determinant([row[:n] for row in G[:n]])
@@ -123,6 +127,8 @@ def run_gram(params: FamilyParams, pts, q: int, depth: str) -> tuple[dict, dict]
 
 
 def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
+    from . import invariants as inv
+
     d = params.d
     bsd = inv.bsd_report(params.p, params.f, q, m)
     audit = inv.fiber_audit(d)
@@ -152,6 +158,8 @@ def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
 
 
 def run_isogeny(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
+    from .curve import IsogenyChain
+
     chain = IsogenyChain(params.t)
     samples = pts[:4]
     samples.append(params.curve.add(samples[0], samples[1 % len(samples)]))
@@ -184,6 +192,9 @@ def run_isogeny(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
 
 
 def run_rb(params: FamilyParams, pts) -> tuple[dict, dict]:
+    from .exact_linalg import rank
+    from .heights import gram_matrix, is_torsion_point
+
     p, d = params.p, params.d
     bs = admissible_b_values(params)
     rows, rpts, match_ok, frob_ok = [], [], [], []
@@ -222,6 +233,10 @@ def run_rb(params: FamilyParams, pts) -> tuple[dict, dict]:
 # formats; tuples print as lists.
 
 def _json_default(v):
+    # json calls this only for what it cannot encode: in a payload, a
+    # Fraction, made by a section that has loaded fractions already
+    from fractions import Fraction
+
     if isinstance(v, Fraction):
         return str(v)
     raise TypeError("Object of type %s is not JSON serializable"
@@ -304,9 +319,9 @@ def main(argv=None) -> int:
         if args.m < 1:
             raise ValueError("m must be >= 1")
         # q = p^j is prime to d = p^f + 1, as the rank formula needs
-        inv.validate_q(q, args.p, 0)
+        validate_q(q, args.p, 0)
         if args.command in ("invariants", "all"):
-            inv.validate_q(q, args.p, args.f)
+            validate_q(q, args.p, args.f)
         if args.command == "rb" and params.f != 1:
             raise ValueError("the rb command needs f = 1")
         if args.out is not None:

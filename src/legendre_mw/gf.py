@@ -68,6 +68,21 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+# Every command checks its --q with this, so it lives here, in the
+# module every command loads, rather than in invariants.
+def validate_q(q: int, p: int, f: int) -> int:
+    """q must be a power of p^{2f} (of p when f = 0); returns the
+    exponent j >= 1 with q = (p^{2f})^j."""
+    base = p ** (2 * f) if f >= 1 else p
+    j, power = 1, base
+    while 1 < power < q:    # a base below 2 would never pass q
+        power *= base
+        j += 1
+    if power != q:
+        raise ValueError("q = %d is not a power of %d" % (q, base))
+    return j
+
+
 # ----------------------------------------------------------------------
 # Digit tuples over F_p, low degree first: their codes, and products
 # modulo a monic f of degree k = len(f) - 1, which only build a

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .gf import prime_factors
+from .gf import prime_factors, validate_q
 
 
 def euler_totient(n: int) -> int:
@@ -95,19 +95,6 @@ def frobenius_orbits(d: int, q: int) -> list[list[int]]:
 def _check_coprime(d: int, q: int) -> None:
     if gcd(q, d) != 1:
         raise ValueError("q and d must be coprime")
-
-
-def validate_q(q: int, p: int, f: int) -> int:
-    """q must be a power of p^{2f} (of p when f = 0); returns the
-    exponent j >= 1 with q = (p^{2f})^j."""
-    base = p ** (2 * f) if f >= 1 else p
-    j, power = 1, base
-    while 1 < power < q:    # a base below 2 would never pass q
-        power *= base
-        j += 1
-    if power != q:
-        raise ValueError("q = %d is not a power of %d" % (q, base))
-    return j
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from legendre_mw import cli, legendre
+from legendre_mw import cli, heights, legendre
 from legendre_mw.cli import build_parser, main
 from legendre_mw.curve import WeierstrassCurve
 from legendre_mw.exact_linalg import rank
@@ -345,7 +345,7 @@ def test_gram_work_count(capsys, monkeypatch):
     # pairwise: d = 10 makes one Gram and 45 + 2 * 4 adds of two affine
     # points (2 Grams and 98 adds when the orbit sums had their own Gram)
     grams, adds = [], []
-    real_gram, real_add = cli.gram_matrix, WeierstrassCurve.add
+    real_gram, real_add = heights.gram_matrix, WeierstrassCurve.add
 
     def gram(points):
         grams.append(len(points))
@@ -356,7 +356,7 @@ def test_gram_work_count(capsys, monkeypatch):
             adds.append(1)
         return real_add(self, P, Q)
 
-    monkeypatch.setattr(cli, "gram_matrix", gram)
+    monkeypatch.setattr(heights, "gram_matrix", gram)
     monkeypatch.setattr(WeierstrassCurve, "add", add)
     code, _ = _run(capsys, "gram", "--p", "3", "--f", "2")
     assert code == 0
@@ -421,7 +421,7 @@ def test_d2_points_are_checked_torsion(capsys, monkeypatch):
     doc = json.loads(out)
     assert [P["is_torsion"] for P in doc["points"]["points"]] == [True, True]
     assert doc["checks"]["points.explicit_points_nontorsion"] is True
-    monkeypatch.setattr(cli, "is_torsion_point", lambda P: False)
+    monkeypatch.setattr(heights, "is_torsion_point", lambda P: False)
     code, out = _run(capsys, "points", "--p", "3", "--f", "0")
     assert code == 1
     assert json.loads(out)["checks"]["points.explicit_points_nontorsion"] is False

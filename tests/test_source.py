@@ -1,6 +1,8 @@
 """Source-level checks: no `assert` statement under src/, since
 `python -O` strips them, every name in `legendre_mw.__all__`
-resolves, the package imports no numpy, whose import alone took
+resolves from the module that defines it, importing the package loads
+none of its modules and a command only those it runs, the package
+imports no numpy, whose import alone took
 longer than most commands' own work, nor dataclasses, which loads
 inspect, ast, dis and tokenize for a few records, gf.py imports no
 other module of the package, the element format of F_q stays behind
@@ -11,9 +13,12 @@ import ast
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import legendre_mw
 
@@ -35,6 +40,26 @@ def test_public_names_resolve():
     assert [n for n in names if not hasattr(legendre_mw, n)] == []
 
 
+def test_lazy_export_table_matches_all():
+    # each public name maps to the module that defines it, and to no other
+    table = legendre_mw._MODULE_OF
+    assert sorted(table) == sorted(legendre_mw.__all__)
+    assert len(table) == sum(len(names) for names in legendre_mw._HOMES.values())
+    wrong = []
+    for name, module in table.items():
+        mod = importlib.import_module("legendre_mw." + module)
+        if getattr(vars(mod).get(name), "__module__", None) != mod.__name__:
+            wrong.append("%s -> %s" % (name, module))
+    assert wrong == []
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        legendre_mw.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from legendre_mw import no_such_name  # noqa: F401
+
+
 def _src_imports(top, files=None):
     """file:line of every import of the top-level module `top` under src/
     (or in `files`); a relative import is one of legendre_mw."""
@@ -52,12 +77,68 @@ def _src_imports(top, files=None):
     return hits
 
 
-def _loaded_by_cli_import(modules, *flags):
-    """Which of `modules` a fresh `import legendre_mw.cli` loads."""
-    code = "import sys, legendre_mw.cli; print([m for m in %r if m in sys.modules])" % (modules,)
+def _fresh(code, *flags):
+    """stdout of `code` run by a fresh interpreter on this checkout's sources."""
     out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
     return out.stdout
+
+
+def _loaded(modules, setup, *flags):
+    """Which of `modules` a fresh interpreter has loaded after `setup`."""
+    return _fresh("%s\nimport sys; print([m for m in %r if m in sys.modules])"
+                  % (setup, modules), *flags)
+
+
+def _loaded_by_cli_import(modules, *flags):
+    """Which of `modules` a fresh `import legendre_mw.cli` loads."""
+    return _loaded(modules, "import legendre_mw.cli", *flags)
+
+
+PACKAGE = tuple("legendre_mw." + m for m in ("gf", "ratfunc", "curve", "legendre", "heights",
+                                             "exact_linalg", "invariants", "cli"))
+
+
+def _loaded_by_command(*argv):
+    """Which package modules, and whether fractions, a fresh run of the
+    command loads (-S: no site hook such as a .pth file decides)."""
+    setup = ("import os, sys, legendre_mw.cli\n"
+             "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+             "if legendre_mw.cli.main(%r): raise SystemExit('command failed')\n"
+             "sys.stdout = out" % (list(argv),))
+    return set(ast.literal_eval(_loaded(PACKAGE + ("fractions",), setup, "-S")))
+
+
+def test_package_import_loads_no_module():
+    assert _loaded(PACKAGE, "import legendre_mw", "-S") == "[]\n"
+
+
+# what a command loads beyond cli, legendre and the modules legendre imports
+BASE = {"legendre_mw.cli", "legendre_mw.legendre", "legendre_mw.gf", "legendre_mw.ratfunc",
+        "legendre_mw.curve"}
+
+
+@pytest.mark.parametrize("argv,extra", [
+    # the isogeny chain needs no heights, linear algebra, invariants or Fractions
+    (["isogeny", "--p", "3"], set()),
+    (["gram", "--p", "3", "--depth", "quick"], {"legendre_mw.heights", "fractions"}),
+    (["all", "--p", "3"], {"legendre_mw.heights", "legendre_mw.exact_linalg",
+                           "legendre_mw.invariants", "fractions"}),
+])
+def test_command_loads_only_what_it_runs(argv, extra):
+    assert _loaded_by_command(*argv) == BASE | extra
+
+
+def test_star_import_dir_and_help_list_every_public_name():
+    # a fresh process has loaded no module before it asks
+    names = sorted(legendre_mw.__all__)
+    star = "ns = {}; exec('from legendre_mw import *', ns); print(sorted(set(ns) - {'__builtins__'}))"
+    assert _fresh(star) == "%r\n" % names
+    assert _fresh("import legendre_mw; print(sorted(set(legendre_mw.__all__) - set(dir(legendre_mw))))") == "[]\n"
+    text = _fresh("import pydoc, legendre_mw; print(pydoc.render_doc(legendre_mw, renderer=pydoc.plaintext))")
+    # help's headings: "    class Name(...)", "    name(...)", "    name = ..."
+    shown = set(re.findall(r"^    (?:class )?(\w+)[(=]", text, re.M))
+    assert set(names) - shown == set()
 
 
 def test_src_imports_no_numpy():
