@@ -27,7 +27,7 @@ j = c4^3 / disc of both curves by cross-multiplying.
 from __future__ import annotations
 
 from .gf import FieldCtx, FieldElement
-from .ratfunc import Poly, RatFunc, _common, _monic_den, poly_sqrt
+from .ratfunc import Poly, RatFunc, _common, _frac, _monic_den, poly_sqrt
 
 
 class CurvePoint:
@@ -186,7 +186,7 @@ class WeierstrassCurve:
         else:
             lam = (y2 - y1) / (x2 - x1)
         N, D = lam.num, lam.den
-        x3 = RatFunc(N * (N + self.a1 * D), D * D, _canonical=True) \
+        x3 = _frac(N * (N + self.a1 * D), D * D) \
             - (self.a2 + x1 + x2)
         A1, E1, B1, F1 = x1.num, x1.den, y1.num, y1.den
         A3, E3 = x3.num, x3.den
@@ -195,7 +195,7 @@ class WeierstrassCurve:
         T = N * _exact(F1, E1) * (A1 * E3 - A3 * E1) - B1 * D * E3
         if not (self.a1.is_zero() and self.a3.is_zero()):
             T = T - (self.a1 * A3 + self.a3 * E3) * DF1
-        return CurvePoint(self, x3, RatFunc(_exact(T * C3, DF1), E3 * C3, _canonical=True))
+        return CurvePoint(self, x3, _frac(_exact(T * C3, DF1), E3 * C3))
 
     def smul(self, n: int, P: CurvePoint) -> CurvePoint:
         """n*P by left-to-right double-and-add: one doubling per bit
@@ -389,8 +389,8 @@ class CoordChange:
         N, D, Y, E = P.x.num, P.x.den, P.y.num, P.y.den
         X = N - self.r * D
         Y = Y - X * self.s * _exact(E, D) - self.t_ * E
-        return self.codomain.point(RatFunc(X, D, _canonical=True) / self.w ** 2,
-                                   RatFunc(Y, E, _canonical=True) / self.w ** 3)
+        return self.codomain.point(_frac(X, D) / self.w ** 2,
+                                   _frac(Y, E) / self.w ** 3)
 
     def backward(self, P: CurvePoint) -> CurvePoint:
         if P.curve != self.codomain:
@@ -401,7 +401,7 @@ class CoordChange:
         N = N * self.w ** 2
         X = N + self.r * D
         Y = Y * self.w ** 3 + N * self.s * _exact(E, D) + self.t_ * E
-        return self.domain.point(RatFunc(X, D, _canonical=True), RatFunc(Y, E, _canonical=True))
+        return self.domain.point(_frac(X, D), _frac(Y, E))
 
 
 def change_coords(curve: WeierstrassCurve, r, s, t_, w) -> tuple[WeierstrassCurve, CoordChange]:

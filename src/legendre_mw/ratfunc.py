@@ -34,15 +34,16 @@ products are summed.  Coefficients become logs (a FieldElement's format)
 only to be read: `coeff`, `lc`, `repr`, `eval`, `scale_var`, `frobenius`,
 `poly_sqrt` and the read-only view `c`; `to_obj` reads the digit slots.
 
-A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  Only
-the general constructor RatFunc(num, den) runs Euclid on a whole
-numerator and denominator.  The Frobenius and u -> a*u (a != 0) are
-automorphisms of F_q[u], so they keep num and den coprime.  The field
-operators take gcds only of factors that can be shared (Henrici; Knuth,
-TAOCP 4.5.1), none with a constant operand and none for x * x; an int or
-FieldElement operand and a zero term make no Poly product at all, a
-Poly product by a constant is one product by its row, as a scaling is,
-and a product by 1 returns the other operand.
+A RatFunc is always canonical: gcd(num, den) = 1 and den monic.  The
+constructor RatFunc(num, den) always reduces, by Euclid on the whole
+numerator and denominator; a result known to be reduced is built
+unchecked by _frac, as a Poly is by _poly.  The Frobenius and u -> a*u
+(a != 0) are automorphisms of F_q[u], so they keep num and den coprime.
+The field operators take gcds only of factors that can be shared
+(Henrici; Knuth, TAOCP 4.5.1), none with a constant operand and none for
+x * x; an int or FieldElement operand and a zero term make no Poly
+product at all, a Poly product by a constant is one product by its row,
+as a scaling is, and a product by 1 returns the other operand.
 """
 
 from __future__ import annotations
@@ -277,6 +278,13 @@ def _poly(pk: _Packing, v: int) -> "Poly":
     f = object.__new__(Poly)
     f.ctx, f._pk, f._v = pk.ctx, pk, v
     return f
+
+
+def _frac(num: "Poly", den: "Poly") -> "RatFunc":
+    """num/den for coprime num and monic den, unchecked."""
+    r = object.__new__(RatFunc)
+    r.num, r.den = num, den
+    return r
 
 
 class Poly:
@@ -577,8 +585,8 @@ def poly_sqrt(f: Poly) -> Poly:
 
 
 def _common(a: Poly, b: Poly) -> Poly | None:
-    """gcd(a, b) of nonzero a and b, or None when it is 1; a constant
-    operand makes it 1 without running Euclid."""
+    """gcd(a, b) for nonzero b (b made monic for a = 0), or None when it
+    is 1; a constant operand makes it 1 without running Euclid."""
     if a.deg == 0 or b.deg == 0:
         return None
     g = Poly.gcd(a, b)
@@ -588,7 +596,7 @@ def _common(a: Poly, b: Poly) -> Poly | None:
 def _monic_den(num: Poly, den: Poly) -> "RatFunc":
     """num/den for coprime num, den, scaled so that den is monic."""
     s = -den.lc().e
-    return RatFunc(num._times(s), den._times(s), _canonical=True)
+    return _frac(num._times(s), den._times(s))
 
 
 # ----------------------------------------------------------------------
@@ -598,30 +606,22 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None, _canonical: bool = False):
-        if den is None:
-            den = _poly(num._pk, 1)
+    def __init__(self, num: Poly, den: Poly):
+        """num/den over gcd(num, den) (den for num = 0), den made monic."""
         num._check(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not _canonical:
-            if num.is_zero():
-                den = Poly.one(num.ctx)
-            else:
-                g = Poly.gcd(num, den)
-                if g.deg > 0:
-                    num = num // g
-                    den = den // g
-                inv = den.lc().inv()
-                num, den = num.scale(inv), den.scale(inv)
-        self.num = num
-        self.den = den
+        g = _common(num, den)
+        if g is not None:
+            num, den = num // g, den // g
+        s = -den.lc().e
+        self.num, self.den = num._times(s), den._times(s)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, _poly(p._pk, 1), _canonical=True)
+        return _frac(p, _poly(p._pk, 1))
 
     @classmethod
     def constant(cls, ctx: FieldCtx, value) -> "RatFunc":
@@ -681,7 +681,7 @@ class RatFunc:
         as num + c den = num mod den."""
         if c.e is None:
             return self
-        return RatFunc(self.num + self.den._times(c.e), self.den, _canonical=True)
+        return _frac(self.num + self.den._times(c.e), self.den)
 
     def _sum(self, c: Poly, d: Poly) -> "RatFunc":
         """self + c/d for coprime c, d with d monic (Henrici): with
@@ -692,7 +692,7 @@ class RatFunc:
         if c.is_zero():
             return self
         if a.is_zero():
-            return RatFunc(c, d, _canonical=True)
+            return _frac(c, d)
         g = _common(b, d)
         b1, d1 = (b, d) if g is None else (b // g, d // g)
         num = a * d1 + c * b1
@@ -701,10 +701,10 @@ class RatFunc:
         h = None if g is None else _common(num, g)
         if h is not None:
             num, d = num // h, d // h
-        return RatFunc(num, b1 * d, _canonical=True)
+        return _frac(num, b1 * d)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _canonical=True)
+        return _frac(-self.num, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -715,7 +715,7 @@ class RatFunc:
         a, b, c, d = self.num, self.den, o.num, o.den
         if o is self:
             # a square of a reduced fraction is reduced
-            return RatFunc(a * a, b * b, _canonical=True)
+            return _frac(a * a, b * b)
         if a.is_zero() or c.is_zero():
             return RatFunc.zero(self.ctx)
         # gcd(a c, b d) = gcd(a, d) gcd(c, b)
@@ -725,7 +725,7 @@ class RatFunc:
         g = _common(c, b)
         if g is not None:
             c, b = c // g, b // g
-        return RatFunc(a * c, b * d, _canonical=True)
+        return _frac(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -733,7 +733,7 @@ class RatFunc:
         """self * c for a field element c: only the numerator scales."""
         if c.e is None:
             return RatFunc.zero(self.ctx)
-        return RatFunc(self.num._times(c.e), self.den, _canonical=True)
+        return _frac(self.num._times(c.e), self.den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -762,7 +762,7 @@ class RatFunc:
         if e < 0:
             return self.inv() ** (-e)
         # num^e, den^e stay coprime and den^e stays monic
-        return RatFunc(self.num ** e, self.den ** e, _canonical=True)
+        return _frac(self.num ** e, self.den ** e)
 
     # -- maps ------------------------------------------------------------
 
@@ -786,7 +786,7 @@ class RatFunc:
         function is defined over F_p(u) iff this fixes it.  An
         automorphism of F_q[u] fixing 1, so num and den stay coprime and
         den monic."""
-        return RatFunc(self.num.frobenius(), self.den.frobenius(), _canonical=True)
+        return _frac(self.num.frobenius(), self.den.frobenius())
 
     # -- misc --------------------------------------------------------------
 

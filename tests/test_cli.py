@@ -255,6 +255,17 @@ def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_out_file_that_fails_on_write_exits_2(tmp_path, capsys):
+    # a name longer than the file system allows is in a writable
+    # directory, so it passes the check made before the work, and
+    # opening it to write the document fails
+    target = tmp_path / ("x" * 300)
+    code = main(["points", "--p", "3", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_out_file_checked_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("work began before --out was checked")

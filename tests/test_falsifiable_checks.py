@@ -10,6 +10,13 @@ Checks no input can make false without raising first:
   (ValueError: a point off the curve or off the map's domain).  So a
   wrong t or a wrong curve raises before the check is read.
 
+A check no input can make false alone:
+- gram.lattice_det_matches compares the determinant of the leading
+  (d - 2) x (d - 2) block of G with a closed form.  The determinant is a
+  function of the entries, which gram.entries_match_closed_form compares
+  with their closed forms, so a wrong input that changes it changes an
+  entry and turns that check false too.
+
 Checks no input can make false until the BSD inputs (fibre types,
 torsion order, L-value) are derived from the curve, not closed forms:
 - invariants.bsd_ratio_is_one: the m^2 of the Sha order cancels the
@@ -29,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from legendre_mw import cli
+from legendre_mw import cli, exact_linalg, invariants
 from legendre_mw.curve import CurvePoint, IsogenyChain, WeierstrassCurve, legendre_form_curve
 from legendre_mw.legendre import substitute_zeta_u
 from legendre_mw.ratfunc import RatFunc
@@ -58,14 +65,18 @@ COVERED = {
         "test_falsifiable_checks.py::test_q0_for_t_breaks_only_the_torsion_profile",
     "points.galois_shift_permutes_points":
         "test_falsifiable_checks.py::test_negated_p1_breaks_only_the_galois_shift",
+    "gram.entries_match_closed_form":
+        "test_falsifiable_checks.py::test_negated_p0_breaks_only_the_closed_form_entries",
+    "gram.kernel_relations_are_torsion":
+        "test_falsifiable_checks.py::test_shifted_kernel_vector_breaks_only_the_torsion_relations",
+    "gram.rank_is_d_minus_2":
+        "test_falsifiable_checks.py::test_extra_kernel_vector_breaks_only_the_rank",
+    "gram.orbit_rank_matches_formula":
+        "test_falsifiable_checks.py::test_split_orbit_breaks_only_the_orbit_rank",
 }
 
 OPEN = (
-    "gram.entries_match_closed_form",
-    "gram.kernel_relations_are_torsion",
     "gram.lattice_det_matches",
-    "gram.orbit_rank_matches_formula",
-    "gram.rank_is_d_minus_2",
     "invariants.bsd_ratio_is_one",
     "invariants.fiber_data_consistent",
     "isogeny.chain_reaches_legendre_form",
@@ -235,6 +246,56 @@ def test_index_two_breaks_only_the_index_check(p):
     # (d - 1)^(d - 2); the BSD ratio stays 1 (see the module docstring)
     assert _false_checks(["invariants", "--p", p, "--m", "2"]) == (
         1, ["invariants.index_is_admissible"])
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_negated_p0_breaks_only_the_closed_form_entries(monkeypatch, p):
+    # -P_0 for P_0 conjugates G by diag(-1, 1, ..., 1): the off-diagonal
+    # entries of row and column 0 change sign, but the determinant, the
+    # rank, the orbit rank and the torsion of the kernel relations (read
+    # on the same points) do not
+    point_P = cli.point_P
+    monkeypatch.setattr(cli, "point_P",
+                        lambda params, i: -point_P(params, i) if i == 0 else point_P(params, i))
+    assert _false_checks(["gram", "--p", p]) == (1, ["gram.entries_match_closed_form"])
+
+
+def _kernel_with(monkeypatch, change):
+    kernel_basis = exact_linalg.kernel_basis
+    monkeypatch.setattr(exact_linalg, "kernel_basis", lambda rows: change(kernel_basis(rows)))
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_shifted_kernel_vector_breaks_only_the_torsion_relations(monkeypatch, p):
+    # the first relation plus e_0 sums to a torsion point plus P_0, which
+    # is not torsion; the kernel keeps its size, so the rank is unchanged
+    _kernel_with(monkeypatch, lambda kern: [(kern[0][0] + 1,) + kern[0][1:]] + kern[1:])
+    assert _false_checks(["gram", "--p", p]) == (1, ["gram.kernel_relations_are_torsion"])
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_extra_kernel_vector_breaks_only_the_rank(monkeypatch, p):
+    # the sum of the two relations is a relation too, so it combines to a
+    # torsion point, but a third vector makes the rank d - 3
+    _kernel_with(monkeypatch, lambda kern: kern + [tuple(map(sum, zip(*kern)))])
+    assert _false_checks(["gram", "--p", p]) == (1, ["gram.rank_is_d_minus_2"])
+
+
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_split_orbit_breaks_only_the_orbit_rank(monkeypatch, p):
+    # under --q p one x p orbit of Z/d, split into singletons, adds a row
+    # to the orbit Gram that raises its rank past the formula's; with the
+    # default q = p^2 every orbit is a singleton already
+    frobenius_orbits = invariants.frobenius_orbits
+
+    def split(d, q):
+        orbits = frobenius_orbits(d, q)
+        k = next(i for i, orbit in enumerate(orbits) if len(orbit) > 1)
+        return orbits[:k] + [[j] for j in orbits[k]] + orbits[k + 1:]
+
+    monkeypatch.setattr(invariants, "frobenius_orbits", split)
+    assert _false_checks(["gram", "--p", p, "--q", p]) == (
+        1, ["gram.orbit_rank_matches_formula"])
 
 
 def test_inventory_covers_every_check_once():

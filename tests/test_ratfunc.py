@@ -844,6 +844,19 @@ def test_ratfunc_eval_and_scale_var():
     assert r.scale_var(z).eval(pt) == r.eval(z * pt)
 
 
+def test_scale_var_at_zero_is_the_value_at_zero():
+    # u -> 0 u is no automorphism: num and den become the constants
+    # num(0) and den(0), which the constructor reduces, and a den
+    # with a root at 0 leaves no value
+    u = RatFunc.variable(CTX)
+    zero = CTX.zero()
+    for r in ((u ** 2 + 2 * u + 1) / (u + 2), u / (u + 1)):
+        s = r.scale_var(zero)
+        assert (s.num, s.den) == (Poly.constant(CTX, r.eval(zero)), Poly.one(CTX))
+    with pytest.raises(ZeroDivisionError):
+        ((u + 1) / u).scale_var(zero)
+
+
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_coefficient_maps_run_no_gcd(monkeypatch, k):
     # the Frobenius and u -> a*u (a != 0) are automorphisms of F_q[u],

@@ -228,7 +228,7 @@ def test_poly_storage_stays_in_ratfunc():
     assert hits == []
 
 
-def test_benchmark_hooks_resolve():
+def test_benchmark_hooks_resolve(monkeypatch):
     # perfbench/layers.py traces a run by rebinding these names at run
     # time; loading the module installs nothing, Tracer.install() does
     path = SRC.parent / "perfbench" / "layers.py"
@@ -242,11 +242,29 @@ def test_benchmark_hooks_resolve():
         missing += ["%s %s" % (layer, name) for name in names
                     if home is None or name not in vars(home)]
     assert missing == []
-    # the ratfunc_canon namer reads _canonical as the fourth positional
-    # argument, and the Poly namers read a row count off c.shape[0]
+    # the ratfunc_canon namer finds no _canonical argument, so it counts
+    # every RatFunc.__init__ call, and the Poly namers read a row count
+    # off c.shape[0]
+    from legendre_mw import cli
     from legendre_mw.gf import build_field
     from legendre_mw.ratfunc import Poly, RatFunc
-    assert list(inspect.signature(RatFunc.__init__).parameters)[3] == "_canonical"
+    assert list(inspect.signature(RatFunc.__init__).parameters) == ["self", "num", "den"]
     ctx = build_field(3, 2)
+    # so each call is one reduction, and results known to be reduced
+    # are built without one: a whole command enters __init__ never
+    init, calls = RatFunc.__init__, []
+
+    def counted(self, num, den):
+        calls.append((num, den))
+        init(self, num, den)
+
+    monkeypatch.setattr(RatFunc, "__init__", counted)
+    u = Poly.variable(ctx)
+    r = RatFunc(u * u - 1, 2 * (u - 1))
+    assert len(calls) == 1
+    assert (r.num, r.den) == ((u + 1) * ctx.elem(2).inv(), Poly.one(ctx))
+    calls.clear()
+    assert cli.main(["all", "--p", "3"]) == 0
+    assert calls == []
     for coeffs, count in (([], 0), ([1], 1), ([0, 2, 0, 1], 4), ([2, 0], 1)):
         assert Poly.from_elems(ctx, coeffs).c.shape[0] == count
