@@ -14,9 +14,9 @@ _HOMES = {
     "gf": ("FieldCtx", "FieldElement", "build_field", "is_prime", "validate_q",
            "zeta"),
     "ratfunc": ("Poly", "RatFunc", "poly_sqrt"),
-    "curve": ("CoordChange", "CurvePoint", "IsogenyChain", "IsogenyMap",
-              "WeierstrassCurve", "change_coords", "legendre_form_curve",
-              "two_isogeny_quotient", "two_torsion"),
+    "curve": ("CurvePoint", "WeierstrassCurve", "legendre_form_curve", "two_torsion"),
+    "isogeny": ("CoordChange", "IsogenyChain", "IsogenyMap", "change_coords",
+                "two_isogeny_quotient"),
     "legendre": ("FamilyParams", "admissible_b_values", "make_family",
                  "matching_index", "point_P", "point_R", "substitute_zeta_u",
                  "torsion_points", "trace_point"),

@@ -7,16 +7,14 @@ parameters (including an --out file that cannot be written).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import sys
 
 from .gf import validate_q
-from .legendre import (FamilyParams, admissible_b_values, make_family,
-                       matching_index, point_P, point_R, substitute_zeta_u,
-                       torsion_points, trace_point)
+from .legendre import FamilyParams, make_family, point_P, torsion_points
 
 
 def _params_obj(params: FamilyParams, q: int, m: int) -> dict:
@@ -26,206 +24,6 @@ def _params_obj(params: FamilyParams, q: int, m: int) -> dict:
         "zeta": params.zeta.to_obj(),
         "t": "u^%d" % params.d,
     }
-
-
-def _point_obj(P, extra=None) -> dict:
-    if P.is_infinity:
-        obj = {"x": None, "y": None, "infinity": True}
-    else:
-        obj = {"x": str(P.x), "y": str(P.y)}
-    obj.update(extra or {})
-    return obj
-
-
-# ----------------------------------------------------------------------
-# Subcommand payloads.  Each returns (payload_dict, checks_dict) and
-# imports the modules beyond legendre that it runs, so a command loads
-# only what its sections use.
-
-def run_points(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
-    from .heights import is_torsion_point, point_order
-
-    d = params.d
-    curve = params.curve
-    pts_torsion = [is_torsion_point(P) for P in pts]
-    orders = {label: point_order(P) for label, P in tors.items()}
-
-    galois_ok = all(substitute_zeta_u(params, pts[i]) == pts[(i + 1) % d]
-                    for i in range(d))
-    torsion_profile_ok = sorted(orders.values()) == [1, 2, 2, 2, 4, 4, 4, 4]
-    # rank d - 2: the P_i are torsion exactly when d = 2
-    pts_nontorsion = all(t == (d == 2) for t in pts_torsion)
-
-    payload = {
-        "points": [
-            _point_obj(P, {"label": "P%d" % i, "is_torsion": pts_torsion[i]})
-            for i, P in enumerate(pts)
-        ],
-        "torsion": [
-            _point_obj(P, {"label": label, "order": orders[label]})
-            for label, P in tors.items()
-        ],
-    }
-    if params.f > 1:
-        tr = trace_point(params, pts, 1)
-        payload["trace_of_P1"] = _point_obj(tr)
-    checks = {
-        "points_on_curve": all(curve.on_curve(P) for P in pts + list(tors.values())),
-        "galois_shift_permutes_points": galois_ok,
-        "torsion_order_profile": torsion_profile_ok,
-        "explicit_points_nontorsion": pts_nontorsion,
-    }
-    return payload, checks
-
-
-def run_gram(params: FamilyParams, pts, q: int, depth: str) -> tuple[dict, dict]:
-    from .heights import combination, expected_gram, gram_matrix, is_torsion_point
-
-    d = params.d
-    indices = list(range(min(4, d) if depth == "quick" else d))
-    labels = ["P%d" % i for i in indices]
-    G = gram_matrix(pts[:len(indices)])
-    expected = expected_gram(d, indices)
-
-    payload = {
-        "indices": indices,
-        "gram": {"labels": labels, "entries": G},
-        "expected": {"labels": labels, "entries": expected},
-        "heights": [G[i][i] for i in range(len(indices))],
-    }
-    checks = {"entries_match_closed_form": G == expected}
-
-    if depth == "full":
-        from . import invariants as inv
-        from .exact_linalg import determinant, kernel_basis, rank
-
-        # P_0 .. P_{d-3} span the lattice; pts holds every P_j
-        n = d - 2
-        det = determinant([row[:n] for row in G[:n]])
-        want_det = inv.regulator_coefficient(d, 1)
-        kern = kernel_basis(G)
-        realized = [is_torsion_point(combination(pts, v)) for v in kern]
-        payload["basis_indices"] = list(range(n))
-        payload["lattice_det"] = det
-        payload["expected_lattice_det"] = want_det
-        g_rank = len(G) - len(kern)
-        payload["rank"] = g_rank
-        payload["kernel"] = kern
-        checks["lattice_det_matches"] = det == want_det
-        checks["rank_is_d_minus_2"] = g_rank == n
-        checks["kernel_relations_are_torsion"] = all(realized)
-
-        # the pairing is bilinear, so the Gram of the orbit sums is C G C^T
-        orbits = inv.frobenius_orbits(d, q)
-        og = [[sum(G[i][j] for i in a for j in b) for b in orbits] for a in orbits]
-        payload["frobenius_orbits"] = orbits
-        og_rank, want_rank = rank(og), inv.rank_formula(d, q)
-        payload["orbit_gram_rank"] = og_rank
-        payload["rank_formula"] = want_rank
-        checks["orbit_rank_matches_formula"] = og_rank == want_rank
-    return payload, checks
-
-
-def run_invariants(params: FamilyParams, q: int, m: int) -> tuple[dict, dict]:
-    from . import invariants as inv
-
-    d = params.d
-    bsd = inv.bsd_report(params.p, params.f, q, m)
-    audit = inv.fiber_audit(d)
-
-    t = params.t
-    disc = params.curve.discriminant()
-    disc_ok = disc == 16 * t * t * (t - 1) * (t - 1)
-    deg_ok = disc.deg == 4 * d
-
-    payload = {
-        "bsd": bsd,
-        "fibers": audit,
-        "discriminant": {
-            "value": str(disc),
-            "degree": int(disc.deg),
-            "expected_degree": 4 * d,
-        },
-    }
-    checks = {
-        "bsd_ratio_is_one": bsd["bsd_ratio"] == 1,
-        "index_is_admissible": bsd["m_is_admissible"],
-        "fiber_data_consistent": audit["consistent"],
-        "discriminant_is_16_t2_tm1_2": disc_ok,
-        "discriminant_degree": deg_ok,
-    }
-    return payload, checks
-
-
-def run_isogeny(params: FamilyParams, pts, tors) -> tuple[dict, dict]:
-    from .curve import IsogenyChain
-
-    chain = IsogenyChain(params.t)
-    samples = pts[:4]
-    samples.append(params.curve.add(samples[0], samples[1 % len(samples)]))
-    samples.append(params.curve.smul(2, samples[0]))
-    samples.extend(tors.values())
-
-    back = [chain.backward(R) for R in samples]
-    imgs = [chain.forward(S) for S in back]
-    round_trip = [img == params.curve.smul(2, R) for R, img in zip(samples, imgs)]
-    hom_ok = [chain.forward(back[i] + back[i + 1]) == imgs[i] + imgs[i + 1]
-              for i in range(0, len(back) - 1, 2)]
-
-    payload = {
-        "source": chain.source.to_obj(),
-        "first_display": chain.mid.to_obj(),
-        "second_display": chain.quotient.to_obj(),
-        "legendre": chain.legendre.to_obj(),
-        "isogeny": chain.phi.to_obj(),
-        "samples": [
-            {"on_legendre": _point_obj(R), "pullback": _point_obj(S)}
-            for R, S in zip(samples, back)
-        ],
-    }
-    checks = {
-        "chain_reaches_legendre_form": chain.legendre == params.curve,
-        "round_trip_is_multiplication_by_2": all(round_trip),
-        "forward_is_homomorphism": all(hom_ok),
-    }
-    return payload, checks
-
-
-def run_rb(params: FamilyParams, pts) -> tuple[dict, dict]:
-    from .exact_linalg import rank
-    from .heights import gram_matrix, is_torsion_point
-
-    p, d = params.p, params.d
-    bs = admissible_b_values(params)
-    rows, rpts, match_ok, frob_ok = [], [], [], []
-    for b in bs:
-        R = point_R(params, b)
-        i = matching_index(params, b)
-        S = pts[i] + pts[d - i]
-        match_ok.append(R.x == S.x)
-        frob_ok.append(R.x.frobenius() == R.x and R.y.frobenius() == R.y)
-        rows.append({"b": b.code(), "index": i, "x": str(R.x), "y": str(R.y),
-                     "is_torsion": is_torsion_point(R)})
-        rpts.append(R)
-    # R_b together with the rational points P_0, P_{d/2} realize the
-    # descended rank
-    rational = rpts + [pts[0], pts[d // 2]]
-    labels = ["R%d" % r["b"] for r in rows] + ["P0", "P%d" % (d // 2)]
-    G = gram_matrix(rational)
-    g_rank, want_rank = rank(G), (p - 1) // 2
-    payload = {
-        "admissible_b": [b.code() for b in bs],
-        "points": rows,
-        "descended_gram": {"labels": labels, "entries": G},
-        "descended_rank": g_rank,
-        "expected_rank": want_rank,
-    }
-    checks = {
-        "closed_form_matches_group_law": all(match_ok),
-        "coordinates_frobenius_fixed": all(frob_ok),
-        "descended_rank_matches": g_rank == want_rank,
-    }
-    return payload, checks
 
 
 # ----------------------------------------------------------------------
@@ -281,76 +79,229 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
 # ----------------------------------------------------------------------
 
 def _check_out_path(path: str):
-    """Refuse an --out file whose directory is missing or unwritable
+    """Refuse an --out file whose directory is missing or unwritable, or
+    whose name is longer than that directory's file system allows,
     before any work is done; opening it may still fail later, and
     `main` reports that too."""
-    folder = os.path.dirname(os.path.abspath(path))
+    folder, name = os.path.split(os.path.abspath(path))
     if not path or os.path.isdir(path) or not os.path.isdir(folder) \
-            or not os.access(folder, os.W_OK):
+            or not os.access(folder, os.W_OK) or _name_too_long(folder, name):
         raise ValueError("cannot write --out file %s" % path)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="legendre-mw",
-        description="Explicit points, heights and BSD bookkeeping for "
-                    "y^2 = x(x+1)(x+u^d), d = p^f + 1, over F_q(u).")
-    ap.add_argument("--p", type=int, required=True, help="odd prime p")
-    ap.add_argument("--f", type=int, default=1, help="d = p^f + 1 (default 1)")
-    ap.add_argument("--q", type=int, default=None,
-                    help="field of constants, a power p^j (default p^(2f), p when f = 0)")
-    ap.add_argument("--m", type=int, default=1,
-                    help="claimed index of the P_i lattice (default 1)")
-    ap.add_argument("--depth", choices=("quick", "full"), default="full",
-                    help="quick trims the gram computation to 4 points")
-    ap.add_argument("--format", choices=("json", "table"), default="json")
-    ap.add_argument("--out", default=None, help="write output to a file")
-    ap.add_argument("command", choices=("points", "gram", "invariants",
-                                        "isogeny", "rb", "all"))
-    return ap
+def _name_too_long(folder: str, name: str) -> bool:
+    """Whether name is longer than folder's file system takes; False
+    where the platform cannot say, and opening the file reports it."""
+    try:
+        limit = os.pathconf(folder, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        return False
+    return 0 <= limit < len(os.fsencode(name))
+
+
+# ----------------------------------------------------------------------
+# The command line: one positional command, seven options that each
+# take one value, and -h/--help.  The parser keeps argparse's rules for
+# this grammar, which tests/parser_reference.py holds as its oracle:
+# an option may be given as a unique prefix and as --opt=value, a
+# token after "--" is positional, a first positional is the command and
+# a later one an error, a repeated option keeps its last value, and an
+# error exits 2 with the usage on stderr.
+
+COMMANDS = ("points", "gram", "invariants", "isogeny", "rb", "all")
+
+# option -> (its type, int or str, or the tuple of its choices; its default)
+_OPTIONS = {
+    "--p": (int, None),
+    "--f": (int, 1),
+    "--q": (int, None),
+    "--m": (int, 1),
+    "--depth": (("quick", "full"), "full"),
+    "--format": (("json", "table"), "json"),
+    "--out": (str, None),
+}
+_HELP = ("-h", "--help")
+_LONG = ("--help",) + tuple(_OPTIONS)
+
+USAGE = """\
+usage: legendre-mw [-h] --p P [--f F] [--q Q] [--m M] [--depth {quick,full}]
+                   [--format {json,table}] [--out OUT]
+                   {points,gram,invariants,isogeny,rb,all}
+"""
+
+HELP = USAGE + """
+Explicit points, heights and BSD bookkeeping for y^2 = x(x+1)(x+u^d), d = p^f
++ 1, over F_q(u).
+
+positional arguments:
+  {points,gram,invariants,isogeny,rb,all}
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 odd prime p
+  --f F                 d = p^f + 1 (default 1)
+  --q Q                 field of constants, a power p^j (default p^(2f), p
+                        when f = 0)
+  --m M                 claimed index of the P_i lattice (default 1)
+  --depth {quick,full}  quick trims the gram computation to 4 points
+  --format {json,table}
+  --out OUT             write output to a file
+"""
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _option(tok: str):
+    """(option, its value in the token or None) for an option-like
+    token, (None, None) for an unknown option, and None for a
+    positional: one not starting with "-", a lone "-", and, unless it
+    names an option, a negative number or a token with a space."""
+    if tok in _OPTIONS or tok in _HELP:
+        return tok, None
+    if len(tok) < 2 or tok[0] != "-":
+        return None
+    name, eq, value = tok.partition("=")
+    if eq and (name in _OPTIONS or name in _HELP):
+        return name, value
+    if tok[1] == "-":
+        found = [opt for opt in _LONG if opt.startswith(name)]
+        if len(found) > 1:
+            raise _UsageError("ambiguous option: %s could match %s"
+                              % (tok, ", ".join(found)))
+        if found:
+            return found[0], value if eq else None
+    elif tok.startswith("-h"):   # -h with more letters after it
+        return "-h", tok[2:]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok:
+        return None
+    return None, None
+
+
+def _value(label: str, kind, value: str):
+    """value as an int, or checked against its choices."""
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise _UsageError("argument %s: invalid int value: %r" % (label, value)) from None
+    if kind is not str and value not in kind:
+        raise _UsageError("argument %s: invalid choice: %r (choose from %s)"
+                          % (label, value, ", ".join(map(repr, kind))))
+    return value
+
+
+def _parse(argv: list[str]) -> dict:
+    # tokens before the first "--" are classified at once, so an
+    # ambiguous prefix is refused before any other token is read
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(tok) for tok in argv[:end]]
+    last = max((i for i, kind in enumerate(kinds) if kind), default=-1)
+    args = {name[2:]: default for name, (_, default) in _OPTIONS.items()}
+    args["command"] = None
+    extras = []
+    i = 0
+    while i <= last:
+        tok, kind = argv[i], kinds[i]
+        i += 1
+        if kind is None:   # a positional between options
+            if args["command"] is None:
+                args["command"] = _value("command", COMMANDS, tok)
+            else:
+                extras.append(tok)
+            continue
+        name, value = kind
+        if name is None:
+            extras.append(tok)
+        elif name in _HELP:
+            # -hh... is -h repeated; -h takes no other value (as argparse
+            # before 3.13, which takes -hx as -h and -x)
+            if value is None or (name == "-h" and value and not value.strip("h")):
+                sys.stdout.write(HELP)
+                raise SystemExit(0)
+            raise _UsageError("argument -h/--help: ignored explicit argument %r" % value)
+        else:
+            if value is None:
+                if i >= end or kinds[i] is not None:
+                    raise _UsageError("argument %s: expected one argument" % name)
+                value, i = argv[i], i + 1
+            args[name[2:]] = _value(name, _OPTIONS[name][0], value)
+    # after the last option, a command still missing takes the next
+    # token, together with the "--" just before or after it
+    rest = argv[i:]
+    at = 1 if i == end else 0
+    if args["command"] is None and len(rest) > at:
+        args["command"] = _value("command", COMMANDS, rest[at])
+        rest = rest[at + 1 + (i + 1 == end):]
+    extras += rest
+    missing = ["--p"] * (args["p"] is None) + ["command"] * (args["command"] is None)
+    if missing:
+        raise _UsageError("the following arguments are required: %s" % ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
+def parse_args(argv: list[str]) -> dict:
+    """The options and command of a command line, by dest, with their
+    defaults.  Exits 0 after printing the help for -h/--help, and 2
+    with the usage and the error on stderr for a command line it
+    refuses."""
+    try:
+        return _parse(argv)
+    except _UsageError as exc:
+        sys.stderr.write("%slegendre-mw: error: %s\n" % (USAGE, exc))
+        raise SystemExit(2) from None
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    cmd, m, out = args["command"], args["m"], args["out"]
     # parameter validation: anything wrong here is exit code 2
     try:
-        params = make_family(args.p, args.f)
-        q = args.q if args.q is not None else params.ctx.order
-        if args.m < 1:
+        params = make_family(args["p"], args["f"])
+        q = args["q"] if args["q"] is not None else params.ctx.order
+        if m < 1:
             raise ValueError("m must be >= 1")
         # q = p^j is prime to d = p^f + 1, as the rank formula needs
-        validate_q(q, args.p, 0)
-        if args.command in ("invariants", "all"):
-            validate_q(q, args.p, args.f)
-        if args.command == "rb" and params.f != 1:
+        validate_q(q, args["p"], 0)
+        if cmd in ("invariants", "all"):
+            validate_q(q, args["p"], args["f"])
+        if cmd == "rb" and params.f != 1:
             raise ValueError("the rb command needs f = 1")
-        if args.out is not None:
-            _check_out_path(args.out)
+        if out is not None:
+            _check_out_path(out)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
     # one set of points for all sections; isogeny and quick gram use P_0..P_3
-    cmd = args.command
-    quick = cmd == "isogeny" or (cmd, args.depth) == ("gram", "quick")
+    quick = cmd == "isogeny" or (cmd, args["depth"]) == ("gram", "quick")
     n = min(4, params.d) if quick else params.d
     pts = [point_P(params, i) for i in range(n)] if cmd != "invariants" else []
     tors = torsion_points(params) if cmd in ("points", "isogeny", "all") else None
 
+    # each section's module is imported only by the commands that run it
     sections: dict[str, tuple[dict, dict]] = {}
     if cmd in ("points", "all"):
+        from .sections.points import run_points
         sections["points"] = run_points(params, pts, tors)
     if cmd in ("gram", "all"):
-        sections["gram"] = run_gram(params, pts, q, args.depth)
+        from .sections.gram import run_gram
+        sections["gram"] = run_gram(params, pts, q, args["depth"])
     if cmd in ("invariants", "all"):
-        sections["invariants"] = run_invariants(params, q, args.m)
+        from .sections.invariants import run_invariants
+        sections["invariants"] = run_invariants(params, q, m)
     if cmd in ("isogeny", "all"):
+        from .sections.isogeny import run_isogeny
         sections["isogeny"] = run_isogeny(params, pts, tors)
     if cmd == "rb" or (cmd == "all" and params.f == 1):
+        from .sections.rb import run_rb
         sections["rb"] = run_rb(params, pts)
 
     checks = {}
-    doc = {"params": _params_obj(params, q, args.m), "command": cmd}
+    doc = {"params": _params_obj(params, q, m), "command": cmd}
     for name, (payload, section_checks) in sections.items():
         doc[name] = payload
         for key, val in section_checks.items():
@@ -358,7 +309,7 @@ def main(argv=None) -> int:
     doc["checks"] = checks
     doc["ok"] = all(checks.values())
     try:
-        _emit(doc, args.format, args.out)
+        _emit(doc, args["format"], out)
     except OSError as exc:  # e.g. --out in a missing directory
         print("error: %s" % exc, file=sys.stderr)
         return 2

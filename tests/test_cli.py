@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from parser_reference import build_parser
 
 from legendre_mw import cli, heights, legendre
-from legendre_mw.cli import build_parser, main
+from legendre_mw.cli import main
+from legendre_mw.sections import isogeny as isogeny_section
+from legendre_mw.sections import points as points_section
 from legendre_mw.curve import WeierstrassCurve
 from legendre_mw.exact_linalg import rank
 from legendre_mw.gf import FieldElement
@@ -37,9 +44,42 @@ def _run_module(*argv, flags=()):
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["points", "--p", "3"])
-    assert args.f == 1 and args.q is None and args.m == 1
-    assert args.depth == "full" and args.format == "json"
+    args = cli.parse_args(["points", "--p", "3"])
+    assert args == {"command": "points", "p": 3, "f": 1, "q": None, "m": 1,
+                    "depth": "full", "format": "json", "out": None}
+
+
+def _outcome(parse, argv):
+    """(exit code, parsed values or None) of parse(argv), its output
+    swallowed: code 0 with values when it accepts."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return 0, parse(argv)
+        except SystemExit as exc:
+            return exc.code, None
+
+
+OPTIONS = ("--p", "--f", "--q", "--m", "--depth", "--format", "--out")
+VALUES = ("3", "-3", " 7", "0x3", "3.0", "-x.json", "x", "quick", "slow", "table")
+TOKENS = (OPTIONS + ("--dep", "--fo", "--o", "--he")
+          + tuple("%s=%s" % (opt, v) for opt in ("--p", "--dep", "--fo", "--o") for v in VALUES[:6])
+          + cli.COMMANDS + VALUES + ("--", "-h", "--help", "--=3", "-hh", "--help=x"))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=9))
+@example(["gram", "--dep", "quick", "--fo=table", "--p", "3"])   # prefixes, --opt=value
+@example(["--p=-3", "--o", "x.json", "--", "all"])
+@example(["--p", "3", "--p", " 7", "points", "--"])              # the last --p counts
+@example(["gram", "--p", "x", "--help"])                         # refused before the help
+@example(["gram", "x", "--he"])
+@example(["--=3", "-h"])                                         # ambiguous
+@example(["-h"])
+def test_parser_matches_argparse(argv):
+    # the argparse parser the CLI had is the oracle: the same values
+    # wherever it accepts, exit 2 wherever it refuses and 0 for the help
+    want = _outcome(lambda a: vars(build_parser().parse_args(a)), list(argv))
+    assert _outcome(cli.parse_args, list(argv)) == want
 
 
 def test_points_command(capsys):
@@ -175,12 +215,16 @@ def test_entry_freezes_after_the_document_is_written(capsys, monkeypatch):
     (["invariants", "--p", "3", "--m", "2"], 1),  # m = 2 is no index at d = 4
     (["points", "--p", "4"], 2),
     (["--p", "3"], 2),                            # no command
+    (["gram", "--p", "3", "--depth", "slow"], 2),
+    (["gram", "--p", "x"], 2),
+    (["gram", "--p", "3", "extra"], 2),
+    (["--help"], 0),
 ])
 def test_module_run_matches_main(capsys, argv, code):
     # a fresh interpreter exits with main's code and writes main's bytes
     try:
         got = main(argv)
-    except SystemExit as exc:  # argparse refuses the command line
+    except SystemExit as exc:  # the parser refuses the command line, or prints the help
         got = exc.code
     out, err = capsys.readouterr()
     assert got == code
@@ -255,12 +299,11 @@ def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_out_file_that_fails_on_write_exits_2(tmp_path, capsys):
-    # a name longer than the file system allows is in a writable
-    # directory, so it passes the check made before the work, and
-    # opening it to write the document fails
-    target = tmp_path / ("x" * 300)
-    code = main(["points", "--p", "3", "--out", str(target)])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_file_that_fails_on_write_exits_2(capsys):
+    # /dev/full is in a writable directory, so it passes the check made
+    # before the work, and writing the document to it fails (ENOSPC)
+    code = main(["points", "--p", "3", "--out", "/dev/full"])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and err.startswith("error:")
@@ -270,13 +313,15 @@ def test_out_file_checked_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("work began before --out was checked")
 
-    for name in ("run_points", "point_P", "torsion_points"):
+    monkeypatch.setattr(points_section, "run_points", refuse)
+    for name in ("point_P", "torsion_points"):
         monkeypatch.setattr(cli, name, refuse)
-    target = tmp_path / "missing" / "x.json"
-    code = main(["points", "--p", "3", "--out", str(target)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not target.exists()
+    # a missing directory, and a name longer than the file system allows
+    for target in (tmp_path / "missing" / "x.json", tmp_path / ("x" * 300)):
+        code = main(["points", "--p", "3", "--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.lexists(target)
 
 
 @pytest.mark.parametrize("cmd", [
@@ -346,7 +391,7 @@ def test_isogeny_field_products_need_no_dispatch(monkeypatch):
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     fam = make_family(7)
     pts = [point_P(fam, i) for i in range(4)]
-    _, checks = cli.run_isogeny(fam, pts, torsion_points(fam))
+    _, checks = isogeny_section.run_isogeny(fam, pts, torsion_points(fam))
     assert all(checks.values())
     assert calls and not refused
 

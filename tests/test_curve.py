@@ -8,13 +8,13 @@ from legendre_mw.curve import (
     CurvePoint,
     IsogenyChain,
     WeierstrassCurve,
-    _same_j,
     change_coords,
     legendre_form_curve,
     two_isogeny_quotient,
     two_torsion,
 )
 from legendre_mw.gf import FieldElement, build_field
+from legendre_mw.isogeny import _same_j
 from legendre_mw.legendre import make_family, point_P, torsion_points
 from legendre_mw.ratfunc import Poly, RatFunc
 

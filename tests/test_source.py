@@ -3,7 +3,7 @@
 resolves from the module that defines it, importing the package loads
 none of its modules and a command only those it runs, the package
 imports no numpy, whose import alone took
-longer than most commands' own work, nor dataclasses, which loads
+longer than most commands' own work, nor argparse, nor dataclasses, which loads
 inspect, ast, dis and tokenize for a few records, gf.py imports no
 other module of the package, the element format of F_q stays behind
 gf.py and that of F_q[u] behind ratfunc.py, and
@@ -60,6 +60,18 @@ def test_unknown_attribute_is_named():
         from legendre_mw import no_such_name  # noqa: F401
 
 
+def test_curve_reexports_the_isogeny_half():
+    # curve.py hands out isogeny.py's names on first access, as the
+    # package does, and still names an attribute it does not have
+    from legendre_mw import curve, isogeny
+
+    assert [name for name in curve._ISOGENY_NAMES
+            if getattr(curve, name) is not getattr(isogeny, name)] == []
+    assert sorted(curve._ISOGENY_NAMES) == sorted(legendre_mw._HOMES["isogeny"])
+    with pytest.raises(AttributeError, match="no_such_name"):
+        curve.no_such_name
+
+
 def _src_imports(top, files=None):
     """file:line of every import of the top-level module `top` under src/
     (or in `files`); a relative import is one of legendre_mw."""
@@ -95,18 +107,25 @@ def _loaded_by_cli_import(modules, *flags):
     return _loaded(modules, "import legendre_mw.cli", *flags)
 
 
-PACKAGE = tuple("legendre_mw." + m for m in ("gf", "ratfunc", "curve", "legendre", "heights",
-                                             "exact_linalg", "invariants", "cli"))
+SECTIONS = tuple("legendre_mw.sections." + m
+                 for m in ("points", "gram", "invariants", "isogeny", "rb"))
+PACKAGE = tuple("legendre_mw." + m for m in ("gf", "ratfunc", "curve", "isogeny", "legendre",
+                                             "heights", "exact_linalg", "invariants", "cli",
+                                             "sections")) + SECTIONS
+# argparse and the gettext and locale imports it makes cost more than a
+# small command's own work; fractions is loaded only with heights
+WATCHED = PACKAGE + ("fractions", "argparse", "gettext", "locale")
 
 
 def _loaded_by_command(*argv):
-    """Which package modules, and whether fractions, a fresh run of the
-    command loads (-S: no site hook such as a .pth file decides)."""
+    """Which package modules, and which of the other WATCHED modules, a
+    fresh run of the command loads (-S: no site hook such as a .pth file
+    decides)."""
     setup = ("import os, sys, legendre_mw.cli\n"
              "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
              "if legendre_mw.cli.main(%r): raise SystemExit('command failed')\n"
              "sys.stdout = out" % (list(argv),))
-    return set(ast.literal_eval(_loaded(PACKAGE + ("fractions",), setup, "-S")))
+    return set(ast.literal_eval(_loaded(WATCHED, setup, "-S")))
 
 
 def test_package_import_loads_no_module():
@@ -115,18 +134,34 @@ def test_package_import_loads_no_module():
 
 # what a command loads beyond cli, legendre and the modules legendre imports
 BASE = {"legendre_mw.cli", "legendre_mw.legendre", "legendre_mw.gf", "legendre_mw.ratfunc",
-        "legendre_mw.curve"}
+        "legendre_mw.curve", "legendre_mw.sections"}
+HEIGHTS = {"legendre_mw.heights", "fractions"}
 
 
 @pytest.mark.parametrize("argv,extra", [
     # the isogeny chain needs no heights, linear algebra, invariants or Fractions
-    (["isogeny", "--p", "3"], set()),
-    (["gram", "--p", "3", "--depth", "quick"], {"legendre_mw.heights", "fractions"}),
-    (["all", "--p", "3"], {"legendre_mw.heights", "legendre_mw.exact_linalg",
-                           "legendre_mw.invariants", "fractions"}),
+    (["isogeny", "--p", "3"], {"legendre_mw.isogeny", "legendre_mw.sections.isogeny"}),
+    # no command but isogeny and all compiles curve.py's isogeny half
+    (["gram", "--p", "3", "--depth", "quick"], HEIGHTS | {"legendre_mw.sections.gram"}),
+    (["points", "--p", "3"], HEIGHTS | {"legendre_mw.sections.points"}),
+    (["rb", "--p", "3"], HEIGHTS | {"legendre_mw.exact_linalg", "legendre_mw.sections.rb"}),
+    (["all", "--p", "3"], set(PACKAGE) | {"fractions"}),
 ])
 def test_command_loads_only_what_it_runs(argv, extra):
+    # and none loads argparse, gettext or locale
     assert _loaded_by_command(*argv) == BASE | extra
+
+
+def test_module_run_imports_cli_only_as_main():
+    # python -m runs cli.py as __main__, so a section that imported
+    # legendre_mw.cli would compile it a second time
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "legendre_mw.cli", "all",
+                           "--p", "3"], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    imported = set(re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, re.M))
+    assert set(SECTIONS) <= imported
+    assert "legendre_mw.cli" not in imported
 
 
 def test_star_import_dir_and_help_list_every_public_name():
@@ -143,6 +178,10 @@ def test_star_import_dir_and_help_list_every_public_name():
 
 def test_src_imports_no_numpy():
     assert _src_imports("numpy") == []
+
+
+def test_src_imports_no_argparse():
+    assert _src_imports("argparse") == []
 
 
 def test_src_imports_no_dataclasses():
