@@ -27,13 +27,12 @@ from __future__ import annotations
 from .gf import FieldCtx, FieldElement
 from .ratfunc import Poly, RatFunc, _frac, poly_sqrt
 
-# the isogeny half, defined in isogeny.py
-_ISOGENY_NAMES = ("CoordChange", "IsogenyChain", "IsogenyMap", "change_coords",
-                  "two_isogeny_quotient")
-
 
 def __getattr__(name):
-    if name not in _ISOGENY_NAMES:
+    # the isogeny half: the names the package table puts in isogeny.py
+    from . import _MODULE_OF
+
+    if _MODULE_OF.get(name) != "isogeny":
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     from . import isogeny
 

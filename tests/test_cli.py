@@ -16,8 +16,6 @@ from parser_reference import build_parser
 
 from legendre_mw import cli, heights, legendre
 from legendre_mw.cli import main
-from legendre_mw.sections import isogeny as isogeny_section
-from legendre_mw.sections import points as points_section
 from legendre_mw.curve import WeierstrassCurve
 from legendre_mw.exact_linalg import rank
 from legendre_mw.gf import FieldElement
@@ -313,7 +311,7 @@ def test_out_file_checked_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("work began before --out was checked")
 
-    monkeypatch.setattr(points_section, "run_points", refuse)
+    monkeypatch.setattr(cli, "run_points", refuse)
     for name in ("point_P", "torsion_points"):
         monkeypatch.setattr(cli, name, refuse)
     # a missing directory, and a name longer than the file system allows
@@ -391,7 +389,7 @@ def test_isogeny_field_products_need_no_dispatch(monkeypatch):
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     fam = make_family(7)
     pts = [point_P(fam, i) for i in range(4)]
-    _, checks = isogeny_section.run_isogeny(fam, pts, torsion_points(fam))
+    _, checks = cli.run_isogeny(fam, pts, torsion_points(fam))
     assert all(checks.values())
     assert calls and not refused
 

@@ -40,7 +40,6 @@ from legendre_mw import cli, exact_linalg, invariants
 from legendre_mw.curve import CurvePoint, IsogenyChain, WeierstrassCurve, legendre_form_curve
 from legendre_mw.legendre import substitute_zeta_u
 from legendre_mw.ratfunc import RatFunc
-from legendre_mw.sections import rb as rb_section
 
 COVERED = {
     "points.explicit_points_nontorsion": "test_cli.py::test_d2_points_are_checked_torsion",
@@ -144,8 +143,8 @@ def test_chain_reaches_legendre_form_raises_before_it_can_be_false(monkeypatch, 
 def test_shifted_matching_index_breaks_only_the_closed_form(monkeypatch, p):
     # R_b is compared with P_(i+1) + P_(d-i-1), another sum of a
     # Frobenius pair; the R_b themselves and their Gram are unchanged
-    matching_index = rb_section.matching_index
-    monkeypatch.setattr(rb_section, "matching_index",
+    matching_index = cli.matching_index
+    monkeypatch.setattr(cli, "matching_index",
                         lambda params, b: matching_index(params, b) + 1)
     assert _false_checks(["rb", "--p", p]) == (1, ["rb.closed_form_matches_group_law"])
 
@@ -169,10 +168,10 @@ def test_conjugated_points_break_only_the_frobenius_check(monkeypatch, p):
     # F_p(u).  At p = 3 (d = 4, zeta^2 = -1) each R_b is even in u
     # (x = u^2, y = u^4 + u^2 for the one admissible b), so its conjugate
     # is a point of F_3(u) again.
-    point_P, point_R = cli.point_P, rb_section.point_R
+    point_P, point_R = cli.point_P, cli.point_R
     monkeypatch.setattr(cli, "point_P",
                         lambda params, i: substitute_zeta_u(params, point_P(params, i)))
-    monkeypatch.setattr(rb_section, "point_R",
+    monkeypatch.setattr(cli, "point_R",
                         lambda params, b: substitute_zeta_u(params, point_R(params, b)))
     assert _false_checks(["rb", "--p", p]) == (1, ["rb.coordinates_frobenius_fixed"])
 

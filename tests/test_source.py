@@ -65,9 +65,8 @@ def test_curve_reexports_the_isogeny_half():
     # package does, and still names an attribute it does not have
     from legendre_mw import curve, isogeny
 
-    assert [name for name in curve._ISOGENY_NAMES
+    assert [name for name in legendre_mw._HOMES["isogeny"]
             if getattr(curve, name) is not getattr(isogeny, name)] == []
-    assert sorted(curve._ISOGENY_NAMES) == sorted(legendre_mw._HOMES["isogeny"])
     with pytest.raises(AttributeError, match="no_such_name"):
         curve.no_such_name
 
@@ -107,11 +106,8 @@ def _loaded_by_cli_import(modules, *flags):
     return _loaded(modules, "import legendre_mw.cli", *flags)
 
 
-SECTIONS = tuple("legendre_mw.sections." + m
-                 for m in ("points", "gram", "invariants", "isogeny", "rb"))
 PACKAGE = tuple("legendre_mw." + m for m in ("gf", "ratfunc", "curve", "isogeny", "legendre",
-                                             "heights", "exact_linalg", "invariants", "cli",
-                                             "sections")) + SECTIONS
+                                             "heights", "exact_linalg", "invariants", "cli"))
 # argparse and the gettext and locale imports it makes cost more than a
 # small command's own work; fractions is loaded only with heights
 WATCHED = PACKAGE + ("fractions", "argparse", "gettext", "locale")
@@ -134,18 +130,20 @@ def test_package_import_loads_no_module():
 
 # what a command loads beyond cli, legendre and the modules legendre imports
 BASE = {"legendre_mw.cli", "legendre_mw.legendre", "legendre_mw.gf", "legendre_mw.ratfunc",
-        "legendre_mw.curve", "legendre_mw.sections"}
+        "legendre_mw.curve"}
 HEIGHTS = {"legendre_mw.heights", "fractions"}
 
 
 @pytest.mark.parametrize("argv,extra", [
     # the isogeny chain needs no heights, linear algebra, invariants or Fractions
-    (["isogeny", "--p", "3"], {"legendre_mw.isogeny", "legendre_mw.sections.isogeny"}),
+    (["isogeny", "--p", "3"], {"legendre_mw.isogeny"}),
     # no command but isogeny and all compiles curve.py's isogeny half
-    (["gram", "--p", "3", "--depth", "quick"], HEIGHTS | {"legendre_mw.sections.gram"}),
-    (["points", "--p", "3"], HEIGHTS | {"legendre_mw.sections.points"}),
-    (["rb", "--p", "3"], HEIGHTS | {"legendre_mw.exact_linalg", "legendre_mw.sections.rb"}),
+    (["gram", "--p", "3", "--depth", "quick"], HEIGHTS),
+    (["points", "--p", "3"], HEIGHTS),
+    (["rb", "--p", "3"], HEIGHTS | {"legendre_mw.exact_linalg"}),
     (["all", "--p", "3"], set(PACKAGE) | {"fractions"}),
+    (["invariants", "--p", "3"], {"legendre_mw.invariants", "fractions"}),
+    (["gram", "--p", "3"], HEIGHTS | {"legendre_mw.exact_linalg", "legendre_mw.invariants"}),
 ])
 def test_command_loads_only_what_it_runs(argv, extra):
     # and none loads argparse, gettext or locale
@@ -153,14 +151,16 @@ def test_command_loads_only_what_it_runs(argv, extra):
 
 
 def test_module_run_imports_cli_only_as_main():
-    # python -m runs cli.py as __main__, so a section that imported
-    # legendre_mw.cli would compile it a second time
+    # python -m runs cli.py as __main__, so a module that imported
+    # legendre_mw.cli would compile it a second time; the modules `all`
+    # imports lazily show that the import times were read at all
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "legendre_mw.cli", "all",
                            "--p", "3"], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     imported = set(re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, re.M))
-    assert set(SECTIONS) <= imported
+    assert {"legendre_mw.heights", "legendre_mw.isogeny", "legendre_mw.exact_linalg",
+            "legendre_mw.invariants"} <= imported
     assert "legendre_mw.cli" not in imported
 
 
