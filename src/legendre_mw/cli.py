@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
-import re
 import sys
 
 from .gf import validate_q
@@ -290,170 +288,56 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
 
 
 # ----------------------------------------------------------------------
-
-def _check_out_path(path: str):
-    """Refuse an --out file whose directory is missing or unwritable, or
-    whose name is longer than that directory's file system allows,
-    before any work is done; opening it may still fail later, and
-    `main` reports that too."""
-    folder, name = os.path.split(os.path.abspath(path))
-    if not path or os.path.isdir(path) or not os.path.isdir(folder) \
-            or not os.access(folder, os.W_OK) or _name_too_long(folder, name):
-        raise ValueError("cannot write --out file %s" % path)
-
-
-def _name_too_long(folder: str, name: str) -> bool:
-    """Whether name is longer than folder's file system takes; False
-    where the platform cannot say, and opening the file reports it."""
-    try:
-        limit = os.pathconf(folder, "PC_NAME_MAX")
-    except (AttributeError, OSError, ValueError):
-        return False
-    return 0 <= limit < len(os.fsencode(name))
-
-
-# ----------------------------------------------------------------------
-# The command line: one positional command, seven options that each
-# take one value, and -h/--help.  The parser keeps argparse's rules for
-# this grammar, which tests/parser_reference.py holds as its oracle:
-# an option may be given as a unique prefix and as --opt=value, a
-# token after "--" is positional, a first positional is the command and
-# a later one an error, a repeated option keeps its last value, and an
-# error exits 2 with the usage on stderr.
+# The command line: one positional command and seven options that each
+# take one value.  `_plain` reads a plain line, and argparse, imported
+# only then, every other line: -h/--help, a prefix such as --dep,
+# --opt=value, "--", a value that starts with "-" and every mistake, so
+# help, usage and errors are argparse's own on every interpreter.
+# tests/parser_reference.py keeps an argparse parser as the oracle.
 
 COMMANDS = ("points", "gram", "invariants", "isogeny", "rb", "all")
 
-# option -> (its type, int or str, or the tuple of its choices; its default)
+# option -> (its type, int or str, or the tuple of its choices; its
+# default; its help)
 _OPTIONS = {
-    "--p": (int, None),
-    "--f": (int, 1),
-    "--q": (int, None),
-    "--m": (int, 1),
-    "--depth": (("quick", "full"), "full"),
-    "--format": (("json", "table"), "json"),
-    "--out": (str, None),
+    "--p": (int, None, "odd prime p"),
+    "--f": (int, 1, "d = p^f + 1 (default 1)"),
+    "--q": (int, None, "field of constants, a power p^j (default p^(2f), p when f = 0)"),
+    "--m": (int, 1, "claimed index of the P_i lattice (default 1)"),
+    "--depth": (("quick", "full"), "full", "quick trims the gram computation to 4 points"),
+    "--format": (("json", "table"), "json", None),
+    "--out": (str, None, "write output to a file"),
 }
-_HELP = ("-h", "--help")
-_LONG = ("--help",) + tuple(_OPTIONS)
-
-USAGE = """\
-usage: legendre-mw [-h] --p P [--f F] [--q Q] [--m M] [--depth {quick,full}]
-                   [--format {json,table}] [--out OUT]
-                   {points,gram,invariants,isogeny,rb,all}
-"""
-
-HELP = USAGE + """
-Explicit points, heights and BSD bookkeeping for y^2 = x(x+1)(x+u^d), d = p^f
-+ 1, over F_q(u).
-
-positional arguments:
-  {points,gram,invariants,isogeny,rb,all}
-
-options:
-  -h, --help            show this help message and exit
-  --p P                 odd prime p
-  --f F                 d = p^f + 1 (default 1)
-  --q Q                 field of constants, a power p^j (default p^(2f), p
-                        when f = 0)
-  --m M                 claimed index of the P_i lattice (default 1)
-  --depth {quick,full}  quick trims the gram computation to 4 points
-  --format {json,table}
-  --out OUT             write output to a file
-"""
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _option(tok: str):
-    """(option, its value in the token or None) for an option-like
-    token, (None, None) for an unknown option, and None for a
-    positional: one not starting with "-", a lone "-", and, unless it
-    names an option, a negative number or a token with a space."""
-    if tok in _OPTIONS or tok in _HELP:
-        return tok, None
-    if len(tok) < 2 or tok[0] != "-":
-        return None
-    name, eq, value = tok.partition("=")
-    if eq and (name in _OPTIONS or name in _HELP):
-        return name, value
-    if tok[1] == "-":
-        found = [opt for opt in _LONG if opt.startswith(name)]
-        if len(found) > 1:
-            raise _UsageError("ambiguous option: %s could match %s"
-                              % (tok, ", ".join(found)))
-        if found:
-            return found[0], value if eq else None
-    elif tok.startswith("-h"):   # -h with more letters after it
-        return "-h", tok[2:]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok:
-        return None
-    return None, None
-
-
-def _value(label: str, kind, value: str):
-    """value as an int, or checked against its choices."""
-    if kind is int:
-        try:
-            return int(value)
-        except ValueError:
-            raise _UsageError("argument %s: invalid int value: %r" % (label, value)) from None
-    if kind is not str and value not in kind:
-        raise _UsageError("argument %s: invalid choice: %r (choose from %s)"
-                          % (label, value, ", ".join(map(repr, kind))))
-    return value
-
-
-def _parse(argv: list[str]) -> dict:
-    # tokens before the first "--" are classified at once, so an
-    # ambiguous prefix is refused before any other token is read
-    end = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_option(tok) for tok in argv[:end]]
-    last = max((i for i, kind in enumerate(kinds) if kind), default=-1)
-    args = {name[2:]: default for name, (_, default) in _OPTIONS.items()}
+def _plain(argv: list[str]) -> dict | None:
+    """The values of a plain command line: exact option names, each
+    followed by a value that does not start with "-" and that converts
+    with int or is one of the option's choices, and exactly one
+    command, with --p given; a repeated option keeps its last value.
+    None for any other line."""
+    args = {name[2:]: default for name, (_, default, _) in _OPTIONS.items()}
     args["command"] = None
-    extras = []
-    i = 0
-    while i <= last:
-        tok, kind = argv[i], kinds[i]
-        i += 1
-        if kind is None:   # a positional between options
-            if args["command"] is None:
-                args["command"] = _value("command", COMMANDS, tok)
-            else:
-                extras.append(tok)
-            continue
-        name, value = kind
-        if name is None:
-            extras.append(tok)
-        elif name in _HELP:
-            # -hh... is -h repeated; -h takes no other value (as argparse
-            # before 3.13, which takes -hx as -h and -x)
-            if value is None or (name == "-h" and value and not value.strip("h")):
-                sys.stdout.write(HELP)
-                raise SystemExit(0)
-            raise _UsageError("argument -h/--help: ignored explicit argument %r" % value)
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in _OPTIONS:
+            # a missing value reads as "-", which argparse must report
+            kind, value = _OPTIONS[tok][0], next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif kind is not str and value not in kind:
+                return None
+            args[tok[2:]] = value
+        elif tok in COMMANDS and args["command"] is None:
+            args["command"] = tok
         else:
-            if value is None:
-                if i >= end or kinds[i] is not None:
-                    raise _UsageError("argument %s: expected one argument" % name)
-                value, i = argv[i], i + 1
-            args[name[2:]] = _value(name, _OPTIONS[name][0], value)
-    # after the last option, a command still missing takes the next
-    # token, together with the "--" just before or after it
-    rest = argv[i:]
-    at = 1 if i == end else 0
-    if args["command"] is None and len(rest) > at:
-        args["command"] = _value("command", COMMANDS, rest[at])
-        rest = rest[at + 1 + (i + 1 == end):]
-    extras += rest
-    missing = ["--p"] * (args["p"] is None) + ["command"] * (args["command"] is None)
-    if missing:
-        raise _UsageError("the following arguments are required: %s" % ", ".join(missing))
-    if extras:
-        raise _UsageError("unrecognized arguments: %s" % " ".join(extras))
-    return args
+            return None
+    return args if args["command"] and args["p"] is not None else None
 
 
 def parse_args(argv: list[str]) -> dict:
@@ -461,11 +345,20 @@ def parse_args(argv: list[str]) -> dict:
     defaults.  Exits 0 after printing the help for -h/--help, and 2
     with the usage and the error on stderr for a command line it
     refuses."""
-    try:
-        return _parse(argv)
-    except _UsageError as exc:
-        sys.stderr.write("%slegendre-mw: error: %s\n" % (USAGE, exc))
-        raise SystemExit(2) from None
+    args = _plain(argv)
+    if args is not None:
+        return args
+    import argparse
+
+    ap = argparse.ArgumentParser(
+        prog="legendre-mw",
+        description="Explicit points, heights and BSD bookkeeping for "
+                    "y^2 = x(x+1)(x+u^d), d = p^f + 1, over F_q(u).")
+    for name, (kind, default, text) in _OPTIONS.items():
+        spec = {"type": kind} if kind in (int, str) else {"choices": kind}
+        ap.add_argument(name, default=default, required=name == "--p", help=text, **spec)
+    ap.add_argument("command", choices=COMMANDS)
+    return vars(ap.parse_args(argv))
 
 
 def main(argv=None) -> int:
@@ -484,8 +377,10 @@ def main(argv=None) -> int:
         if cmd == "rb" and params.f != 1:
             raise ValueError("the rb command needs f = 1")
         if out is not None:
-            _check_out_path(out)
-    except ValueError as exc:
+            # opened before any work, in append mode so that an existing
+            # file keeps its content until the document is written
+            open(out, "a").close()
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
@@ -518,7 +413,7 @@ def main(argv=None) -> int:
     doc["ok"] = all(checks.values())
     try:
         _emit(doc, args["format"], out)
-    except OSError as exc:  # e.g. --out in a missing directory
+    except OSError as exc:  # e.g. --out on a full device
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 0 if doc["ok"] else 1

@@ -61,7 +61,8 @@ OPTIONS = ("--p", "--f", "--q", "--m", "--depth", "--format", "--out")
 VALUES = ("3", "-3", " 7", "0x3", "3.0", "-x.json", "x", "quick", "slow", "table")
 TOKENS = (OPTIONS + ("--dep", "--fo", "--o", "--he")
           + tuple("%s=%s" % (opt, v) for opt in ("--p", "--dep", "--fo", "--o") for v in VALUES[:6])
-          + cli.COMMANDS + VALUES + ("--", "-h", "--help", "--=3", "-hh", "--help=x"))
+          + cli.COMMANDS + VALUES + ("--", "-h", "--help", "--=3", "-hh", "--help=x")
+          + ("-hx", "", "-", "\t-3", "x y"))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -73,11 +74,25 @@ TOKENS = (OPTIONS + ("--dep", "--fo", "--o", "--he")
 @example(["gram", "x", "--he"])
 @example(["--=3", "-h"])                                         # ambiguous
 @example(["-h"])
+@example(["-hx"])                                                # -h and -x from 3.13 on
 def test_parser_matches_argparse(argv):
     # the argparse parser the CLI had is the oracle: the same values
     # wherever it accepts, exit 2 wherever it refuses and 0 for the help
     want = _outcome(lambda a: vars(build_parser().parse_args(a)), list(argv))
     assert _outcome(cli.parse_args, list(argv)) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--dep", "quick", "--p", "3"],       # a prefix
+    ["gram", "--p=3"],                            # --opt=value
+    ["gram", "--p", "3", "--"],
+    ["gram", "--p", "3", "-h"],
+    ["gram", "--p", "-3"],                        # a value that starts with "-"
+    ["gram", "--f", "2"],                         # no --p
+    ["gram", "--p", "3", "points"],               # a second command
+])
+def test_plain_leaves_other_lines_to_argparse(argv):
+    assert cli._plain(argv) is None
 
 
 def test_points_command(capsys):
@@ -314,12 +329,30 @@ def test_out_file_checked_before_any_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_points", refuse)
     for name in ("point_P", "torsion_points"):
         monkeypatch.setattr(cli, name, refuse)
-    # a missing directory, and a name longer than the file system allows
-    for target in (tmp_path / "missing" / "x.json", tmp_path / ("x" * 300)):
+    # a missing directory, a name longer than the file system allows,
+    # and a symlink that points into a missing directory
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "missing" / "link.json")
+    for target in (tmp_path / "missing" / "x.json", tmp_path / ("x" * 300), link):
         code = main(["points", "--p", "3", "--out", str(target)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
-        assert not os.path.lexists(target)
+        assert not os.path.exists(target)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_out_file_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work began before --out was checked")
+
+    monkeypatch.setattr(cli, "point_P", refuse)
+    target = tmp_path / "report.json"
+    target.write_text("kept\n")
+    target.chmod(0o444)
+    code = main(["points", "--p", "3", "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("cmd", [

@@ -3,8 +3,9 @@
 resolves from the module that defines it, importing the package loads
 none of its modules and a command only those it runs, the package
 imports no numpy, whose import alone took
-longer than most commands' own work, nor argparse, nor dataclasses, which loads
-inspect, ast, dis and tokenize for a few records, gf.py imports no
+longer than most commands' own work, nor dataclasses, which loads
+inspect, ast, dis and tokenize for a few records, and argparse only
+for a command line that `cli._plain` does not read, gf.py imports no
 other module of the package, the element format of F_q stays behind
 gf.py and that of F_q[u] behind ratfunc.py, and
 the names the benchmark's tracer rebinds exist."""
@@ -150,6 +151,11 @@ def test_command_loads_only_what_it_runs(argv, extra):
     assert _loaded_by_command(*argv) == BASE | extra
 
 
+def test_other_command_line_loads_argparse():
+    # a prefix is left to argparse, which the plain lines above never load
+    assert "argparse" in _loaded_by_command("gram", "--dep", "quick", "--p", "3")
+
+
 def test_module_run_imports_cli_only_as_main():
     # python -m runs cli.py as __main__, so a module that imported
     # legendre_mw.cli would compile it a second time; the modules `all`
@@ -180,8 +186,16 @@ def test_src_imports_no_numpy():
     assert _src_imports("numpy") == []
 
 
-def test_src_imports_no_argparse():
-    assert _src_imports("argparse") == []
+def test_src_imports_argparse_only_in_parse_args():
+    # one function-local import, which only a line cli._plain does not
+    # read reaches
+    path = SRC / "legendre_mw" / "cli.py"
+    parse_args = next(node for node in ast.parse(path.read_text()).body
+                      if isinstance(node, ast.FunctionDef) and node.name == "parse_args")
+    inside = ["legendre_mw/cli.py:%d" % node.lineno for node in ast.walk(parse_args)
+              if isinstance(node, ast.Import) and [a.name for a in node.names] == ["argparse"]]
+    assert len(inside) == 1
+    assert _src_imports("argparse") == inside
 
 
 def test_src_imports_no_dataclasses():
